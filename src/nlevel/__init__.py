@@ -7,7 +7,6 @@ integrator.  See the ``nlevel`` command line tool for the file-based
 interface.
 """
 
-from ._accel import numba_enabled
 from .algebra import (
     adjoint,
     build_clock,
@@ -27,6 +26,7 @@ from .hamiltonian import (
     deltas_to_energies,
     drive_coefficient,
     energies_to_deltas,
+    hamiltonian_at,
     interaction_diagonal,
 )
 from .propagator import (
@@ -58,11 +58,11 @@ __all__ = [
     "energies_to_deltas",
     "evolve",
     "exp_step",
+    "hamiltonian_at",
     "hermitian_eig",
     "interaction_diagonal",
     "mat_mul",
     "mat_pow",
-    "numba_enabled",
     "primitive_root",
     "similarity_diagonalize_shift",
 ]

@@ -30,6 +30,7 @@ __all__ = [
     "interaction_diagonal",
     "drive_coefficient",
     "build_full_hamiltonian",
+    "hamiltonian_at",
 ]
 
 DRIVE_MODELS = ("none", "generalized", "cosine2", "rwa2")
@@ -48,9 +49,20 @@ def _as_real(value, what: str) -> float:
     return value
 
 
-def _phase(x: float) -> complex:
-    # e^{ix} assembled from cos/sin so every builder shares the same rounding
-    return complex(math.cos(x), math.sin(x))
+def _rotating(a: np.ndarray, omega: float, times) -> np.ndarray:
+    """Stack of e^{i w t} a, one matrix per entry of ``times``.
+
+    Every builder forms the drive as this plus its adjoint, so they all share
+    the same phase rounding.
+    """
+    t = np.asarray(times)
+    if t.dtype.kind not in "iuf" or not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite real numbers")
+    return np.exp(1j * omega * t)[..., None, None] * a
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -163,8 +175,8 @@ def build_interaction(n: int, g, omega, t) -> np.ndarray:
     g = _as_real(g, "g")
     omega = _as_real(omega, "omega")
     t = _as_real(t, "t")
-    m = (0.5 * g * _phase(omega * t)) * build_shift(n)
-    return m + m.conj().T
+    m = _rotating(0.5 * g * build_shift(n), omega, t)
+    return m + _adjoint(m)
 
 
 def interaction_diagonal(n: int, omega, t) -> np.ndarray:
@@ -197,8 +209,16 @@ def drive_coefficient(spec: SystemSpec) -> np.ndarray:
     return 0.5 * spec.g * sigma_minus
 
 
+def hamiltonian_at(spec: SystemSpec, times) -> np.ndarray:
+    """H(t) = drift + e^{i w t} A + h.c. at every entry of ``times``.
+
+    Returns an array of shape ``np.shape(times) + (n, n)``: one matrix for a
+    scalar time, a stack for an array of times.  A is drive_coefficient(spec).
+    """
+    m = _rotating(drive_coefficient(spec), spec.omega, times)
+    return build_drift(spec) + m + _adjoint(m)
+
+
 def build_full_hamiltonian(spec: SystemSpec, t) -> np.ndarray:
     """Hamiltonian at time t for the spec's drive model."""
-    t = _as_real(t, "t")
-    m = _phase(spec.omega * t) * drive_coefficient(spec)
-    return build_drift(spec) + m + m.conj().T
+    return hamiltonian_at(spec, _as_real(t, "t"))

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+import nlevel.cli as cli
+import nlevel.hamiltonian as hamiltonian
 from nlevel import build_clock, build_fourier, build_shift
 
 BASE_EVOLVE = {
@@ -222,6 +224,42 @@ class TestEvolveCommand:
         proc = run_cli("evolve", "--config", config, "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 1
         assert key in proc.stderr
+
+
+class TestEvolveFailureExitCodes:
+    # in-process, so the numerical layers can be replaced by failing fakes
+
+    @staticmethod
+    def _evolve(tmp_path, payload):
+        out = tmp_path / "x.csv"
+        code = cli.main(["evolve", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)])
+        return code, out
+
+    def test_solver_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        def fail(a, UPLO="L"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, out = self._evolve(tmp_path, BASE_EVOLVE)
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_hermitian_drift_exits_1(self, tmp_path, monkeypatch, capsys):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        monkeypatch.setattr(hamiltonian, "build_drift", lambda spec: skew)
+        code, out = self._evolve(tmp_path, BASE_EVOLVE)
+        assert code == 1
+        assert "not hermitian at t = 0.025" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_sample_grid_exits_1(self, tmp_path, capsys):
+        payload = dict(BASE_EVOLVE, n=64, energies=list(range(64)), t_end=1.0, dt=2e-8)
+        code, out = self._evolve(tmp_path, payload)
+        assert code == 1
+        assert "byte budget" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCommandLineSurface:

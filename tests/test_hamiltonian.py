@@ -16,6 +16,7 @@ from nlevel import (
     deltas_to_energies,
     drive_coefficient,
     energies_to_deltas,
+    hamiltonian_at,
     interaction_diagonal,
     mat_pow,
 )
@@ -257,6 +258,28 @@ class TestFullHamiltonian:
             t = float(rng.uniform(0.0, 20.0))
             h = build_full_hamiltonian(spec, t)
             assert max_abs(h - h.conj().T) <= 1e-12
+
+
+class TestHamiltonianAt:
+    SPEC = SystemSpec(
+        n=4, energies=(0.1, 0.4, -0.2, 0.9), g=0.35, omega=1.2,
+        drive_model="generalized",
+    )
+
+    def test_stack_matches_single_times_bitwise(self):
+        times = np.linspace(0.0, 7.0, 11)
+        stack = hamiltonian_at(self.SPEC, times)
+        assert stack.shape == (11, 4, 4)
+        for t, h in zip(times, stack):
+            assert np.array_equal(h, build_full_hamiltonian(self.SPEC, float(t)))
+
+    def test_scalar_time_gives_one_matrix(self):
+        assert hamiltonian_at(self.SPEC, 2).shape == (4, 4)
+
+    @pytest.mark.parametrize("times", [[0.0, math.inf], [math.nan], [1j]])
+    def test_rejects_non_finite_or_complex_times(self, times):
+        with pytest.raises(ValueError, match="finite real"):
+            hamiltonian_at(self.SPEC, times)
 
 
 class TestSystemSpecValidation:

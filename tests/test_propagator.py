@@ -1,12 +1,9 @@
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+import nlevel.hamiltonian as hamiltonian
 import nlevel.propagator as propagator
 from nlevel import (
     EigenConvergenceError,
@@ -307,55 +304,104 @@ class TestInitialState:
             evolve(THREE_LEVEL, config)
 
 
-class TestKernelStatusPlumbing:
-    # fake kernels stand in for the jit path so the error mapping is pinned
-    # without manufacturing a genuinely divergent matrix
+class TestFailureMapping:
+    CONFIG = dict(t_start=0.0, t_end=1.0, dt=0.5)
 
+    def test_non_hermitian_drift_names_time(self, monkeypatch):
+        skew = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        monkeypatch.setattr(hamiltonian, "build_drift", lambda spec: skew)
+        with pytest.raises(ValueError, match="not hermitian at t = 0.25"):
+            evolve(THREE_LEVEL, EvolutionConfig(**self.CONFIG))
+
+    def test_solver_failure_raises_convergence_error(self, monkeypatch):
+        def fail(a, UPLO="L"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigenConvergenceError, match="t in"):
+            evolve(THREE_LEVEL, EvolutionConfig(**self.CONFIG))
+        with pytest.raises(EigenConvergenceError):
+            hermitian_eig(np.eye(2))
+
+
+class TestChunking:
+    def test_chunk_boundaries_do_not_change_the_trajectory(self, monkeypatch):
+        # 7 steps per chunk: sample instants fall on both sides of every edge
+        config = EvolutionConfig(t_start=0.1, t_end=2.0, dt=0.05, sample_every=3)
+        whole = evolve(THREE_LEVEL, config)
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", 7 * 16 * 3 * 3)
+        chunked = evolve(THREE_LEVEL, config)
+        assert np.array_equal(chunked.times, whole.times)
+        assert max_abs(chunked.populations - whole.populations) <= 1e-14
+        assert max_abs(chunked.final_state - whole.final_state) <= 1e-14
+
+    def test_one_step_per_chunk_for_oversized_matrices(self, monkeypatch):
+        config = EvolutionConfig(t_start=0.0, t_end=0.3, dt=0.1)
+        whole = evolve(THREE_LEVEL, config)
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", 1)
+        chunked = evolve(THREE_LEVEL, config)
+        assert np.array_equal(chunked.times, whole.times)
+        assert max_abs(chunked.populations - whole.populations) <= 1e-14
+
+
+class TestEnergyScale:
+    # scaling energies, drive and frequency by s and time by 1/s leaves the
+    # populations unchanged, so every scale must run and agree
     @staticmethod
-    def _fake_loop(status, fail_t):
-        def fake(h0, drive, omega, psi0, t_start, t_end, dt, n_steps,
-                 sample_every, off_tol, max_sweeps, herm_tol):
-            times = np.zeros(1)
-            pops = np.zeros((1, psi0.shape[0]))
-            errs = np.zeros(1)
-            return times, pops, errs, psi0, status, fail_t
-        return fake
-
-    def test_no_convergence_raises(self, monkeypatch):
-        monkeypatch.setattr(propagator, "evolve_loop", self._fake_loop(1, 0.25))
-        config = EvolutionConfig(t_start=0.0, t_end=1.0, dt=0.5)
-        with pytest.raises(EigenConvergenceError, match="t = 0.25"):
-            evolve(THREE_LEVEL, config)
-
-    def test_not_hermitian_raises(self, monkeypatch):
-        monkeypatch.setattr(propagator, "evolve_loop", self._fake_loop(2, 0.75))
-        config = EvolutionConfig(t_start=0.0, t_end=1.0, dt=0.5)
-        with pytest.raises(ValueError, match="not hermitian"):
-            evolve(THREE_LEVEL, config)
-
-
-class TestFallbackParity:
-    def test_pure_python_path_matches(self):
-        # run the same short evolution in a subprocess with the jit disabled
-        # and compare sampled populations
-        script = (
-            "import json, numpy as np\n"
-            "from nlevel import SystemSpec, EvolutionConfig, evolve\n"
-            "spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1), g=0.25,\n"
-            "                  omega=1.0, drive_model='generalized')\n"
-            "config = EvolutionConfig(t_start=0.0, t_end=4.0, dt=0.05)\n"
-            "traj = evolve(spec, config)\n"
-            "print(json.dumps({'times': traj.times.tolist(),\n"
-            "                  'pops': traj.populations.tolist()}))\n"
+    def _run(scale):
+        spec = SystemSpec(
+            n=3,
+            energies=(-1.0 * scale, 0.3 * scale, 1.0 * scale),
+            g=0.25 * scale,
+            omega=1.0 * scale,
+            drive_model="generalized",
         )
-        results = []
-        for flag in ("0", "1"):
-            env = dict(os.environ, NLEVEL_NO_NUMBA=flag)
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True, text=True, env=env, check=True,
-            )
-            results.append(json.loads(proc.stdout))
-        a, b = results
-        assert a["times"] == b["times"]
-        assert np.allclose(np.array(a["pops"]), np.array(b["pops"]), atol=1e-12)
+        config = EvolutionConfig(
+            t_start=0.0, t_end=20.0 / scale, dt=0.01 / scale, sample_every=50
+        )
+        return evolve(spec, config)
+
+    def test_populations_agree_across_scales(self):
+        runs = [self._run(scale) for scale in (1e-6, 1.0, 1e6)]
+        for run in runs:
+            assert float(np.max(run.norm_errors)) <= 1e-10
+        for run in (runs[0], runs[2]):
+            assert max_abs(run.populations - runs[1].populations) <= 1e-9
+
+    def test_large_scale_system_runs(self):
+        spec = SystemSpec(
+            n=3, energies=(-1e6, 3e5, 1e6), g=2.5e5, omega=1e6,
+            drive_model="generalized",
+        )
+        traj = evolve(spec, EvolutionConfig(t_start=0.0, t_end=1e-5, dt=1e-8))
+        assert np.allclose(traj.populations.sum(axis=1), 1.0, atol=1e-10)
+
+    def test_eig_accepts_large_scale_residue(self):
+        h = np.diag([1e6, -1e6]).astype(complex)
+        h[0, 1] = 5e-10
+        h[1, 0] = -5e-10
+        w, _ = hermitian_eig(h)
+        assert np.allclose(w, [-1e6, 1e6], rtol=1e-12, atol=0.0)
+
+    def test_eig_rejects_small_scale_non_hermitian(self):
+        with pytest.raises(ValueError, match="not hermitian"):
+            hermitian_eig(np.array([[0.0, 1e-12], [0.0, 0.0]]))
+
+
+class TestSampleBudget:
+    def test_huge_grid_rejected_before_allocation(self):
+        # 5e7 samples of 64 levels would need about 26 GB; the check has to
+        # fire before any buffer or Hamiltonian stack is built
+        spec = SystemSpec(n=64, energies=tuple(range(64)))
+        config = EvolutionConfig(t_start=0.0, t_end=1.0, dt=2e-8)
+        with pytest.raises(ValueError, match="byte budget"):
+            evolve(spec, config)
+
+    def test_budget_counts_thinned_samples(self, monkeypatch):
+        # 20 steps sampled every 5th: 5 samples of (3 + 2) doubles
+        config = EvolutionConfig(t_start=0.0, t_end=1.0, dt=0.05, sample_every=5)
+        monkeypatch.setattr(propagator, "MAX_SAMPLE_BYTES", 5 * 5 * 8)
+        assert evolve(THREE_LEVEL, config).times.shape == (5,)
+        monkeypatch.setattr(propagator, "MAX_SAMPLE_BYTES", 5 * 5 * 8 - 1)
+        with pytest.raises(ValueError, match="byte budget"):
+            evolve(THREE_LEVEL, config)
