@@ -10,7 +10,9 @@ audit failures, 2 on internal numerical failure (eigensolver non-convergence).
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -50,6 +52,9 @@ _CONFIG_KEYS = frozenset(
         "output_path",
     }
 )
+
+# CSV rows formatted per string operation; bounds the text held at once
+_CSV_BLOCK_ROWS = 4096
 
 _SPEC_KEYS = ("n", "energies", "g", "omega", "drive_model")
 _EVOLVE_KEYS = ("t_start", "t_end", "dt", "initial_state")
@@ -106,13 +111,52 @@ def _matrix_to_json(m):
     ]
 
 
+@contextmanager
+def _atomic_open(path):
+    """Text file whose content replaces ``path`` only once the block completes.
+
+    The content goes to a temporary file in the same directory, renamed over
+    ``path`` (over the file a symlink points to) at the end; on any exception
+    the temporary file is removed and an existing ``path`` keeps its old
+    content.  A device or pipe, such as /dev/stdout, is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
+    real = os.path.realpath(path)
+    head, name = os.path.split(real)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, real)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_json(payload, out_path):
     text = json.dumps(payload, indent=2) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", newline="") as fh:
+        with _atomic_open(out_path) as fh:
             fh.write(text)
+
+
+def _csv_blocks(data):
+    """The rows of a 2-d float array as CSV text, every value as %.17g.
+
+    Yields the text a block of rows at a time; %.17g gives the same digits
+    as format(x, ".17g"), so values round-trip exactly.
+    """
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    for start in range(0, data.shape[0], _CSV_BLOCK_ROWS):
+        block = data[start : start + _CSV_BLOCK_ROWS]
+        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
 
 
 def _load_config(path):
@@ -259,13 +303,11 @@ def _cmd_evolve(args) -> int:
 
     traj = evolve(spec, config)
     header = "t," + ",".join(f"p{i}" for i in range(spec.n)) + ",norm_error"
-    with open(out_path, "w", newline="") as fh:
+    data = np.column_stack((traj.times, traj.populations, traj.norm_errors))
+    with _atomic_open(out_path) as fh:
         fh.write(header + "\n")
-        for k in range(traj.times.shape[0]):
-            fields = [format(traj.times[k], ".17g")]
-            fields.extend(format(p, ".17g") for p in traj.populations[k])
-            fields.append(format(traj.norm_errors[k], ".17g"))
-            fh.write(",".join(fields) + "\n")
+        for text in _csv_blocks(data):
+            fh.write(text)
     return 0
 
 

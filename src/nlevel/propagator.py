@@ -7,6 +7,16 @@ assembles and diagonalizes the midpoint Hamiltonians of many steps at once
 and forms their step unitaries in one batch; only the matrix-vector chain
 runs step by step.  The scheme is second order in dt and unitary to solver
 precision, so norm drift doubles as an error diagnostic.
+
+Period reuse.  The drive e^{i w t} A + h.c. repeats after T = 2 pi / |w|, so
+when K steps of dt make up T the midpoint Hamiltonians repeat every K steps
+(Floquet periodicity).  evolve then diagonalizes only those K, multiplies
+them into the propagators from one sample to the next, and advances each
+sample with one matrix-vector product.  This applies when K |w| dt equals
+2 pi within 4 ulps (a static H counts as K = 1) and lcm(K, sample_every)
+steps of unitaries fit in one CHUNK_BYTES chunk.  The steps after the last
+whole lcm(K, sample_every) block, and a last step shortened to land on
+t_end, run step by step as on any other grid.
 """
 
 import math
@@ -38,6 +48,9 @@ HERMITIAN_RTOL = 1e-10
 CHUNK_BYTES = 2**16
 # cap on the sampled times, populations and norm errors a run may hold
 MAX_SAMPLE_BYTES = 2**30
+# K |w| dt may miss 2 pi by this much, relative, for the grid to count as one
+# drive period of K steps; about the rounding of w t itself on the direct path
+_PERIOD_RTOL = 4 * np.finfo(np.float64).eps
 
 
 class EigenConvergenceError(RuntimeError):
@@ -197,12 +210,52 @@ def _step_unitaries(spec: SystemSpec, edges: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * (w * steps[:, None]))[:, None, :]) @ _adjoint(v)
 
 
+def _period_steps(spec: SystemSpec, dt: float):
+    """Steps per drive period K when dt divides the period, else None.
+
+    The step-midpoint Hamiltonians then repeat every K steps.  A constant
+    Hamiltonian (no drive, g = 0 or w = 0) repeats every step, K = 1.
+    """
+    if spec.drive_model == "none" or spec.g == 0.0 or spec.omega == 0.0:
+        return 1
+    turn = abs(spec.omega) * dt
+    if turn * MAX_STEPS < 2.0 * math.pi:
+        return None  # a period longer than any run
+    k = round(2.0 * math.pi / turn)
+    if k >= 1 and abs(k * turn - 2.0 * math.pi) <= _PERIOD_RTOL * 2.0 * math.pi:
+        return k
+    return None
+
+
+def _sample_propagators(
+    spec: SystemSpec, t_start: float, dt: float, period: int, every: int
+) -> np.ndarray:
+    """Products of every consecutive step unitaries over lcm(period, every) steps.
+
+    Entry j maps the state at step j * every to the state at step
+    (j + 1) * every, for a grid whose midpoint Hamiltonians repeat every
+    ``period`` steps from t_start on.  Only the first period is diagonalized.
+    """
+    block = math.lcm(period, every)
+    u = _step_unitaries(spec, t_start + np.arange(period + 1) * dt)
+    u = u[np.arange(block) % period].reshape(block // every, every, spec.n, spec.n)
+    # halve the number of factors per propagator until one is left; the
+    # later step multiplies from the left, an odd last factor waits a round
+    while u.shape[1] > 1:
+        pairs = u.shape[1] // 2
+        paired = u[:, 1 : 2 * pairs : 2] @ u[:, 0 : 2 * pairs : 2]
+        u = np.concatenate((paired, u[:, 2 * pairs :]), axis=1)
+    return u[:, 0]
+
+
 def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     """Propagate the spec's initial value problem over the config's time grid.
 
     The Hamiltonian is rebuilt at every step midpoint, so the drive phase is
     exact.  Steps are processed in chunks of at most CHUNK_BYTES of
-    Hamiltonians, each diagonalized in one batched eigh call.  Raises
+    Hamiltonians, each diagonalized in one batched eigh call.  On a grid of
+    K steps per drive period only one period is diagonalized and each sample
+    costs one matrix-vector product (see the module docstring).  Raises
     ValueError when H(t) is not hermitian at some midpoint (the time is
     reported) or when the samples would need more than MAX_SAMPLE_BYTES, and
     EigenConvergenceError when the eigensolver fails.
@@ -227,7 +280,27 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     k_out = 1
 
     chunk = max(1, CHUNK_BYTES // (16 * n * n))
-    for start in range(0, n_steps, chunk):
+    done = 0  # steps taken by period reuse
+    period = _period_steps(spec, dt)
+    if period is not None:
+        block = math.lcm(period, every)
+        # a last step shortened to land on t_end is not one of the period's
+        whole = n_steps if t_start + n_steps * dt == t_end else n_steps - 1
+        done = whole // block * block if block <= chunk else 0
+    if done:
+        props = _sample_propagators(spec, t_start, dt, period, every)
+        n_reused = done // every
+        times[1 : 1 + n_reused] = t_start + np.arange(every, done + 1, every) * dt
+        for first in range(0, n_reused, chunk):
+            last = min(first + chunk, n_reused)
+            chain = np.empty((last - first, n), dtype=np.complex128)
+            for j in range(first, last):
+                psi = props[j % len(props)] @ psi
+                chain[j - first] = psi
+            populations[1 + first : 1 + last] = chain.real**2 + chain.imag**2
+        k_out += n_reused
+
+    for start in range(done, n_steps, chunk):
         stop = min(start + chunk, n_steps)
         # step edges t_start + k dt; the last edge is exactly t_end
         edges = t_start + np.arange(start, stop + 1) * dt

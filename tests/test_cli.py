@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -245,6 +247,7 @@ class TestEvolveFailureExitCodes:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_non_hermitian_drift_exits_1(self, tmp_path, monkeypatch, capsys):
         skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -260,6 +263,83 @@ class TestEvolveFailureExitCodes:
         assert code == 1
         assert "byte budget" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputFiles:
+    EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300,
+                   float("nan"), float("inf"), float("-inf"), 0.1, 1.0 / 3.0, 123456789.0]
+
+    def test_csv_text_matches_per_field_format(self, monkeypatch):
+        data = np.array(self.EDGE_VALUES).reshape(4, 3)
+        expected = "".join(
+            ",".join(format(x, ".17g") for x in row) + "\n" for row in data
+        )
+        assert "".join(cli._csv_blocks(data)) == expected
+        # rows split across blocks give the same text
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+        assert "".join(cli._csv_blocks(data)) == expected
+
+    def test_failed_csv_write_keeps_existing_output(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"t,p0,p1,norm_error\nearlier run\n")
+        config = write_config(tmp_path, BASE_EVOLVE)
+
+        def fail_midway(data):
+            yield "0,1,0,0\n"
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "_csv_blocks", fail_midway)
+        code = cli.main(["evolve", "--config", config, "--out", str(out)])
+        assert code == 1
+        assert "No space left" in capsys.readouterr().err
+        assert out.read_bytes() == b"t,p0,p1,norm_error\nearlier run\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "x.csv"]
+
+    def test_failed_json_write_keeps_existing_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "m.json"
+        out.write_bytes(b"{}\n")
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert cli.main(["matrices", "--n", "3", "--out", str(out)]) == 1
+        assert out.read_bytes() == b"{}\n"
+        assert os.listdir(tmp_path) == ["m.json"]
+
+    def test_write_replaces_existing_output(self, tmp_path):
+        out = tmp_path / "m.json"
+        out.write_bytes(b"stale and longer than the new content" * 100)
+        assert cli.main(["matrices", "--n", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n"] == 2
+        assert os.listdir(tmp_path) == ["m.json"]
+
+
+    def test_symlink_target_is_replaced(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"{}\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert cli.main(["matrices", "--n", "2", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["n"] == 2
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        # a pipe or device (say /dev/stdout) cannot be renamed over
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(pipe.read_bytes()), daemon=True
+        )
+        reader.start()
+        code = cli.main(["matrices", "--n", "2", "--out", str(pipe)])
+        reader.join(timeout=10)
+        assert code == 0
+        assert not reader.is_alive()
+        assert json.loads(received[0])["n"] == 2
+        assert os.listdir(tmp_path) == ["pipe"]
 
 
 class TestCommandLineSurface:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,3 +407,161 @@ class TestSampleBudget:
         monkeypatch.setattr(propagator, "MAX_SAMPLE_BYTES", 5 * 5 * 8 - 1)
         with pytest.raises(ValueError, match="byte budget"):
             evolve(THREE_LEVEL, config)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def load_config(name):
+    raw = json.loads((CONFIGS / name).read_text())
+    spec = SystemSpec(
+        n=raw["n"], energies=tuple(raw["energies"]), g=raw["g"],
+        omega=raw["omega"], drive_model=raw["drive_model"],
+    )
+    config = EvolutionConfig(
+        t_start=raw["t_start"], t_end=raw["t_end"], dt=raw["dt"],
+        initial_state=raw["initial_state"], sample_every=raw["sample_every"],
+    )
+    return spec, config
+
+
+def stepwise(spec, config):
+    """Sample times and populations from one exp_step per step on evolve's grid."""
+    n_steps = propagator._step_count(config.t_end - config.t_start, config.dt)
+    edges = config.t_start + np.arange(n_steps + 1) * config.dt
+    edges[-1] = config.t_end
+    psi = np.zeros(spec.n, dtype=complex)
+    psi[config.initial_state] = 1.0
+    states = [psi]
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        psi = exp_step(build_full_hamiltonian(spec, t0 + 0.5 * (t1 - t0)), t1 - t0, psi)
+        states.append(psi)
+    taken = list(range(0, n_steps + 1, config.sample_every))
+    if taken[-1] != n_steps:
+        taken.append(n_steps)
+    return edges[taken], np.abs(np.array(states)[taken]) ** 2
+
+
+@pytest.fixture
+def built_steps(monkeypatch):
+    """Midpoint counts of every batch of step unitaries evolve builds."""
+    counts = []
+    plain = propagator._step_unitaries
+
+    def spy(spec, edges):
+        counts.append(len(edges) - 1)
+        return plain(spec, edges)
+
+    monkeypatch.setattr(propagator, "_step_unitaries", spy)
+    return counts
+
+
+def assert_matches_stepwise(spec, config):
+    traj = evolve(spec, config)
+    times, populations = stepwise(spec, config)
+    assert np.array_equal(traj.times, times)
+    assert max_abs(traj.populations - populations) <= 1e-10
+    return traj
+
+
+class TestPeriodReuse:
+    # reuse builds one drive period of step unitaries, not one per step
+
+    @pytest.mark.parametrize("short", [0.0, 0.4])
+    def test_rabi_config_matches_stepwise(self, built_steps, short):
+        # the config's t_end sits one ulp below 2000 dt; short cuts the last step
+        spec, config = load_config("rabi_two_level.json")
+        config = EvolutionConfig(
+            t_start=config.t_start, t_end=config.t_end - short * config.dt,
+            dt=config.dt, initial_state=config.initial_state,
+            sample_every=config.sample_every,
+        )
+        assert propagator._period_steps(spec, config.dt) == 100
+        assert_matches_stepwise(spec, config)
+        # one period, then the steps after the last whole block of 100
+        assert built_steps == [100, 100]
+
+    def test_late_start_matches_stepwise(self, built_steps):
+        spec, config = load_config("rabi_two_level.json")
+        config = EvolutionConfig(
+            t_start=3.1, t_end=3.1 + 7.5 * 100 * config.dt, dt=config.dt,
+            initial_state=0, sample_every=40,
+        )
+        assert_matches_stepwise(spec, config)
+        assert built_steps[0] == 100
+        assert sum(built_steps) < 750 / 2
+
+    def test_static_hamiltonian_matches_stepwise(self, built_steps):
+        spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1))
+        config = EvolutionConfig(
+            t_start=0.7, t_end=4.0, dt=0.01, initial_state=1, sample_every=3
+        )
+        assert propagator._period_steps(spec, config.dt) == 1
+        assert_matches_stepwise(spec, config)
+        assert built_steps[0] == 1
+
+    def test_period_steps(self):
+        rabi, config = load_config("rabi_two_level.json")
+        dt = config.dt
+        assert propagator._period_steps(rabi, dt) == 100
+        backwards = SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=-1.0,
+                               drive_model="rwa2")
+        assert propagator._period_steps(backwards, dt) == 100
+        assert propagator._period_steps(rabi, dt * (1.0 + 1e-9)) is None
+        assert propagator._period_steps(rabi, dt * (1.0 - 1e-9)) is None
+        slow = SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1e-300,
+                          drive_model="rwa2")
+        assert propagator._period_steps(slow, 1e-300) is None
+        driven, config = load_config("driven_three_level.json")
+        assert propagator._period_steps(driven, config.dt) is None
+        for model, g, omega in (("none", 0.25, 1.0), ("generalized", 0.0, 1.0),
+                                ("generalized", 0.25, 0.0)):
+            static = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1), g=g, omega=omega,
+                                drive_model=model)
+            assert propagator._period_steps(static, 0.37) == 1
+
+    def test_step_longer_than_period_runs_stepwise(self, built_steps):
+        # two drive periods per step: no K >= 1 steps make up one period
+        spec, _ = load_config("rabi_two_level.json")
+        dt = 2.0 * (2.0 * math.pi)
+        assert propagator._period_steps(spec, dt) is None
+        config = EvolutionConfig(t_start=0.0, t_end=10 * dt, dt=dt, initial_state=1)
+        assert_matches_stepwise(spec, config)
+        assert sum(built_steps) == 10
+
+    def test_block_over_a_chunk_runs_stepwise(self, built_steps, monkeypatch):
+        # lcm(100, 5) = 100 steps of 2x2 unitaries, over a 50-step chunk
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", 50 * 16 * 2 * 2)
+        spec, config = load_config("rabi_two_level.json")
+        assert_matches_stepwise(spec, config)
+        assert sum(built_steps) == 2000
+        assert max(built_steps) == 50
+
+
+class TestNormDrift:
+    # ||psi|| drifts by rounding only: a few ulps per step at any energy
+    # scale and step size, whether or not the grid repeats per drive period
+    STEPS = 512
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("h_dt", [1e-3, 1e-1, 10.0])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_drift_bounded_by_step_count(self, scale, h_dt, periodic):
+        def spec(omega):
+            return SystemSpec(
+                n=3, energies=(-1.0 * scale, 0.3 * scale, 1.0 * scale),
+                g=0.25 * scale, omega=omega, drive_model="generalized",
+            )
+
+        norm = np.linalg.norm(build_full_hamiltonian(spec(scale), 0.0), 2)
+        dt = h_dt / norm
+        steps_per_period = 16 if periodic else 16.37
+        driven = spec(2.0 * math.pi / (steps_per_period * dt))
+        assert (propagator._period_steps(driven, dt) is not None) == periodic
+        config = EvolutionConfig(
+            t_start=0.0, t_end=self.STEPS * dt, dt=dt, initial_state=0,
+            sample_every=4,
+        )
+        traj = evolve(driven, config)
+        eps = np.finfo(np.float64).eps
+        assert float(np.max(traj.norm_errors)) <= 16 * eps * self.STEPS
