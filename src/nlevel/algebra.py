@@ -52,8 +52,8 @@ def build_shift(n: int) -> np.ndarray:
     """
     n = _check_dim(n)
     s = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        s[(k + 1) % n, k] = 1.0
+    k = np.arange(n)
+    s[(k + 1) % n, k] = 1.0
     return s
 
 

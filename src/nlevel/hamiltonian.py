@@ -159,11 +159,8 @@ def build_drift(spec: SystemSpec) -> np.ndarray:
     n = spec.n
     deltas = energies_to_deltas(spec.energies)
     k = np.arange(n)
-    diag = np.zeros(n, dtype=np.complex128)
-    start = 0 if spec.include_delta0 else 1
-    for j in range(start, n):
-        diag = diag + deltas[j] * root_power(n, j * k)
-    return np.diag(diag)
+    j = np.arange(0 if spec.include_delta0 else 1, n)
+    return np.diag(root_power(n, k[:, None] * j) @ deltas[j])
 
 
 def build_interaction(n: int, g, omega, t) -> np.ndarray:

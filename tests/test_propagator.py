@@ -538,6 +538,46 @@ class TestPeriodReuse:
         assert max(built_steps) == 50
 
 
+class TestChain:
+    # the blocked scan against one matrix-vector product per unitary
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 15, 16, 17, 455, 1820])
+    def test_matches_plain_loop(self, count, n):
+        rng = np.random.default_rng(1000 * count + n)
+        m = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+        u = np.linalg.qr(m)[0]
+        kept = u.copy()
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi /= np.linalg.norm(psi)
+        states = propagator._chain(u, psi)
+        expected = np.empty((count, n), dtype=complex)
+        for j, u_j in enumerate(u):
+            psi = u_j @ psi
+            expected[j] = psi
+        assert states.shape == (count, n)
+        assert max_abs(states - expected) <= 1e-13
+        assert np.array_equal(u, kept)
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    @pytest.mark.parametrize("n, steps", [(8, 300), (32, 40)])
+    def test_evolve_matches_stepwise(self, monkeypatch, n, steps, chunk_bytes):
+        # off the period grid, over several chunks, last step shortened
+        if chunk_bytes is not None:
+            monkeypatch.setattr(propagator, "CHUNK_BYTES", chunk_bytes)
+        spec = SystemSpec(
+            n=n, energies=tuple(np.sin(np.arange(n) * 1.3)), g=0.25,
+            omega=1.0137, drive_model="generalized",
+        )
+        dt = 0.01
+        config = EvolutionConfig(
+            t_start=0.2, t_end=0.2 + (steps - 0.4) * dt, dt=dt, initial_state=1,
+            sample_every=3,
+        )
+        assert propagator._period_steps(spec, dt) is None
+        assert_matches_stepwise(spec, config)
+
+
 class TestNormDrift:
     # ||psi|| drifts by rounding only: a few ulps per step at any energy
     # scale and step size, whether or not the grid repeats per drive period
