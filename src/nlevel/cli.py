@@ -9,6 +9,7 @@ audit failures, 2 on internal numerical failure (eigensolver non-convergence).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -56,7 +57,6 @@ _CONFIG_KEYS = frozenset(
 # CSV rows formatted per string operation; bounds the text held at once
 _CSV_BLOCK_ROWS = 4096
 
-_SPEC_KEYS = ("n", "energies", "g", "omega", "drive_model")
 _EVOLVE_KEYS = ("t_start", "t_end", "dt", "initial_state")
 
 
@@ -180,22 +180,13 @@ def _require_keys(raw, keys):
         raise ValueError(f"missing config key(s): {names}")
 
 
-def _config_int(raw, key):
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _spec_from_config(raw, require_drive=True):
-    keys = _SPEC_KEYS if require_drive else ("n", "energies")
-    _require_keys(raw, keys)
-    n = _config_int(raw, "n")
+def _spec_from_config(raw):
+    _require_keys(raw, ("n", "energies"))
     energies = raw["energies"]
     if not isinstance(energies, list):
         raise ValueError("config key 'energies' must be a list of numbers")
     return SystemSpec(
-        n=n,
+        n=raw["n"],
         energies=tuple(energies),
         g=raw.get("g", 0.0),
         omega=raw.get("omega", 0.0),
@@ -255,21 +246,14 @@ def _cmd_matrices(args) -> int:
 
 def _cmd_decompose(args) -> int:
     raw = _load_config(args.config)
-    spec = _spec_from_config(raw, require_drive=False)
+    spec = _spec_from_config(raw)
     n = spec.n
     deltas = energies_to_deltas(spec.energies)
 
     pairing = 0.0
     for j in range(n):
         pairing = max(pairing, abs(deltas[(n - j) % n] - deltas[j].conjugate()))
-    spec_full = SystemSpec(
-        n=n,
-        energies=spec.energies,
-        g=spec.g,
-        omega=spec.omega,
-        drive_model=spec.drive_model,
-        include_delta0=True,
-    )
+    spec_full = dataclasses.replace(spec, include_delta0=True)
     reconstruction = _max_abs(build_drift(spec_full) - np.diag(np.asarray(spec.energies)))
 
     payload = {
@@ -285,17 +269,14 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_evolve(args) -> int:
     raw = _load_config(args.config)
-    spec = _spec_from_config(raw, require_drive=True)
+    spec = _spec_from_config(raw)
     _require_keys(raw, _EVOLVE_KEYS)
-    sample_every = 1
-    if "sample_every" in raw:
-        sample_every = _config_int(raw, "sample_every")
     config = EvolutionConfig(
         t_start=raw["t_start"],
         t_end=raw["t_end"],
         dt=raw["dt"],
         initial_state=_initial_state_from_config(raw["initial_state"]),
-        sample_every=sample_every,
+        sample_every=raw.get("sample_every", 1),
     )
     out_path = args.out if args.out is not None else raw.get("output_path")
     if out_path is None:

@@ -130,7 +130,8 @@ def deltas_to_energies(deltas, imag_tol: float = 1e-10) -> np.ndarray:
     """Invert the coefficient map: E_m = sum_j sigma^(m j) Delta_j.
 
     The reconstruction must come out real; an imaginary residue larger than
-    ``imag_tol`` raises ValueError, smaller ones are discarded.
+    ``imag_tol`` times max(1, max|E|) raises ValueError, smaller ones are
+    discarded, so the test means the same at any energy scale above 1.
     """
     d = np.asarray(deltas, dtype=np.complex128)
     if d.ndim != 1 or d.shape[0] < 2:
@@ -142,7 +143,7 @@ def deltas_to_energies(deltas, imag_tol: float = 1e-10) -> np.ndarray:
     j = np.arange(n)[None, :]
     e = root_power(n, m * j) @ d
     residue = float(np.max(np.abs(e.imag)))
-    if residue > imag_tol:
+    if residue > imag_tol * max(1.0, float(np.max(np.abs(e.real)))):
         raise ValueError(
             f"reconstructed energies are not real (max imaginary part {residue:.3e})"
         )

@@ -21,7 +21,9 @@ samples through those propagators with the same blocked product.  This
 applies when K |w| dt equals 2 pi within 4 ulps (a static H counts as K = 1)
 and lcm(K, sample_every) steps of unitaries fit in one CHUNK_BYTES chunk.
 The steps after the last whole lcm(K, sample_every) block, and a last step
-shortened to land on t_end, run through the chunks as on any other grid.
+shortened to land on t_end, follow as freshly diagonalized chunks in the same
+loop: each pass chains one stack, reused or fresh, and records the states
+that end on a multiple of sample_every or on the last step.
 """
 
 import math
@@ -207,8 +209,10 @@ def _step_unitaries(spec: SystemSpec, edges: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(_not_hermitian(h))
     if bad.size:
         raise ValueError(f"Hamiltonian is not hermitian at t = {float(mids[bad[0]])!r}")
+    # eigh reads the lower triangle and the real diagonal, which is all of H
+    # once the check above has passed
     try:
-        w, v = np.linalg.eigh(0.5 * (h + _adjoint(h)))
+        w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         span = f"[{float(mids[0])!r}, {float(mids[-1])!r}]"
         raise EigenConvergenceError(
@@ -286,7 +290,8 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     exact.  Steps are processed in chunks of at most CHUNK_BYTES of
     Hamiltonians, each diagonalized in one batched eigh call.  On a grid of
     K steps per drive period only one period is diagonalized and each sample
-    costs one propagator in the chain (see the module docstring).  Raises
+    costs one propagator in the chain; both kinds of chunk share one loop
+    (see the module docstring).  Raises
     ValueError when H(t) is not hermitian at some midpoint (the time is
     reported) or when the samples would need more than MAX_SAMPLE_BYTES, and
     EigenConvergenceError when the eigensolver fails.
@@ -304,11 +309,13 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
             f"{n_samples} samples of {n} levels need {need} bytes, over the "
             f"{MAX_SAMPLE_BYTES}-byte budget; raise sample_every or shorten the run"
         )
-    times = np.empty(n_samples, dtype=np.float64)
+    # sample k follows step min(k every, n_steps); the ends are set as given,
+    # since t_start + 0 dt would turn a t_start of -0.0 into 0.0
+    marks = np.minimum(np.arange(n_samples) * every, n_steps)
+    times = t_start + marks * dt
+    times[0], times[-1] = t_start, t_end
     populations = np.empty((n_samples, n), dtype=np.float64)
-    times[0] = t_start
     populations[0] = psi.real**2 + psi.imag**2
-    k_out = 1
 
     chunk = max(1, CHUNK_BYTES // (16 * n * n))
     done = 0  # steps taken by period reuse
@@ -320,32 +327,26 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
         done = whole // block * block if block <= chunk else 0
     if done:
         props = _sample_propagators(spec, t_start, dt, period, every)
-        n_reused = done // every
-        times[1 : 1 + n_reused] = t_start + np.arange(every, done + 1, every) * dt
-        for first in range(0, n_reused, chunk):
-            last = min(first + chunk, n_reused)
-            chain = _chain(props[np.arange(first, last) % len(props)], psi)
-            psi = chain[-1]
-            populations[1 + first : 1 + last] = chain.real**2 + chain.imag**2
-        k_out += n_reused
 
-    for start in range(done, n_steps, chunk):
-        stop = min(start + chunk, n_steps)
-        # step edges t_start + k dt; the last edge is exactly t_end
-        edges = t_start + np.arange(start, stop + 1) * dt
-        if stop == n_steps:
-            edges[-1] = t_end
-        chain = _chain(_step_unitaries(spec, edges), psi)
+    # each pass chains a stack u of unitaries, u[i] ending at step ends[i]:
+    # reused sample propagators up to step done, then fresh chunks
+    pos, k = 0, 1
+    while pos < n_steps:
+        if pos < done:
+            j = np.arange(pos // every, min(pos // every + chunk, done // every))
+            u, ends = props[j % len(props)], (j + 1) * every
+        else:
+            stop = min(pos + chunk, n_steps)
+            # step edges t_start + k dt; the last edge is exactly t_end
+            edges = t_start + np.arange(pos, stop + 1) * dt
+            if stop == n_steps:
+                edges[-1] = t_end
+            u, ends = _step_unitaries(spec, edges), np.arange(pos + 1, stop + 1)
+        chain = _chain(u, psi)
         psi = chain[-1]
-        # sampled step counts in (start, stop]: multiples of every, and the last
-        taken = np.arange((start // every + 1) * every, stop + 1, every)
-        if stop == n_steps and n_steps % every:
-            taken = np.append(taken, n_steps)
-        k_next = k_out + taken.size
-        times[k_out:k_next] = edges[taken - start]
-        sampled = chain[taken - start - 1]
-        populations[k_out:k_next] = sampled.real**2 + sampled.imag**2
-        k_out = k_next
+        sampled = chain[(ends % every == 0) | (ends == n_steps)]
+        populations[k : k + len(sampled)] = sampled.real**2 + sampled.imag**2
+        pos, k = int(ends[-1]), k + len(sampled)
 
     return Trajectory(
         times=times,

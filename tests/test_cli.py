@@ -3,13 +3,23 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nlevel.cli as cli
 import nlevel.hamiltonian as hamiltonian
-from nlevel import build_clock, build_fourier, build_shift
+from nlevel import (
+    SystemSpec,
+    build_clock,
+    build_drift,
+    build_fourier,
+    build_shift,
+    energies_to_deltas,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_EVOLVE = {
     "n": 2,
@@ -135,6 +145,24 @@ class TestDecomposeCommand:
         proc = run_cli("decompose", "--config", str(tmp_path / "absent.json"))
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("name", ["driven_three_level.json", "rabi_two_level.json"])
+    def test_committed_config_report(self, name, capsys):
+        # the report, rebuilt from the library calls it is made of
+        raw = json.loads((CONFIGS / name).read_text())
+        n, energies = raw["n"], raw["energies"]
+        deltas = energies_to_deltas(energies)
+        pairing = max(abs(deltas[(n - j) % n] - deltas[j].conjugate()) for j in range(n))
+        drift = build_drift(SystemSpec(n=n, energies=energies, include_delta0=True))
+        expected = {
+            "n": n,
+            "energies": [float(e) for e in energies],
+            "deltas": [{"re": float(d.real), "im": float(d.imag)} for d in deltas],
+            "hermitian_residual": float(pairing),
+            "reconstruction_residual": float(np.max(np.abs(drift - np.diag(energies)))),
+        }
+        assert cli.main(["decompose", "--config", str(CONFIGS / name)]) == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
 
 class TestEvolveCommand:
     def test_csv_contract(self, tmp_path):
@@ -218,6 +246,26 @@ class TestEvolveCommand:
         run_cli("evolve", "--config", config, "--out", str(out))
         lines = out.read_text().strip().split("\n")
         assert len(lines) - 1 == 6
+
+    def test_drive_keys_default_to_static(self, tmp_path):
+        payload = {k: v for k, v in BASE_EVOLVE.items()
+                   if k not in ("g", "omega", "drive_model")}
+        payload["initial_state"] = [[0.6, 0.0], [0.0, 0.8]]
+        out = tmp_path / "static.csv"
+        assert cli.main(["evolve", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert data.shape == (41, 4)
+        assert np.max(np.abs(data[:, 1:3] - [0.36, 0.64])) <= 1e-12
+
+    @pytest.mark.parametrize("key, value", [("n", 2.5), ("sample_every", 2.0)])
+    def test_non_integer_count_exits_1(self, tmp_path, capsys, key, value):
+        payload = dict(BASE_EVOLVE, **{key: value})
+        out = tmp_path / "x.csv"
+        assert cli.main(["evolve", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["t_end", "dt", "energies"])
     def test_missing_required_key(self, tmp_path, key):

@@ -113,6 +113,17 @@ class TestDecomposition:
         out = deltas_to_energies(deltas, imag_tol=1e-6)
         assert out.dtype == np.float64
 
+    @pytest.mark.parametrize("scale", [1e6, 1e9])
+    def test_roundtrip_at_large_scale(self, scale):
+        # the rounding residue in the imaginary part grows with the energies
+        rng = np.random.default_rng(int(scale) % 997)
+        for _ in range(50):
+            energies = scale * random_energies(rng, int(rng.integers(2, 13)))
+            back = deltas_to_energies(energies_to_deltas(energies))
+            assert max_abs(back - energies) <= 1e-12 * max_abs(energies)
+        with pytest.raises(ValueError, match="not real"):
+            deltas_to_energies(scale * np.array([0.0, 1.0j, 0.0]))
+
 
 class TestDrift:
     def test_two_level_traceless_part(self):

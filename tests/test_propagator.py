@@ -481,6 +481,22 @@ class TestPeriodReuse:
         # one period, then the steps after the last whole block of 100
         assert built_steps == [100, 100]
 
+    def test_reuse_over_several_chunks(self, built_steps, monkeypatch):
+        # 100-step chunks: 380 reused samples in four passes, then 100 fresh steps
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", 100 * 16 * 2 * 2)
+        chained = []
+        plain = propagator._chain
+
+        def spy(u, psi):
+            chained.append(len(u))
+            return plain(u, psi)
+
+        monkeypatch.setattr(propagator, "_chain", spy)
+        spec, config = load_config("rabi_two_level.json")
+        assert_matches_stepwise(spec, config)
+        assert built_steps == [100, 100]
+        assert chained == [100, 100, 100, 80, 100]
+
     def test_late_start_matches_stepwise(self, built_steps):
         spec, config = load_config("rabi_two_level.json")
         config = EvolutionConfig(
