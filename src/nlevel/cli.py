@@ -4,6 +4,11 @@ Four subcommands: ``algebra`` audits the operator identities at a given
 dimension, ``matrices`` dumps the builders as JSON, ``decompose`` reports the
 energy decomposition, and ``evolve`` writes a population trajectory as CSV.
 
+A config's keys are the fields of ``SystemSpec`` and ``EvolutionConfig`` plus
+``output_path``.  The dataclasses supply every default and validate every
+value; the CLI only rejects unknown keys, names missing required ones, checks
+``output_path`` and turns ``[re, im]`` pairs into complex amplitudes.
+
 Exit status: 0 on success (all audits pass), 1 on user or config errors and
 audit failures, 2 on internal numerical failure (eigensolver non-convergence).
 """
@@ -28,7 +33,6 @@ from .algebra import (
     root_power,
 )
 from .hamiltonian import (
-    DRIVE_MODELS,
     SystemSpec,
     build_interaction,
     build_drift,
@@ -37,27 +41,15 @@ from .hamiltonian import (
 )
 from .propagator import EigenConvergenceError, EvolutionConfig, evolve
 
+# the config keys are the fields of the two dataclasses, which own their
+# defaults and validation, plus the CLI's own output path
 _CONFIG_KEYS = frozenset(
-    {
-        "n",
-        "energies",
-        "g",
-        "omega",
-        "drive_model",
-        "include_delta0",
-        "t_start",
-        "t_end",
-        "dt",
-        "sample_every",
-        "initial_state",
-        "output_path",
-    }
+    [f.name for cls in (SystemSpec, EvolutionConfig) for f in dataclasses.fields(cls)]
+    + ["output_path"]
 )
 
 # CSV rows formatted per string operation; bounds the text held at once
 _CSV_BLOCK_ROWS = 4096
-
-_EVOLVE_KEYS = ("t_start", "t_end", "dt", "initial_state")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,29 +162,19 @@ def _load_config(path):
     for key in raw:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key: {key!r}")
+    out_path = raw.get("output_path")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ValueError(f"config key 'output_path' must be a string, got {out_path!r}")
     return raw
 
 
-def _require_keys(raw, keys):
-    missing = [k for k in keys if k not in raw]
+def _config_fields(raw, cls, required):
+    """The config values of ``cls``'s fields; an absent one takes the field default."""
+    missing = [k for k in required if k not in raw]
     if missing:
         names = ", ".join(repr(k) for k in missing)
         raise ValueError(f"missing config key(s): {names}")
-
-
-def _spec_from_config(raw):
-    _require_keys(raw, ("n", "energies"))
-    energies = raw["energies"]
-    if not isinstance(energies, list):
-        raise ValueError("config key 'energies' must be a list of numbers")
-    return SystemSpec(
-        n=raw["n"],
-        energies=tuple(energies),
-        g=raw.get("g", 0.0),
-        omega=raw.get("omega", 0.0),
-        drive_model=raw.get("drive_model", "none"),
-        include_delta0=raw.get("include_delta0", False),
-    )
+    return {f.name: raw[f.name] for f in dataclasses.fields(cls) if f.name in raw}
 
 
 def _initial_state_from_config(value):
@@ -246,7 +228,7 @@ def _cmd_matrices(args) -> int:
 
 def _cmd_decompose(args) -> int:
     raw = _load_config(args.config)
-    spec = _spec_from_config(raw)
+    spec = SystemSpec(**_config_fields(raw, SystemSpec, ("n", "energies")))
     n = spec.n
     deltas = energies_to_deltas(spec.energies)
 
@@ -269,15 +251,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_evolve(args) -> int:
     raw = _load_config(args.config)
-    spec = _spec_from_config(raw)
-    _require_keys(raw, _EVOLVE_KEYS)
-    config = EvolutionConfig(
-        t_start=raw["t_start"],
-        t_end=raw["t_end"],
-        dt=raw["dt"],
-        initial_state=_initial_state_from_config(raw["initial_state"]),
-        sample_every=raw.get("sample_every", 1),
-    )
+    spec = SystemSpec(**_config_fields(raw, SystemSpec, ("n", "energies")))
+    required = ("t_start", "t_end", "dt", "initial_state")
+    fields = _config_fields(raw, EvolutionConfig, required)
+    fields["initial_state"] = _initial_state_from_config(fields["initial_state"])
+    config = EvolutionConfig(**fields)
     out_path = args.out if args.out is not None else raw.get("output_path")
     if out_path is None:
         raise ValueError("no output path: pass --out or set 'output_path' in the config")

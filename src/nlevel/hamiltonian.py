@@ -85,6 +85,8 @@ class SystemSpec:
     def __post_init__(self):
         n = _check_dim(self.n)
         object.__setattr__(self, "n", n)
+        if isinstance(self.energies, (str, bytes)) or not np.iterable(self.energies):
+            raise ValueError("energies must be a sequence of real numbers")
         energies = tuple(_as_real(e, "energy") for e in self.energies)
         if len(energies) != n:
             raise ValueError(

@@ -11,12 +11,14 @@ import pytest
 import nlevel.cli as cli
 import nlevel.hamiltonian as hamiltonian
 from nlevel import (
+    EvolutionConfig,
     SystemSpec,
     build_clock,
     build_drift,
     build_fourier,
     build_shift,
     energies_to_deltas,
+    evolve,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -134,6 +136,14 @@ class TestDecomposeCommand:
         assert proc.returncode == 1
         assert "energies" in proc.stderr
 
+    def test_output_path_fallback(self, tmp_path):
+        target = tmp_path / "report.json"
+        payload = {"n": 2, "energies": [1.0, -1.0], "output_path": str(target)}
+        proc = run_cli("decompose", "--config", write_config(tmp_path, payload))
+        assert proc.returncode == 0
+        assert proc.stdout == ""
+        assert json.loads(target.read_text())["energies"] == [1.0, -1.0]
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -216,6 +226,15 @@ class TestEvolveCommand:
         assert chosen.exists()
         assert not ignored.exists()
 
+    def test_unknown_key_is_named(self, tmp_path):
+        payload = dict(BASE_EVOLVE, sampel_every=2)
+        out = tmp_path / "x.csv"
+        config = write_config(tmp_path, payload)
+        proc = run_cli("evolve", "--config", config, "--out", str(out))
+        assert proc.returncode == 1
+        assert "unknown config key: 'sampel_every'" in proc.stderr
+        assert not out.exists()
+
     def test_missing_output_path(self, tmp_path):
         config = write_config(tmp_path, BASE_EVOLVE)
         proc = run_cli("evolve", "--config", config)
@@ -274,6 +293,65 @@ class TestEvolveCommand:
         proc = run_cli("evolve", "--config", config, "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 1
         assert key in proc.stderr
+
+
+class TestConfigSchema:
+    # the keys come from the SystemSpec and EvolutionConfig fields, so a
+    # renamed field would otherwise rename a config key without notice
+    DOCUMENTED_KEYS = {
+        "n", "energies", "g", "omega", "drive_model", "include_delta0",
+        "t_start", "t_end", "dt", "sample_every", "initial_state", "output_path",
+    }
+
+    def test_accepted_keys_are_the_documented_ones(self):
+        assert cli._CONFIG_KEYS == self.DOCUMENTED_KEYS
+
+    def test_optional_fields_reach_the_run(self, tmp_path):
+        # a nonzero mean energy, so include_delta0 changes the rounding
+        payload = dict(BASE_EVOLVE, energies=[100.5, 99.5], include_delta0=True,
+                       sample_every=3)
+        out = tmp_path / "cli.csv"
+        assert cli.main(["evolve", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 0
+
+        def library_csv(include_delta0, sample_every):
+            spec = SystemSpec(n=2, energies=(100.5, 99.5), g=0.3, omega=1.0,
+                              drive_model="generalized", include_delta0=include_delta0)
+            config = EvolutionConfig(t_start=0.0, t_end=2.0, dt=0.05, initial_state=0,
+                                     sample_every=sample_every)
+            traj = evolve(spec, config)
+            data = np.column_stack((traj.times, traj.populations, traj.norm_errors))
+            return "t,p0,p1,norm_error\n" + "".join(cli._csv_blocks(data))
+
+        assert out.read_text() == library_csv(True, 3)
+        assert out.read_text() != library_csv(False, 3)
+        assert out.read_text() != library_csv(True, 1)
+
+    def test_non_bool_include_delta0_exits_1(self, tmp_path, capsys):
+        payload = dict(BASE_EVOLVE, include_delta0=1)
+        out = tmp_path / "x.csv"
+        assert cli.main(["evolve", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 1
+        assert "include_delta0 must be a bool" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "decompose"])
+    def test_non_string_output_path_exits_1(self, tmp_path, command):
+        config = write_config(tmp_path, dict(BASE_EVOLVE, output_path=5))
+        proc = run_cli(command, "--config", config)
+        assert proc.returncode == 1
+        assert "nlevel: error: config key 'output_path' must be a string" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_null_output_path_means_absent(self, tmp_path):
+        config = write_config(tmp_path, dict(BASE_EVOLVE, output_path=None))
+        proc = run_cli("evolve", "--config", config)
+        assert proc.returncode == 1
+        assert "no output path" in proc.stderr
+        out = tmp_path / "x.csv"
+        assert run_cli("evolve", "--config", config, "--out", str(out)).returncode == 0
+        assert out.exists()
 
 
 class TestEvolveFailureExitCodes:

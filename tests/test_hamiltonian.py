@@ -315,6 +315,15 @@ class TestSystemSpecValidation:
         with pytest.raises(ValueError, match="requires n = 2"):
             SystemSpec(n=3, energies=(0.0, 1.0, 2.0), drive_model=model)
 
+    @pytest.mark.parametrize(
+        "energies",
+        [5, None, 2.0, np.array(1.0), "01", b"01"],
+        ids=["int", "none", "float", "0d-array", "str", "bytes"],
+    )
+    def test_rejects_non_sequence_energies(self, energies):
+        with pytest.raises(ValueError, match="energies must be a sequence of real numbers"):
+            SystemSpec(n=2, energies=energies)
+
     def test_rejects_non_finite_energy(self):
         with pytest.raises(ValueError):
             SystemSpec(n=2, energies=(0.0, math.nan))
