@@ -35,7 +35,6 @@ from .algebra import (
 from .hamiltonian import (
     SystemSpec,
     build_interaction,
-    build_drift,
     energies_to_deltas,
     interaction_diagonal,
 )
@@ -111,7 +110,10 @@ def _atomic_open(path):
     ``path`` (over the file a symlink points to) at the end; on any exception
     the temporary file is removed and an existing ``path`` keeps its old
     content.  A device or pipe, such as /dev/stdout, is written in place.
+    The file is opened on entry, so a bad path fails before any work.
     """
+    if not path:
+        raise ValueError("output path must not be empty")
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", newline="") as fh:
             yield fh
@@ -235,8 +237,10 @@ def _cmd_decompose(args) -> int:
     pairing = 0.0
     for j in range(n):
         pairing = max(pairing, abs(deltas[(n - j) % n] - deltas[j].conjugate()))
-    spec_full = dataclasses.replace(spec, include_delta0=True)
-    reconstruction = _max_abs(build_drift(spec_full) - np.diag(np.asarray(spec.energies)))
+    # the paper's sum_j Delta_j clock^j, whose diagonal should give back E
+    k = np.arange(n)
+    clock_sum = root_power(n, k[:, None] * k) @ deltas
+    reconstruction = _max_abs(clock_sum - np.asarray(spec.energies))
 
     payload = {
         "n": n,
@@ -260,10 +264,10 @@ def _cmd_evolve(args) -> int:
     if out_path is None:
         raise ValueError("no output path: pass --out or set 'output_path' in the config")
 
-    traj = evolve(spec, config)
-    header = "t," + ",".join(f"p{i}" for i in range(spec.n)) + ",norm_error"
-    data = np.column_stack((traj.times, traj.populations, traj.norm_errors))
     with _atomic_open(out_path) as fh:
+        traj = evolve(spec, config)
+        header = "t," + ",".join(f"p{i}" for i in range(spec.n)) + ",norm_error"
+        data = np.column_stack((traj.times, traj.populations, traj.norm_errors))
         fh.write(header + "\n")
         for text in _csv_blocks(data):
             fh.write(text)

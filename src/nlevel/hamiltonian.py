@@ -1,8 +1,10 @@
 """Hamiltonian assembly for a periodically driven n-level system (hbar = 1).
 
-The static part is the discrete Fourier transform of the level energies
-expanded over clock-matrix powers; the drive couples the levels cyclically
-through the shift matrix.  Supported drive models:
+The static part is the paper's sum_j Delta_j clock^j over the Fourier
+coefficients of the level energies, which is exactly diag(energies); the
+drift is built in that real closed form.  The drive couples the levels
+cyclically through the shift matrix.  hamiltonian_at alone forms H(t).
+Supported drive models:
 
 * ``"none"``         static Hamiltonian only
 * ``"generalized"``  (g/2) (e^{i w t} S + e^{-i w t} S^dagger) with S the
@@ -47,18 +49,6 @@ def _as_real(value, what: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value}")
     return value
-
-
-def _rotating(a: np.ndarray, omega: float, times) -> np.ndarray:
-    """Stack of e^{i w t} a, one matrix per entry of ``times``.
-
-    Every builder forms the drive as this plus its adjoint, so they all share
-    the same phase rounding.
-    """
-    t = np.asarray(times)
-    if t.dtype.kind not in "iuf" or not np.all(np.isfinite(t)):
-        raise ValueError("times must be finite real numbers")
-    return np.exp(1j * omega * t)[..., None, None] * a
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -155,28 +145,24 @@ def deltas_to_energies(deltas, imag_tol: float = 1e-10) -> np.ndarray:
 def build_drift(spec: SystemSpec) -> np.ndarray:
     """Static Hamiltonian sum_{j>=1} Delta_j clock^j, plus Delta_0 I if kept.
 
-    Every clock power is diagonal, so the sum is assembled directly on the
-    diagonal.  With include_delta0 the result reproduces diag(energies) up to
-    rounding; without it the trace is zero.
+    The full sum is diag(energies) and Delta_0 is the mean energy, so this
+    is the real matrix diag(E - Delta_0), traceless, or diag(E) with
+    include_delta0.  No root of unity enters, so it is exactly hermitian.
     """
-    n = spec.n
-    deltas = energies_to_deltas(spec.energies)
-    k = np.arange(n)
-    j = np.arange(0 if spec.include_delta0 else 1, n)
-    return np.diag(root_power(n, k[:, None] * j) @ deltas[j])
+    e = np.asarray(spec.energies)
+    return np.diag(e if spec.include_delta0 else e - e.mean())
 
 
 def build_interaction(n: int, g, omega, t) -> np.ndarray:
     """Cyclic drive (g/2)(e^{i w t} S + e^{-i w t} S^dagger) at time t.
 
-    Hermitian by construction.  At n = 2 this reduces to g cos(w t) sigma_x.
+    The Hamiltonian of a "generalized" drive on zero energies, so g must be
+    non-negative.  Hermitian by construction; at n = 2 it reduces to
+    g cos(w t) sigma_x.
     """
-    n = _check_dim(n)
-    g = _as_real(g, "g")
-    omega = _as_real(omega, "omega")
-    t = _as_real(t, "t")
-    m = _rotating(0.5 * g * build_shift(n), omega, t)
-    return m + _adjoint(m)
+    spec = SystemSpec(n=n, energies=(0.0,) * _check_dim(n), g=g, omega=omega,
+                      drive_model="generalized")
+    return build_full_hamiltonian(spec, t)
 
 
 def interaction_diagonal(n: int, omega, t) -> np.ndarray:
@@ -210,13 +196,18 @@ def drive_coefficient(spec: SystemSpec) -> np.ndarray:
 
 
 def hamiltonian_at(spec: SystemSpec, times) -> np.ndarray:
-    """H(t) = drift + e^{i w t} A + h.c. at every entry of ``times``.
+    """H(t) = drift + (e^{i w t} A + h.c.) at every entry of ``times``.
 
     Returns an array of shape ``np.shape(times) + (n, n)``: one matrix for a
     scalar time, a stack for an array of times.  A is drive_coefficient(spec).
+    The bracket is hermitian to the bit, so H(t) is hermitian exactly when the
+    drift is, at every t.
     """
-    m = _rotating(drive_coefficient(spec), spec.omega, times)
-    return build_drift(spec) + m + _adjoint(m)
+    t = np.asarray(times)
+    if t.dtype.kind not in "iuf" or not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite real numbers")
+    m = np.exp(1j * spec.omega * t)[..., None, None] * drive_coefficient(spec)
+    return build_drift(spec) + (m + _adjoint(m))
 
 
 def build_full_hamiltonian(spec: SystemSpec, t) -> np.ndarray:

@@ -4,14 +4,15 @@ Each step applies exp(-i dt H(t + dt/2)) to the state, with the matrix
 exponential evaluated through a full hermitian eigendecomposition (LAPACK,
 through numpy.linalg.eigh).  H(t) does not depend on the state, so evolve
 assembles and diagonalizes the midpoint Hamiltonians of many steps at once
-and forms their step unitaries in one batch.  The chain of states through a
-chunk is a blocked prefix product (Blelloch, CMU-CS-90-190, 1990): the N
-unitaries are cut into blocks of L = isqrt(N), each block's running products
-are formed for all blocks at once, one matrix-vector product per block
-carries the state from block to block, and one batched product gives every
-state, about 2 sqrt(N) numpy calls in place of N.  The scheme is second order
-in dt and unitary to solver precision, so norm drift doubles as an error
-diagnostic.
+and forms their step unitaries in one batch.  Whether H(t) is hermitian
+does not depend on t (see hamiltonian_at), so evolve checks it once per run,
+at the first step midpoint.  The chain of states through a chunk is a
+blocked prefix product (Blelloch, CMU-CS-90-190, 1990): the N unitaries are
+cut into blocks of L = isqrt(N), each block's running products are formed
+for all blocks at once, one matrix-vector product per block carries the
+state from block to block, and one batched product gives every state, about
+2 sqrt(N) numpy calls in place of N.  The scheme is second order in dt and
+unitary to solver precision, so norm drift doubles as an error diagnostic.
 
 Period reuse.  The drive e^{i w t} A + h.c. repeats after T = 2 pi / |w|, so
 when K steps of dt make up T the midpoint Hamiltonians repeat every K steps
@@ -205,14 +206,10 @@ def _step_unitaries(spec: SystemSpec, edges: np.ndarray) -> np.ndarray:
     """exp(-i (t1 - t0) H((t0 + t1) / 2)) for consecutive step edges, as a stack."""
     steps = np.diff(edges)
     mids = edges[:-1] + 0.5 * steps
-    h = hamiltonian_at(spec, mids)
-    bad = np.flatnonzero(_not_hermitian(h))
-    if bad.size:
-        raise ValueError(f"Hamiltonian is not hermitian at t = {float(mids[bad[0]])!r}")
     # eigh reads the lower triangle and the real diagonal, which is all of H
-    # once the check above has passed
+    # once evolve has checked that H is hermitian
     try:
-        w, v = np.linalg.eigh(h)
+        w, v = np.linalg.eigh(hamiltonian_at(spec, mids))
     except np.linalg.LinAlgError as exc:
         span = f"[{float(mids[0])!r}, {float(mids[-1])!r}]"
         raise EigenConvergenceError(
@@ -292,9 +289,9 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     K steps per drive period only one period is diagonalized and each sample
     costs one propagator in the chain; both kinds of chunk share one loop
     (see the module docstring).  Raises
-    ValueError when H(t) is not hermitian at some midpoint (the time is
-    reported) or when the samples would need more than MAX_SAMPLE_BYTES, and
-    EigenConvergenceError when the eigensolver fails.
+    ValueError when H(t) is not hermitian at the first step midpoint (the
+    time is reported) or when the samples would need more than
+    MAX_SAMPLE_BYTES, and EigenConvergenceError when the eigensolver fails.
     """
     n = spec.n
     psi = _initial_vector(n, config.initial_state)
@@ -309,6 +306,11 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
             f"{n_samples} samples of {n} levels need {need} bytes, over the "
             f"{MAX_SAMPLE_BYTES}-byte budget; raise sample_every or shorten the run"
         )
+    # H(t) - H(t)^dagger does not depend on t (see hamiltonian_at), so the
+    # first step's midpoint stands for every step
+    first = t_start + 0.5 * ((t_end if n_steps == 1 else t_start + dt) - t_start)
+    if _not_hermitian(hamiltonian_at(spec, first)):
+        raise ValueError(f"Hamiltonian is not hermitian at t = {first!r}")
     # sample k follows step min(k every, n_steps); the ends are set as given,
     # since t_start + 0 dt would turn a t_start of -0.0 into 0.0
     marks = np.minimum(np.arange(n_samples) * every, n_steps)

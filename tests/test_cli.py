@@ -14,12 +14,12 @@ from nlevel import (
     EvolutionConfig,
     SystemSpec,
     build_clock,
-    build_drift,
     build_fourier,
     build_shift,
     energies_to_deltas,
     evolve,
 )
+from nlevel.algebra import root_power
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -162,13 +162,15 @@ class TestDecomposeCommand:
         n, energies = raw["n"], raw["energies"]
         deltas = energies_to_deltas(energies)
         pairing = max(abs(deltas[(n - j) % n] - deltas[j].conjugate()) for j in range(n))
-        drift = build_drift(SystemSpec(n=n, energies=energies, include_delta0=True))
+        # sum_j Delta_j clock^j, on the diagonal
+        k = np.arange(n)
+        residual = np.max(np.abs(root_power(n, k[:, None] * k) @ deltas - np.array(energies)))
         expected = {
             "n": n,
             "energies": [float(e) for e in energies],
             "deltas": [{"re": float(d.real), "im": float(d.imag)} for d in deltas],
             "hermitian_residual": float(pairing),
-            "reconstruction_residual": float(np.max(np.abs(drift - np.diag(energies)))),
+            "reconstruction_residual": float(residual),
         }
         assert cli.main(["decompose", "--config", str(CONFIGS / name)]) == 0
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
@@ -382,6 +384,44 @@ class TestEvolveFailureExitCodes:
         assert code == 1
         assert "not hermitian at t = 0.025" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["nodir/x.csv", ""])
+    def test_bad_output_path_exits_1_before_the_run(self, tmp_path, monkeypatch, capsys, out):
+        work = tmp_path / "work"
+        work.mkdir()
+        config = write_config(work, BASE_EVOLVE)
+        monkeypatch.chdir(work)
+
+        def never(spec, config):
+            pytest.fail("evolve ran before the output path was opened")
+
+        monkeypatch.setattr(cli, "evolve", never)
+        assert cli.main(["evolve", "--config", config, "--out", out]) == 1
+        assert "nlevel: error:" in capsys.readouterr().err
+        assert os.listdir(work) == ["config.json"]
+        assert os.listdir(tmp_path) == ["work"]
+
+    def test_empty_decompose_output_path_exits_1(self, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        config = write_config(work, BASE_EVOLVE)
+        monkeypatch.chdir(work)
+        assert cli.main(["decompose", "--config", config, "--out", ""]) == 1
+        assert "must not be empty" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["work"]
+
+    def test_energy_offset_runs(self, tmp_path):
+        # a mean energy of 1e6 next to a spacing of 1 is a valid system
+        payload = dict(BASE_EVOLVE, n=3, energies=[-1.0, 0.3, 1.1])
+        lifted = dict(payload, energies=[e + 1e6 for e in payload["energies"]])
+        rows = []
+        for name, config in (("a", payload), ("b", lifted)):
+            out = tmp_path / f"{name}.csv"
+            path = write_config(tmp_path, config, name=f"{name}.json")
+            assert cli.main(["evolve", "--config", path, "--out", str(out)]) == 0
+            rows.append(np.loadtxt(out, delimiter=",", skiprows=1))
+        assert np.array_equal(rows[0][:, 0], rows[1][:, 0])
+        assert np.max(np.abs(rows[0][:, 1:4] - rows[1][:, 1:4])) <= 1e-9
 
     def test_oversized_sample_grid_exits_1(self, tmp_path, capsys):
         payload = dict(BASE_EVOLVE, n=64, energies=list(range(64)), t_end=1.0, dt=2e-8)

@@ -146,10 +146,13 @@ class TestDrift:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_hermitian(self, n):
+        # exactly, whatever the mean energy next to the level spacing
         rng = np.random.default_rng(300 + n)
-        spec = SystemSpec(n=n, energies=tuple(rng.uniform(-5, 5, size=n)))
-        h = build_drift(spec)
-        assert max_abs(h - h.conj().T) <= 1e-12
+        energies = rng.uniform(-5, 5, size=n)
+        for offset in (0.0, 1e6, 1e9):
+            spec = SystemSpec(n=n, energies=tuple(energies + offset))
+            h = build_drift(spec)
+            assert np.array_equal(h, h.conj().T)
 
     def test_diagonal(self):
         spec = SystemSpec(n=4, energies=(1.0, 2.0, 3.0, 4.0))
@@ -166,6 +169,10 @@ class TestInteraction:
 
     def test_zero_coupling(self):
         assert max_abs(build_interaction(4, 0.0, 2.0, 1.3)) == 0.0
+
+    def test_rejects_negative_coupling(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            build_interaction(3, -0.5, 1.0, 0.0)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_exactly_hermitian(self, n):

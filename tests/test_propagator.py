@@ -216,18 +216,16 @@ class TestEvolve:
         assert np.array_equal(a.populations, b.populations)
         assert np.array_equal(a.times, b.times)
 
-    def test_populations_invariant_under_energy_offset(self):
-        shift = 2.75
-        base = SystemSpec(
-            n=3, energies=(-1.0, 0.3, 1.1), g=0.25, omega=1.0,
-            drive_model="generalized", include_delta0=True,
-        )
-        lifted = SystemSpec(
-            n=3,
-            energies=tuple(e + shift for e in (-1.0, 0.3, 1.1)),
-            g=0.25, omega=1.0,
-            drive_model="generalized", include_delta0=True,
-        )
+    @pytest.mark.parametrize("shift", [2.75, 1e6])
+    @pytest.mark.parametrize("include_delta0", [True, False])
+    def test_populations_invariant_under_energy_offset(self, include_delta0, shift):
+        # a mean energy far above the level spacing must neither be rejected
+        # as non-hermitian nor change the populations
+        energies = (-1.0, 0.3, 1.1)
+        kwargs = dict(n=3, g=0.25, omega=1.0, drive_model="generalized",
+                      include_delta0=include_delta0)
+        base = SystemSpec(energies=energies, **kwargs)
+        lifted = SystemSpec(energies=tuple(e + shift for e in energies), **kwargs)
         config = EvolutionConfig(t_start=0.0, t_end=6.0, dt=0.01)
         a = evolve(base, config)
         b = evolve(lifted, config)
@@ -314,6 +312,24 @@ class TestFailureMapping:
         monkeypatch.setattr(hamiltonian, "build_drift", lambda spec: skew)
         with pytest.raises(ValueError, match="not hermitian at t = 0.25"):
             evolve(THREE_LEVEL, EvolutionConfig(**self.CONFIG))
+
+    def test_hermiticity_checked_once_per_run(self, monkeypatch):
+        # H(t) - H(t)^dagger does not depend on t, so neither chunks nor
+        # period reuse repeat the check
+        calls = []
+        plain = propagator._not_hermitian
+
+        def spy(h):
+            calls.append(np.shape(h))
+            return plain(h)
+
+        monkeypatch.setattr(propagator, "_not_hermitian", spy)
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", 7 * 16 * 3 * 3)
+        evolve(THREE_LEVEL, EvolutionConfig(t_start=0.0, t_end=2.0, dt=0.05))
+        rabi = SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1.0,
+                          drive_model="rwa2")
+        evolve(rabi, EvolutionConfig(t_start=0.0, t_end=20 * math.pi, dt=math.pi / 50))
+        assert calls == [(3, 3), (2, 2)]
 
     def test_solver_failure_raises_convergence_error(self, monkeypatch):
         def fail(a, UPLO="L"):
