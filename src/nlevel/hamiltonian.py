@@ -3,7 +3,9 @@
 The static part is the paper's sum_j Delta_j clock^j over the Fourier
 coefficients of the level energies, which is exactly diag(energies); the
 drift is built in that real closed form.  The drive couples the levels
-cyclically through the shift matrix.  hamiltonian_at alone forms H(t).
+cyclically through the shift matrix.  _at_phase alone forms H(t), from the
+drive phase factor e^{i w t}: hamiltonian_at passes it the times' factors,
+the propagator's phase table equally spaced ones.
 Supported drive models:
 
 * ``"none"``         static Hamiltonian only
@@ -206,7 +208,12 @@ def hamiltonian_at(spec: SystemSpec, times) -> np.ndarray:
     t = np.asarray(times)
     if t.dtype.kind not in "iuf" or not np.all(np.isfinite(t)):
         raise ValueError("times must be finite real numbers")
-    m = np.exp(1j * spec.omega * t)[..., None, None] * drive_coefficient(spec)
+    return _at_phase(spec, np.exp(1j * spec.omega * t))
+
+
+def _at_phase(spec: SystemSpec, phase: np.ndarray) -> np.ndarray:
+    """drift + (phase A + h.c.) for every entry of an array of phase factors e^{i theta}."""
+    m = phase[..., None, None] * drive_coefficient(spec)
     return build_drift(spec) + (m + _adjoint(m))
 
 

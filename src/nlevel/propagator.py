@@ -2,17 +2,31 @@
 
 Each step applies exp(-i dt H(t + dt/2)) to the state, with the matrix
 exponential evaluated through a full hermitian eigendecomposition (LAPACK,
-through numpy.linalg.eigh).  H(t) does not depend on the state, so evolve
-assembles and diagonalizes the midpoint Hamiltonians of many steps at once
-and forms their step unitaries in one batch.  Whether H(t) is hermitian
-does not depend on t (see hamiltonian_at), so evolve checks it once per run,
-at the first step midpoint.  The chain of states through a chunk is a
+through numpy.linalg.eigh) or, for full-length steps of long runs, summed
+from a phase table built from such decompositions.  H(t) does not depend on
+the state, so evolve forms the step unitaries of many steps at once, in
+chunks.  Whether H(t) is hermitian does not depend on t (see
+hamiltonian_at), so evolve checks it once per run, at the first step
+midpoint.  The chain of states through a chunk is a
 blocked prefix product (Blelloch, CMU-CS-90-190, 1990): the N unitaries are
 cut into blocks of L = isqrt(N), each block's running products are formed
 for all blocks at once, one matrix-vector product per block carries the
 state from block to block, and one batched product gives every state, about
 2 sqrt(N) numpy calls in place of N.  The scheme is second order in dt and
 unitary to solver precision, so norm drift doubles as an error diagnostic.
+
+Phase table.  H = drift + e^{i theta} A + h.c. depends on t only through the
+drive phase theta = w t, so the unitary U(theta) = exp(-i dt H(theta)) of a
+step of length dt is a smooth 2 pi-periodic function of one angle.  Its
+Fourier coefficients C_m fall off like (dt g/2)^|m| / |m|! (Shirley, Phys.
+Rev. 138, B979, 1965), so C_m for |m| <= M (see _table_order) give U to
+about eps.  evolve diagonalizes U at P = 2M + 2 phases in one batched eigh,
+once per run, and every full-length step then costs one row of a
+(N, 2M + 1) @ (2M + 1, n n) product of its phase powers e^{i m theta} with
+the C_m.  This applies to the steps not taken by period reuse, except a last
+step shortened to land on t_end, when there are at least P of them and P
+matrices fit in a chunk; other runs, such as a one-step run or two steps at
+n = 32, diagonalize every step.
 
 Period reuse.  The drive e^{i w t} A + h.c. repeats after T = 2 pi / |w|, so
 when K steps of dt make up T the midpoint Hamiltonians repeat every K steps
@@ -22,8 +36,8 @@ samples through those propagators with the same blocked product.  This
 applies when K |w| dt equals 2 pi within 4 ulps (a static H counts as K = 1)
 and lcm(K, sample_every) steps of unitaries fit in one CHUNK_BYTES chunk.
 The steps after the last whole lcm(K, sample_every) block, and a last step
-shortened to land on t_end, follow as freshly diagonalized chunks in the same
-loop: each pass chains one stack, reused or fresh, and records the states
+shortened to land on t_end, follow as fresh chunks in the same loop: each
+pass chains one stack, reused or fresh, and records the states
 that end on a multiple of sample_every or on the last step.
 """
 
@@ -32,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SystemSpec, _adjoint, _as_real, hamiltonian_at
+from .algebra import root_power
+from .hamiltonian import SystemSpec, _adjoint, _as_real, _at_phase, hamiltonian_at
 
 __all__ = [
     "EigenConvergenceError",
@@ -50,8 +65,9 @@ MAX_STEPS = 10**8
 # anti-hermitian residue allowed, relative to the largest entry of the matrix
 HERMITIAN_RTOL = 1e-10
 # byte size of one chunk's Hamiltonian stack; evolve holds a few arrays of this
-# size at once (stack, eigenvectors, step unitaries, block products), whatever
-# the run length.  With the blocked chain on one pinned CPU of a 2-vCPU x86 VM
+# size at once (stack, eigenvectors, step unitaries, block products, phase
+# table), whatever the run length.  Measured on the eigh path, before the phase
+# table: with the blocked chain on one pinned CPU of a 2-vCPU x86 VM
 # (OpenBLAS), evolve took 5.91, 5.55, 5.00, 5.92 and 5.18 us/step at n = 3 and
 # 25.7, 21.9, 20.7, 24.2 and 25.7 us/step at n = 8 for 64 KiB, 128 KiB,
 # 256 KiB, 512 KiB and 1 MiB chunks (medians of 9 runs).
@@ -61,6 +77,8 @@ MAX_SAMPLE_BYTES = 2**30
 # K |w| dt may miss 2 pi by this much, relative, for the grid to count as one
 # drive period of K steps; about the rounding of w t itself on the direct path
 _PERIOD_RTOL = 4 * np.finfo(np.float64).eps
+# truncation error allowed in the phase table's Fourier sum (see _table_order)
+_EPS = np.finfo(np.float64).eps
 
 
 class EigenConvergenceError(RuntimeError):
@@ -202,20 +220,91 @@ def _step_count(span: float, dt: float) -> int:
     return max(n_steps, 1)
 
 
-def _step_unitaries(spec: SystemSpec, edges: np.ndarray) -> np.ndarray:
-    """exp(-i (t1 - t0) H((t0 + t1) / 2)) for consecutive step edges, as a stack."""
+def _step_unitaries(
+    spec: SystemSpec, edges: np.ndarray, table: np.ndarray = None, tabled: int = 0
+) -> np.ndarray:
+    """exp(-i (t1 - t0) H((t0 + t1) / 2)) for consecutive step edges, as a stack.
+
+    The first ``tabled`` steps, each of the length dt that ``table`` was built
+    for (see _phase_table), are summed from its Fourier coefficients; the
+    others are diagonalized in one batched eigh.
+    """
     steps = np.diff(edges)
     mids = edges[:-1] + 0.5 * steps
-    # eigh reads the lower triangle and the real diagonal, which is all of H
-    # once evolve has checked that H is hermitian
+    u = np.empty((len(steps), spec.n, spec.n), dtype=np.complex128)
+    if tabled:
+        # the phase factors e^{i w t} of hamiltonian_at
+        z = np.exp(1j * spec.omega * mids[:tabled])
+        powers = _phase_powers(z, len(table) // 2)
+        np.matmul(powers.T, table, out=u[:tabled].reshape(tabled, -1))
+    if tabled < len(steps):
+        # eigh reads the lower triangle and the real diagonal, which is all of
+        # H once evolve has checked that H is hermitian
+        try:
+            w, v = np.linalg.eigh(hamiltonian_at(spec, mids[tabled:]))
+        except np.linalg.LinAlgError as exc:
+            span = f"[{float(mids[tabled])!r}, {float(mids[-1])!r}]"
+            raise EigenConvergenceError(
+                f"eigensolver failed to converge at some t in {span}"
+            ) from exc
+        phases = np.exp(-1j * (w * steps[tabled:, None]))
+        np.matmul(v * phases[:, None, :], _adjoint(v), out=u[tabled:])
+    return u
+
+
+def _table_order(spec: SystemSpec, dt: float, limit: int):
+    """Fourier order M of the step unitary's phase table, or None when P > limit.
+
+    M is the smallest order with 2 x^(M+1) / (M+1)! <= eps for x = dt g / 2,
+    and the table samples P = 2M + 2 phases.  g / 2 is the spectral norm of
+    drive_coefficient for every drive model (0 for "none", a bound then).
+    The coefficient C_m of U(theta) collects terms of order |m| and above in
+    dt A, so its size falls off like x^|m| / |m|! (Shirley, Phys. Rev. 138,
+    B979, 1965): the orders left out and those the P-point transform folds
+    onto the kept ones stay at about eps.
+    """
+    x = 0.5 * spec.g * dt
+    order, term = 0, 2.0 * x  # term = 2 x^(order+1) / (order+1)!
+    while term > _EPS and 2 * order + 2 <= limit:
+        order += 1
+        term *= x / (order + 1)
+    return order if 2 * order + 2 <= limit else None
+
+
+def _phase_table(spec: SystemSpec, dt: float, order: int) -> np.ndarray:
+    """Fourier coefficients C_m, m = -M..M, of the full step's unitary, as (2M + 1, n n).
+
+    U(theta) = exp(-i dt H(theta)), with H(theta) = drift + e^{i theta} A + h.c.
+    the Hamiltonian at drive phase theta = w t, is diagonalized at the
+    P = 2M + 2 phases 2 pi j / P in one batched eigh.  C_m is the length-P
+    DFT (1/P) sum_j U(2 pi j / P) e^{-2 pi i m j / P}, so that
+    U(theta) = sum_m C_m e^{i m theta} to about eps (see _table_order).
+    """
+    p = 2 * order + 2
+    j = np.arange(p)
     try:
-        w, v = np.linalg.eigh(hamiltonian_at(spec, mids))
+        w, v = np.linalg.eigh(_at_phase(spec, root_power(p, j)))
     except np.linalg.LinAlgError as exc:
-        span = f"[{float(mids[0])!r}, {float(mids[-1])!r}]"
         raise EigenConvergenceError(
-            f"eigensolver failed to converge at some t in {span}"
+            f"eigensolver failed to converge on the drive-phase table for dt = {dt!r}"
         ) from exc
-    return (v * np.exp(-1j * (w * steps[:, None]))[:, None, :]) @ _adjoint(v)
+    u = (v * np.exp(-1j * (w * dt))[:, None, :]) @ _adjoint(v)
+    m = np.arange(-order, order + 1)
+    return root_power(p, -np.outer(m, j)) @ u.reshape(p, -1) / p
+
+
+def _phase_powers(z: np.ndarray, order: int) -> np.ndarray:
+    """z^m for m = -order..order as rows, by repeated multiplication.
+
+    The negative powers are the conjugates of the positive ones, exact for
+    |z| = 1.
+    """
+    powers = np.empty((2 * order + 1, len(z)), dtype=np.complex128)
+    powers[order] = 1.0
+    for m in range(order + 1, 2 * order + 1):
+        np.multiply(powers[m - 1], z, out=powers[m])
+    np.conjugate(powers[:order:-1], out=powers[:order])
+    return powers
 
 
 def _chain(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -283,12 +372,15 @@ def _sample_propagators(
 def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     """Propagate the spec's initial value problem over the config's time grid.
 
-    The Hamiltonian is rebuilt at every step midpoint, so the drive phase is
-    exact.  Steps are processed in chunks of at most CHUNK_BYTES of
-    Hamiltonians, each diagonalized in one batched eigh call.  On a grid of
-    K steps per drive period only one period is diagonalized and each sample
-    costs one propagator in the chain; both kinds of chunk share one loop
-    (see the module docstring).  Raises
+    The drive phase is taken at every step midpoint, so it is exact.  Steps
+    are processed in chunks of at most CHUNK_BYTES of matrices.  When at
+    least P full-length steps are left to step (P = 2M + 2, M from dt g / 2;
+    see _table_order), their unitaries are summed from a Fourier table over
+    the drive phase that one batched eigh of P matrices builds once per run;
+    other steps are diagonalized in one batched eigh call per chunk.  On a
+    grid of K steps per drive period only one period is diagonalized and
+    each sample costs one propagator in the chain; all kinds of chunk share
+    one loop (see the module docstring).  Raises
     ValueError when H(t) is not hermitian at the first step midpoint (the
     time is reported) or when the samples would need more than
     MAX_SAMPLE_BYTES, and EigenConvergenceError when the eigensolver fails.
@@ -320,15 +412,21 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     populations[0] = psi.real**2 + psi.imag**2
 
     chunk = max(1, CHUNK_BYTES // (16 * n * n))
+    # a last step shortened to land on t_end is neither the period's nor the
+    # phase table's
+    whole = n_steps if t_start + n_steps * dt == t_end else n_steps - 1
     done = 0  # steps taken by period reuse
     period = _period_steps(spec, dt)
     if period is not None:
         block = math.lcm(period, every)
-        # a last step shortened to land on t_end is not one of the period's
-        whole = n_steps if t_start + n_steps * dt == t_end else n_steps - 1
         done = whole // block * block if block <= chunk else 0
+    # the fresh full-length steps are summed from a phase table when its P
+    # phases fit a chunk and cost no more eigh work than those steps; this is
+    # decided before any eigh, and the table is built once, only for such runs
+    order = _table_order(spec, dt, min(whole - done, chunk))
     if done:
         props = _sample_propagators(spec, t_start, dt, period, every)
+    table = None if order is None else _phase_table(spec, dt, order)
 
     # each pass chains a stack u of unitaries, u[i] ending at step ends[i]:
     # reused sample propagators up to step done, then fresh chunks
@@ -343,7 +441,9 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
             edges = t_start + np.arange(pos, stop + 1) * dt
             if stop == n_steps:
                 edges[-1] = t_end
-            u, ends = _step_unitaries(spec, edges), np.arange(pos + 1, stop + 1)
+            tabled = 0 if table is None else min(stop, whole) - pos
+            u = _step_unitaries(spec, edges, table, tabled)
+            ends = np.arange(pos + 1, stop + 1)
         chain = _chain(u, psi)
         psi = chain[-1]
         sampled = chain[(ends % every == 0) | (ends == n_steps)]

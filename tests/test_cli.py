@@ -377,6 +377,19 @@ class TestEvolveFailureExitCodes:
         assert not out.exists()
         assert os.listdir(tmp_path) == ["config.json"]
 
+    def test_solver_failure_in_the_phase_table_exits_2(self, tmp_path, monkeypatch,
+                                                       capsys):
+        # 40 full-length steps of dt g / 2 = 7.5e-3 take their unitaries from a
+        # table of 12 phases, whose eigh comes first
+        def fail(a, UPLO="L"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, out = self._evolve(tmp_path, BASE_EVOLVE)
+        assert code == 2
+        assert "drive-phase table" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_hermitian_drift_exits_1(self, tmp_path, monkeypatch, capsys):
         skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         monkeypatch.setattr(hamiltonian, "build_drift", lambda spec: skew)

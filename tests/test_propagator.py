@@ -460,16 +460,33 @@ def stepwise(spec, config):
 
 @pytest.fixture
 def built_steps(monkeypatch):
-    """Midpoint counts of every batch of step unitaries evolve builds."""
+    """Midpoint counts of every stack of step unitaries evolve builds.
+
+    One entry per stack, whether its steps come from eigh or the phase table.
+    """
     counts = []
     plain = propagator._step_unitaries
 
-    def spy(spec, edges):
+    def spy(spec, edges, *rest):
         counts.append(len(edges) - 1)
-        return plain(spec, edges)
+        return plain(spec, edges, *rest)
 
     monkeypatch.setattr(propagator, "_step_unitaries", spy)
     return counts
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Phase counts P of every phase table evolve builds."""
+    builds = []
+    plain = propagator._phase_table
+
+    def spy(spec, dt, order):
+        builds.append(2 * order + 2)
+        return plain(spec, dt, order)
+
+    monkeypatch.setattr(propagator, "_phase_table", spy)
+    return builds
 
 
 def assert_matches_stepwise(spec, config):
@@ -608,6 +625,149 @@ class TestChain:
         )
         assert propagator._period_steps(spec, dt) is None
         assert_matches_stepwise(spec, config)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def table_spec(model, n, x, dt, offset=0.0):
+    """A spec whose drive makes dt g / 2 equal x."""
+    return SystemSpec(
+        n=n, energies=tuple(offset + np.sin(np.arange(n) * 1.3)), g=2.0 * x / dt,
+        omega=1.0137, drive_model=model, include_delta0=offset != 0.0,
+    )
+
+
+def tabled_and_direct(spec, dt, steps=300):
+    """One grid's step unitaries from the phase table and from eigh."""
+    # binary fractions: every step is exactly dt long on both paths
+    edges = 0.25 + np.arange(steps + 1) * dt
+    assert np.all(np.diff(edges) == dt)
+    order = propagator._table_order(spec, dt, 10**6)
+    table = propagator._phase_table(spec, dt, order)
+    return (propagator._step_unitaries(spec, edges, table, steps),
+            propagator._step_unitaries(spec, edges))
+
+
+class TestPhaseTable:
+    # full-length fresh steps summed from a Fourier table over the drive phase
+
+    @pytest.mark.parametrize("x", [1e-3, 0.1, 5.0])
+    @pytest.mark.parametrize("model, n", [("generalized", 3), ("generalized", 8),
+                                          ("generalized", 32), ("cosine2", 2),
+                                          ("rwa2", 2)])
+    def test_matches_eigh(self, model, n, x):
+        tabled, direct = tabled_and_direct(table_spec(model, n, x, 0.125), 0.125)
+        assert max_abs(tabled - direct) <= 1e-13
+
+    @pytest.mark.parametrize("x", [1e-3, 0.1, 5.0])
+    @pytest.mark.parametrize("n", [3, 32])
+    def test_matches_eigh_at_energy_offset(self, n, x):
+        # eigh resolves eigenvalues near |E| = 1e6 to about eps |E|, so both
+        # stacks carry phase errors of about eps |E| dt
+        dt = 0.125
+        spec = table_spec("generalized", n, x, dt, offset=1e6)
+        tabled, direct = tabled_and_direct(spec, dt)
+        assert max_abs(tabled - direct) <= 1e-13 + 64 * EPS * max(spec.energies) * dt
+
+    @pytest.mark.parametrize("x", [0.0, 6.25e-4, 1e-3, 0.1, 5.0])
+    def test_order_is_the_smallest_within_eps(self, x):
+        spec = table_spec("generalized", 3, x, 0.125)
+        order = propagator._table_order(spec, 0.125, 10**6)
+
+        def tail(m):
+            return 2.0 * x ** (m + 1) / math.factorial(m + 1)
+
+        assert tail(order) <= EPS
+        assert order == 0 or tail(order - 1) > EPS
+        # P = 2M + 2 phases must fit the limit
+        assert propagator._table_order(spec, 0.125, 2 * order + 2) == order
+        assert propagator._table_order(spec, 0.125, 2 * order + 1) is None
+
+    @pytest.mark.parametrize("model, n", [("none", 3), ("generalized", 2),
+                                          ("generalized", 3), ("generalized", 32),
+                                          ("cosine2", 2), ("rwa2", 2)])
+    def test_drive_norm_is_half_g(self, model, n):
+        # the table order takes ||A||_2 = g / 2 without building A
+        spec = SystemSpec(n=n, energies=(0.0,) * n, g=0.3, omega=1.0, drive_model=model)
+        norm = np.linalg.norm(hamiltonian.drive_coefficient(spec), 2)
+        assert norm == (0.0 if model == "none" else 0.5 * spec.g)
+
+    def test_cosine_equals_generalized_and_reruns_bitwise(self, table_builds):
+        base = dict(n=2, energies=(0.5, -0.5), g=0.3, omega=1.0137)
+        config = EvolutionConfig(t_start=0.1, t_end=8.0, dt=0.02, sample_every=4)
+        runs = [evolve(SystemSpec(drive_model=model, **base), config)
+                for model in ("cosine2", "generalized", "cosine2")]
+        assert len(table_builds) == 3
+        for run in runs[1:]:
+            assert np.array_equal(run.times, runs[0].times)
+            assert np.array_equal(run.populations, runs[0].populations)
+            assert np.array_equal(run.final_state, runs[0].final_state)
+
+    def test_built_once_over_several_chunks(self, table_builds, built_steps,
+                                            monkeypatch):
+        # x = 1.25e-3 needs P = 10 phases; 16-step chunks hold them
+        config = EvolutionConfig(t_start=0.1, t_end=2.1 - 0.004, dt=0.01,
+                                 initial_state=1, sample_every=3)
+        whole = evolve(THREE_LEVEL, config)
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", 16 * 16 * 3 * 3)
+        del table_builds[:], built_steps[:]
+        chunked = assert_matches_stepwise(THREE_LEVEL, config)
+        assert table_builds == [10]
+        assert built_steps == [16] * 12 + [8]
+        assert max_abs(chunked.populations - whole.populations) <= 1e-14
+
+    @pytest.mark.parametrize("steps, built", [(10.0, [10]), (9.6, [])])
+    def test_needs_as_many_full_steps_as_phases(self, table_builds, steps, built):
+        # x = 6.25e-4 needs P = 10; a last step shortened to t_end is not full
+        dt = 0.005
+        config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt)
+        assert_matches_stepwise(THREE_LEVEL, config)
+        assert table_builds == built
+
+    def test_not_built_for_one_step(self, table_builds):
+        # the shape of a set-up probe: a driven grid cut to one step
+        evolve(THREE_LEVEL, EvolutionConfig(t_start=0.0, t_end=0.005, dt=0.005))
+        assert table_builds == []
+
+    def test_not_built_for_two_steps_at_n32(self, table_builds, built_steps):
+        # P = 12 phases would cost six times the eigh work of the run
+        spec = SystemSpec(n=32, energies=tuple(np.linspace(-1.0, 1.0, 32)), g=0.25,
+                          omega=1.0137, drive_model="generalized")
+        config = EvolutionConfig(t_start=0.0, t_end=0.1, dt=0.05, sample_every=2)
+        assert propagator._period_steps(spec, config.dt) is None
+        evolve(spec, config)
+        assert table_builds == []
+        assert built_steps == [2]
+
+    def test_not_built_for_a_static_spec(self, table_builds):
+        spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1))
+        evolve(spec, EvolutionConfig(t_start=0.0, t_end=20.0, dt=0.01))
+        assert table_builds == []
+
+    def test_not_built_when_every_step_is_reused(self, table_builds, built_steps):
+        # the committed Rabi config ends one ulp short of 2000 dt, which leaves
+        # 99 fresh full-length steps; ending on 2000 dt leaves none
+        spec, config = load_config("rabi_two_level.json")
+        exact = EvolutionConfig(
+            t_start=config.t_start, t_end=config.t_start + 2000 * config.dt,
+            dt=config.dt, initial_state=config.initial_state,
+            sample_every=config.sample_every,
+        )
+        assert_matches_stepwise(spec, exact)
+        assert table_builds == []
+        assert built_steps == [100]
+        evolve(spec, config)
+        assert table_builds == [10]
+
+    def test_solver_failure_in_the_table_raises_convergence_error(self, monkeypatch):
+        def fail(a, UPLO="L"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        config = EvolutionConfig(t_start=0.0, t_end=2.0, dt=0.01)
+        with pytest.raises(EigenConvergenceError, match="drive-phase table"):
+            evolve(THREE_LEVEL, config)
 
 
 class TestNormDrift:
