@@ -2,18 +2,23 @@
 
 Each step applies exp(-i dt H(t + dt/2)) to the state, with the matrix
 exponential evaluated through a full hermitian eigendecomposition (LAPACK,
-through numpy.linalg.eigh) or, for full-length steps of long runs, summed
-from a phase table built from such decompositions.  H(t) does not depend on
-the state, so evolve forms the step unitaries of many steps at once, in
-chunks.  Whether H(t) is hermitian does not depend on t (see
-hamiltonian_at), so evolve checks it once per run, at the first step
-midpoint.  The chain of states through a chunk is a
-blocked prefix product (Blelloch, CMU-CS-90-190, 1990): the N unitaries are
-cut into blocks of L = isqrt(N), each block's running products are formed
-for all blocks at once, one matrix-vector product per block carries the
-state from block to block, and one batched product gives every state, about
-2 sqrt(N) numpy calls in place of N.  The scheme is second order in dt and
-unitary to solver precision, so norm drift doubles as an error diagnostic.
+through numpy.linalg.eigh, in one kernel, _unitaries) or, for full-length
+steps of long runs, summed from a phase table built from such
+decompositions.  Step k is exactly dt long and centred at
+t_start + (k + 1/2) dt on every path, so the table and eigh see the same
+phase and length for it; when the grid does not end on t_end, a last step
+from t_start + K dt to t_end, K the number of full steps, follows as a
+one-step pass of its own.  H(t) does not depend on the state, so evolve
+forms the step unitaries of many steps at once, in chunks.  Whether H(t) is
+hermitian does not depend on t (see hamiltonian_at), so evolve checks it
+once per run, at the first step midpoint.  The chain of states through a
+chunk is a blocked prefix product (Blelloch, CMU-CS-90-190, 1990): the N
+unitaries are cut into blocks of L = isqrt(N), each block's running
+products are formed for all blocks at once, one matrix-vector product per
+block carries the state from block to block, and one batched product gives
+every state, about 2 sqrt(N) numpy calls in place of N.  The scheme is
+second order in dt and unitary to solver precision, so norm drift doubles
+as an error diagnostic.
 
 Phase table.  H = drift + e^{i theta} A + h.c. depends on t only through the
 drive phase theta = w t, so the unitary U(theta) = exp(-i dt H(theta)) of a
@@ -35,9 +40,9 @@ them into the propagators from one sample to the next, and chains the
 samples through those propagators with the same blocked product.  This
 applies when K |w| dt equals 2 pi within 4 ulps (a static H counts as K = 1)
 and lcm(K, sample_every) steps of unitaries fit in one CHUNK_BYTES chunk.
-The steps after the last whole lcm(K, sample_every) block, and a last step
-shortened to land on t_end, follow as fresh chunks in the same loop: each
-pass chains one stack, reused or fresh, and records the states
+The steps after the last whole lcm(K, sample_every) block follow as fresh
+chunks, and the shortened last step after them, in the same loop: each pass
+chains one stack, reused, fresh or the last step, and records the states
 that end on a multiple of sample_every or on the last step.
 """
 
@@ -220,36 +225,37 @@ def _step_count(span: float, dt: float) -> int:
     return max(n_steps, 1)
 
 
-def _step_unitaries(
-    spec: SystemSpec, edges: np.ndarray, table: np.ndarray = None, tabled: int = 0
-) -> np.ndarray:
-    """exp(-i (t1 - t0) H((t0 + t1) / 2)) for consecutive step edges, as a stack.
+def _unitaries(spec: SystemSpec, z: np.ndarray, dt: float, where: str) -> np.ndarray:
+    """exp(-i dt H) for H = _at_phase(spec, z) at every phase factor of z, as a stack.
 
-    The first ``tabled`` steps, each of the length dt that ``table`` was built
-    for (see _phase_table), are summed from its Fourier coefficients; the
-    others are diagonalized in one batched eigh.
+    The one batched eigh of the propagator's steps; ``where`` names the phases
+    in the EigenConvergenceError a solver failure raises.
     """
-    steps = np.diff(edges)
-    mids = edges[:-1] + 0.5 * steps
-    u = np.empty((len(steps), spec.n, spec.n), dtype=np.complex128)
-    if tabled:
-        # the phase factors e^{i w t} of hamiltonian_at
-        z = np.exp(1j * spec.omega * mids[:tabled])
-        powers = _phase_powers(z, len(table) // 2)
-        np.matmul(powers.T, table, out=u[:tabled].reshape(tabled, -1))
-    if tabled < len(steps):
-        # eigh reads the lower triangle and the real diagonal, which is all of
-        # H once evolve has checked that H is hermitian
-        try:
-            w, v = np.linalg.eigh(hamiltonian_at(spec, mids[tabled:]))
-        except np.linalg.LinAlgError as exc:
-            span = f"[{float(mids[tabled])!r}, {float(mids[-1])!r}]"
-            raise EigenConvergenceError(
-                f"eigensolver failed to converge at some t in {span}"
-            ) from exc
-        phases = np.exp(-1j * (w * steps[tabled:, None]))
-        np.matmul(v * phases[:, None, :], _adjoint(v), out=u[tabled:])
-    return u
+    # eigh reads the lower triangle and the real diagonal, which is all of H
+    # once evolve has checked that H is hermitian
+    try:
+        w, v = np.linalg.eigh(_at_phase(spec, z))
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"eigensolver failed to converge {where}") from exc
+    return (v * np.exp(-1j * (w * dt))[..., None, :]) @ _adjoint(v)
+
+
+def _step_unitaries(
+    spec: SystemSpec, mids: np.ndarray, dt: float, table: np.ndarray = None
+) -> np.ndarray:
+    """exp(-i dt H(t)) at every step midpoint t of ``mids``, as a stack.
+
+    Every step is dt long.  With ``table``, the phase table built for steps of
+    that length (see _phase_table), the unitaries are summed from its Fourier
+    coefficients; without it they come from one batched eigh.
+    """
+    # the phase factors e^{i w t} of hamiltonian_at
+    z = np.exp(1j * spec.omega * mids)
+    if table is None:
+        span = f"[{float(mids[0])!r}, {float(mids[-1])!r}]"
+        return _unitaries(spec, z, dt, f"at some t in {span}")
+    u = _phase_powers(z, len(table) // 2).T @ table
+    return u.reshape(len(mids), spec.n, spec.n)
 
 
 def _table_order(spec: SystemSpec, dt: float, limit: int):
@@ -282,13 +288,7 @@ def _phase_table(spec: SystemSpec, dt: float, order: int) -> np.ndarray:
     """
     p = 2 * order + 2
     j = np.arange(p)
-    try:
-        w, v = np.linalg.eigh(_at_phase(spec, root_power(p, j)))
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(
-            f"eigensolver failed to converge on the drive-phase table for dt = {dt!r}"
-        ) from exc
-    u = (v * np.exp(-1j * (w * dt))[:, None, :]) @ _adjoint(v)
+    u = _unitaries(spec, root_power(p, j), dt, f"on the drive-phase table for dt = {dt!r}")
     m = np.arange(-order, order + 1)
     return root_power(p, -np.outer(m, j)) @ u.reshape(p, -1) / p
 
@@ -358,7 +358,7 @@ def _sample_propagators(
     ``period`` steps from t_start on.  Only the first period is diagonalized.
     """
     block = math.lcm(period, every)
-    u = _step_unitaries(spec, t_start + np.arange(period + 1) * dt)
+    u = _step_unitaries(spec, t_start + (np.arange(period) + 0.5) * dt, dt)
     u = u[np.arange(block) % period].reshape(block // every, every, spec.n, spec.n)
     # halve the number of factors per propagator until one is left; the
     # later step multiplies from the left, an odd last factor waits a round
@@ -381,9 +381,10 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     grid of K steps per drive period only one period is diagonalized and
     each sample costs one propagator in the chain; all kinds of chunk share
     one loop (see the module docstring).  Raises
-    ValueError when H(t) is not hermitian at the first step midpoint (the
-    time is reported) or when the samples would need more than
-    MAX_SAMPLE_BYTES, and EigenConvergenceError when the eigensolver fails.
+    ValueError when the drive phase w t is not finite at t_start or t_end or
+    H(t) is not hermitian at the first step midpoint (the time is reported),
+    or when the samples would need more than MAX_SAMPLE_BYTES, and
+    EigenConvergenceError when the eigensolver fails.
     """
     n = spec.n
     psi = _initial_vector(n, config.initial_state)
@@ -398,9 +399,13 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
             f"{n_samples} samples of {n} levels need {need} bytes, over the "
             f"{MAX_SAMPLE_BYTES}-byte budget; raise sample_every or shorten the run"
         )
+    # w t is largest in size at an end of the run
+    for t in (t_start, t_end):
+        if not math.isfinite(spec.omega * t):
+            raise ValueError(f"drive phase w t is not finite at t = {t!r}")
     # H(t) - H(t)^dagger does not depend on t (see hamiltonian_at), so the
     # first step's midpoint stands for every step
-    first = t_start + 0.5 * ((t_end if n_steps == 1 else t_start + dt) - t_start)
+    first = t_start + 0.5 * min(dt, t_end - t_start)
     if _not_hermitian(hamiltonian_at(spec, first)):
         raise ValueError(f"Hamiltonian is not hermitian at t = {first!r}")
     # sample k follows step min(k every, n_steps); the ends are set as given,
@@ -429,21 +434,20 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     table = None if order is None else _phase_table(spec, dt, order)
 
     # each pass chains a stack u of unitaries, u[i] ending at step ends[i]:
-    # reused sample propagators up to step done, then fresh chunks
+    # reused sample propagators up to step done, fresh full-length steps up to
+    # step whole, then a last step shortened to land on t_end
     pos, k = 0, 1
     while pos < n_steps:
         if pos < done:
             j = np.arange(pos // every, min(pos // every + chunk, done // every))
             u, ends = props[j % len(props)], (j + 1) * every
+        elif pos < whole:
+            ends = np.arange(pos + 1, min(pos + chunk, whole) + 1)
+            u = _step_unitaries(spec, t_start + (ends - 0.5) * dt, dt, table)
         else:
-            stop = min(pos + chunk, n_steps)
-            # step edges t_start + k dt; the last edge is exactly t_end
-            edges = t_start + np.arange(pos, stop + 1) * dt
-            if stop == n_steps:
-                edges[-1] = t_end
-            tabled = 0 if table is None else min(stop, whole) - pos
-            u = _step_unitaries(spec, edges, table, tabled)
-            ends = np.arange(pos + 1, stop + 1)
+            t0 = t_start + whole * dt
+            u = _step_unitaries(spec, np.array([t0 + 0.5 * (t_end - t0)]), t_end - t0)
+            ends = np.array([n_steps])
         chain = _chain(u, psi)
         psi = chain[-1]
         sampled = chain[(ends % every == 0) | (ends == n_steps)]

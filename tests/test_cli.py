@@ -398,6 +398,16 @@ class TestEvolveFailureExitCodes:
         assert "not hermitian at t = 0.025" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_drive_phase_exits_1(self, tmp_path, capsys):
+        # w t overflows between t_start and t_end: no step may write NaN
+        payload = dict(BASE_EVOLVE, n=3, energies=[-1.0, 0.3, 1.1], g=1e-10,
+                       omega=1e300, t_start=1.7975e8, t_end=1.798e8, dt=1.0,
+                       sample_every=10000)
+        code, out = self._evolve(tmp_path, payload)
+        assert code == 1
+        assert "drive phase w t is not finite at t = 179800000.0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["nodir/x.csv", ""])
     def test_bad_output_path_exits_1_before_the_run(self, tmp_path, monkeypatch, capsys, out):
         work = tmp_path / "work"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -331,6 +332,18 @@ class TestFailureMapping:
         evolve(rabi, EvolutionConfig(t_start=0.0, t_end=20 * math.pi, dt=math.pi / 50))
         assert calls == [(3, 3), (2, 2)]
 
+    @pytest.mark.parametrize("g, t_start, t_end, dt", [
+        (1e-10, 1.7975e8, 1.798e8, 1.0),  # phase table
+        (0.25, 1e8, 3e8, 1e6),  # eigh
+    ], ids=["table", "eigh"])
+    def test_overflowing_drive_phase_names_time(self, g, t_start, t_end, dt):
+        # w t is finite at t_start but not at t_end; a check at the first step
+        # midpoint cannot see that
+        spec = dataclasses.replace(THREE_LEVEL, g=g, omega=1e300)
+        config = EvolutionConfig(t_start=t_start, t_end=t_end, dt=dt)
+        with pytest.raises(ValueError, match=f"not finite at t = {t_end!r}"):
+            evolve(spec, config)
+
     def test_solver_failure_raises_convergence_error(self, monkeypatch):
         def fail(a, UPLO="L"):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -343,12 +356,21 @@ class TestFailureMapping:
 
 
 class TestChunking:
-    def test_chunk_boundaries_do_not_change_the_trajectory(self, monkeypatch):
-        # 7 steps per chunk: sample instants fall on both sides of every edge
+    # both runs take the same path: the phase table, whose P = 12 phases a
+    # 16-step chunk holds, or eigh, when g = 200 needs more phases (P = 72)
+    # than the run has steps; the sample instants fall on both sides of every
+    # chunk edge
+    @pytest.mark.parametrize("g, steps, built", [(0.25, 16, [12, 12]), (200.0, 7, [])],
+                             ids=["table", "eigh"])
+    def test_chunk_boundaries_do_not_change_the_trajectory(self, table_builds,
+                                                           monkeypatch, g, steps,
+                                                           built):
+        spec = dataclasses.replace(THREE_LEVEL, g=g)
         config = EvolutionConfig(t_start=0.1, t_end=2.0, dt=0.05, sample_every=3)
-        whole = evolve(THREE_LEVEL, config)
-        monkeypatch.setattr(propagator, "CHUNK_BYTES", 7 * 16 * 3 * 3)
-        chunked = evolve(THREE_LEVEL, config)
+        whole = evolve(spec, config)
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", steps * 16 * 3 * 3)
+        chunked = evolve(spec, config)
+        assert table_builds == built
         assert np.array_equal(chunked.times, whole.times)
         assert max_abs(chunked.populations - whole.populations) <= 1e-14
         assert max_abs(chunked.final_state - whole.final_state) <= 1e-14
@@ -467,9 +489,9 @@ def built_steps(monkeypatch):
     counts = []
     plain = propagator._step_unitaries
 
-    def spy(spec, edges, *rest):
-        counts.append(len(edges) - 1)
-        return plain(spec, edges, *rest)
+    def spy(spec, mids, *rest):
+        counts.append(len(mids))
+        return plain(spec, mids, *rest)
 
     monkeypatch.setattr(propagator, "_step_unitaries", spy)
     return counts
@@ -511,11 +533,13 @@ class TestPeriodReuse:
         )
         assert propagator._period_steps(spec, config.dt) == 100
         assert_matches_stepwise(spec, config)
-        # one period, then the steps after the last whole block of 100
-        assert built_steps == [100, 100]
+        # one period, the full steps after the last whole block of 100, then
+        # the shortened last step
+        assert built_steps == [100, 99, 1]
 
     def test_reuse_over_several_chunks(self, built_steps, monkeypatch):
-        # 100-step chunks: 380 reused samples in four passes, then 100 fresh steps
+        # 100-step chunks: 380 reused samples in four passes, then 99 fresh
+        # full steps and the shortened last step
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 100 * 16 * 2 * 2)
         chained = []
         plain = propagator._chain
@@ -527,8 +551,8 @@ class TestPeriodReuse:
         monkeypatch.setattr(propagator, "_chain", spy)
         spec, config = load_config("rabi_two_level.json")
         assert_matches_stepwise(spec, config)
-        assert built_steps == [100, 100]
-        assert chained == [100, 100, 100, 80, 100]
+        assert built_steps == [100, 99, 1]
+        assert chained == [100, 100, 100, 80, 99, 1]
 
     def test_late_start_matches_stepwise(self, built_steps):
         spec, config = load_config("rabi_two_level.json")
@@ -638,15 +662,13 @@ def table_spec(model, n, x, dt, offset=0.0):
     )
 
 
-def tabled_and_direct(spec, dt, steps=300):
-    """One grid's step unitaries from the phase table and from eigh."""
-    # binary fractions: every step is exactly dt long on both paths
-    edges = 0.25 + np.arange(steps + 1) * dt
-    assert np.all(np.diff(edges) == dt)
+def tabled_and_direct(spec, dt, steps=300, t0=0.25):
+    """The step unitaries of one grid from the phase table and from eigh."""
+    mids = t0 + (np.arange(steps) + 0.5) * dt
     order = propagator._table_order(spec, dt, 10**6)
     table = propagator._phase_table(spec, dt, order)
-    return (propagator._step_unitaries(spec, edges, table, steps),
-            propagator._step_unitaries(spec, edges))
+    return (propagator._step_unitaries(spec, mids, dt, table),
+            propagator._step_unitaries(spec, mids, dt))
 
 
 class TestPhaseTable:
@@ -664,11 +686,13 @@ class TestPhaseTable:
     @pytest.mark.parametrize("n", [3, 32])
     def test_matches_eigh_at_energy_offset(self, n, x):
         # eigh resolves eigenvalues near |E| = 1e6 to about eps |E|, so both
-        # stacks carry phase errors of about eps |E| dt
-        dt = 0.125
-        spec = table_spec("generalized", n, x, dt, offset=1e6)
-        tabled, direct = tabled_and_direct(spec, dt)
-        assert max_abs(tabled - direct) <= 1e-13 + 64 * EPS * max(spec.energies) * dt
+        # stacks carry phase errors of about eps |E| dt; on a grid of binary
+        # fractions and on one that has none
+        for t0, dt in ((0.25, 0.125), (1000.1, 0.1)):
+            spec = table_spec("generalized", n, x, dt, offset=1e6)
+            tabled, direct = tabled_and_direct(spec, dt, t0=t0)
+            bound = 1e-13 + 64 * EPS * max(spec.energies) * dt
+            assert max_abs(tabled - direct) <= bound
 
     @pytest.mark.parametrize("x", [0.0, 6.25e-4, 1e-3, 0.1, 5.0])
     def test_order_is_the_smallest_within_eps(self, x):
@@ -714,7 +738,7 @@ class TestPhaseTable:
         del table_builds[:], built_steps[:]
         chunked = assert_matches_stepwise(THREE_LEVEL, config)
         assert table_builds == [10]
-        assert built_steps == [16] * 12 + [8]
+        assert built_steps == [16] * 12 + [7, 1]
         assert max_abs(chunked.populations - whole.populations) <= 1e-14
 
     @pytest.mark.parametrize("steps, built", [(10.0, [10]), (9.6, [])])
