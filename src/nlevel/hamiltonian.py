@@ -4,8 +4,8 @@ The static part is the paper's sum_j Delta_j clock^j over the Fourier
 coefficients of the level energies, which is exactly diag(energies); the
 drift is built in that real closed form.  The drive couples the levels
 cyclically through the shift matrix.  _at_phase alone forms H(t), from the
-drive phase factor e^{i w t}: hamiltonian_at passes it the times' factors,
-the propagator's phase table equally spaced ones.
+drive phase factor e^{i w t}: hamiltonian_at passes it the times' factors
+(see _phase_factors), the propagator's phase table equally spaced ones.
 Supported drive models:
 
 * ``"none"``         static Hamiltonian only
@@ -203,12 +203,29 @@ def hamiltonian_at(spec: SystemSpec, times) -> np.ndarray:
     Returns an array of shape ``np.shape(times) + (n, n)``: one matrix for a
     scalar time, a stack for an array of times.  A is drive_coefficient(spec).
     The bracket is hermitian to the bit, so H(t) is hermitian exactly when the
-    drift is, at every t.
+    drift is, at every t.  A static spec (no drive, g = 0 or w = 0) takes the
+    phase factor 1, so its H(t) is finite at any t.
     """
     t = np.asarray(times)
     if t.dtype.kind not in "iuf" or not np.all(np.isfinite(t)):
         raise ValueError("times must be finite real numbers")
-    return _at_phase(spec, np.exp(1j * spec.omega * t))
+    return _at_phase(spec, _phase_factors(spec, t))
+
+
+def _is_static(spec: SystemSpec) -> bool:
+    """True when H(t) does not depend on t: no drive, g = 0 or w = 0."""
+    return spec.drive_model == "none" or spec.g == 0.0 or spec.omega == 0.0
+
+
+def _phase_factors(spec: SystemSpec, t) -> np.ndarray:
+    """e^{i w t} at every entry of t, or 1 for a static spec.
+
+    H(t) of a static spec does not depend on the phase, so w t, which may
+    overflow at a large |w t|, is not formed for it.
+    """
+    if _is_static(spec):
+        return np.ones(np.shape(t), dtype=np.complex128)
+    return np.exp(1j * spec.omega * t)
 
 
 def _at_phase(spec: SystemSpec, phase: np.ndarray) -> np.ndarray:

@@ -13,12 +13,17 @@ forms the step unitaries of many steps at once, in chunks.  Whether H(t) is
 hermitian does not depend on t (see hamiltonian_at), so evolve checks it
 once per run, at the first step midpoint.  The chain of states through a
 chunk is a blocked prefix product (Blelloch, CMU-CS-90-190, 1990): the N
-unitaries are cut into blocks of L = isqrt(N), each block's running
-products are formed for all blocks at once, one matrix-vector product per
-block carries the state from block to block, and one batched product gives
-every state, about 2 sqrt(N) numpy calls in place of N.  The scheme is
-second order in dt and unitary to solver precision, so norm drift doubles
-as an error diagnostic.
+unitaries are cut into blocks, each block's running products are formed for
+all blocks at once, the state is carried from block to block, and one more
+product over all blocks gives every state.  At small n (up to _SCAN_MAX_N)
+the blocks are at most 8 long and laid out block index innermost, so each
+product is one elementwise multiply and sum over all blocks, and the
+carries recurse through the same scan (_scan); a BLAS call per 3 x 3
+product would cost more than its arithmetic.  Above that the blocks are
+isqrt(N) long, the products are batched BLAS products and the carries one
+matrix-vector product per block, about 2 sqrt(N) numpy calls in place of
+N.  The scheme is second order in dt and unitary to solver precision, so
+norm drift doubles as an error diagnostic.
 
 Phase table.  H = drift + e^{i theta} A + h.c. depends on t only through the
 drive phase theta = w t, so the unitary U(theta) = exp(-i dt H(theta)) of a
@@ -52,7 +57,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import root_power
-from .hamiltonian import SystemSpec, _adjoint, _as_real, _at_phase, hamiltonian_at
+from .hamiltonian import (
+    SystemSpec,
+    _adjoint,
+    _as_real,
+    _at_phase,
+    _is_static,
+    _phase_factors,
+    hamiltonian_at,
+)
 
 __all__ = [
     "EigenConvergenceError",
@@ -71,12 +84,26 @@ MAX_STEPS = 10**8
 HERMITIAN_RTOL = 1e-10
 # byte size of one chunk's Hamiltonian stack; evolve holds a few arrays of this
 # size at once (stack, eigenvectors, step unitaries, block products, phase
-# table), whatever the run length.  Measured on the eigh path, before the phase
-# table: with the blocked chain on one pinned CPU of a 2-vCPU x86 VM
-# (OpenBLAS), evolve took 5.91, 5.55, 5.00, 5.92 and 5.18 us/step at n = 3 and
-# 25.7, 21.9, 20.7, 24.2 and 25.7 us/step at n = 8 for 64 KiB, 128 KiB,
-# 256 KiB, 512 KiB and 1 MiB chunks (medians of 9 runs).
+# table), whatever the run length.  Measured on the phase-table path with
+# _scan at n = 3 and the BLAS chain at n = 8 (20,000 and 4,000 steps of
+# dt = 0.005, off the period grid, every step sampled) on one pinned CPU of a
+# 2-vCPU x86 VM (OpenBLAS): evolve took 0.77, 0.61, 0.50, 0.54 and
+# 0.57 us/step at n = 3 and 3.26, 2.56, 2.07, 1.89 and 2.20 us/step at n = 8
+# for 64 KiB, 128 KiB, 256 KiB, 512 KiB and 1 MiB chunks (median of 3 runs of
+# 9 calls each).
 CHUNK_BYTES = 2**18
+# largest n whose states _chain forms elementwise (see _scan) in place of one
+# BLAS call per matrix: numpy's @ on a (B, n, n) stack calls zgemm once per
+# matrix, about 0.37 us each at n = 3.  Measured on the same CPU (medians of 31
+# interleaved calls), _scan took 0.86, 0.91, 0.98, 1.07, 1.20, 1.33 and 1.66
+# times the BLAS chain's time at n = 2..8 for N = 50 unitaries, and 0.17,
+# 0.31, 0.50, 0.70, 0.92, 1.16 and 1.71 times for one chunk (N = 4096, 1820,
+# 1024, 655, 455, 334 and 256).
+_SCAN_MAX_N = 4
+# block length of _scan, and the longest stack it chains one product at a
+# time; block lengths 4 to 12 measured within noise of each other at n = 2..4
+# (16 was up to 25% slower at N = 300)
+_SCAN_BLOCK = 8
 # cap on the sampled times, populations and norm errors a run may hold
 MAX_SAMPLE_BYTES = 2**30
 # K |w| dt may miss 2 pi by this much, relative, for the grid to count as one
@@ -249,8 +276,7 @@ def _step_unitaries(
     that length (see _phase_table), the unitaries are summed from its Fourier
     coefficients; without it they come from one batched eigh.
     """
-    # the phase factors e^{i w t} of hamiltonian_at
-    z = np.exp(1j * spec.omega * mids)
+    z = _phase_factors(spec, mids)
     if table is None:
         span = f"[{float(mids[0])!r}, {float(mids[-1])!r}]"
         return _unitaries(spec, z, dt, f"at some t in {span}")
@@ -310,13 +336,18 @@ def _phase_powers(z: np.ndarray, order: int) -> np.ndarray:
 def _chain(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """States u[0] psi, u[1] u[0] psi, ... for a stack of N unitaries, as (N, n).
 
-    The stack, padded with identities, is cut into B = ceil(N / L) blocks of
+    Up to n = _SCAN_MAX_N the states come from _scan: about 20 numpy calls
+    for every factor of 8 in N, none of them per matrix.  Above it the
+    stack, padded with identities, is cut into B = ceil(N / L) blocks of
     L = isqrt(N) unitaries.  L - 1 batched products form every block's
     running products, B - 1 matrix-vector products carry psi to the start of
     each block, and one batched product applies each block's running
-    products to its start.  The input stack is left unchanged.
+    products to its start: about 2 sqrt(N) numpy calls, each of which calls
+    BLAS once per matrix.  The input stack is left unchanged.
     """
     count, n = u.shape[0], u.shape[-1]
+    if n <= _SCAN_MAX_N:
+        return _scan(u.transpose(1, 2, 0), psi)
     size = math.isqrt(count)
     blocks = -(-count // size)
     pad = np.broadcast_to(np.eye(n, dtype=u.dtype), (blocks * size - count, n, n))
@@ -331,13 +362,50 @@ def _chain(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (prefix @ starts[:, None]).reshape(blocks * size, n)[:count]
 
 
+def _scan(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The states of _chain for a stack laid out as (n, n, N), step index last.
+
+    Up to _SCAN_BLOCK unitaries are applied one by one.  A longer stack is
+    cut into blocks of L = min(_SCAN_BLOCK, isqrt(N)), copied block index
+    innermost as (L, n, n, B), so that each of the L - 1 running products
+    forms the product of every block at once, elementwise.  psi is carried
+    to the start of each block by _scan over the B - 1 block products, and
+    one more elementwise product applies each block's running products to
+    its start.  The input stack is left unchanged.
+    """
+    n, count = u.shape[0], u.shape[-1]
+    if count <= _SCAN_BLOCK:
+        states = np.empty((count, n), dtype=np.complex128)
+        states[0] = u[..., 0] @ psi
+        for j in range(1, count):
+            states[j] = u[..., j] @ states[j - 1]
+        return states
+    size = min(_SCAN_BLOCK, math.isqrt(count))
+    blocks, rest = -(-count // size), count % size
+    full = count - rest
+    # prefix[i, :, :, b] = u[b L + i] ... u[b L + 1] u[b L]; zeros pad the last
+    # block, whose products only reach the states cut off at the end
+    prefix = np.empty((size, n, n, blocks), dtype=np.complex128)
+    grouped = u[..., :full].reshape(n, n, -1, size)
+    prefix[..., : full // size] = grouped.transpose(3, 0, 1, 2)
+    if rest:
+        prefix[:rest, ..., -1] = u[..., full:].transpose(2, 0, 1)
+        prefix[rest:, ..., -1] = 0.0
+    for i in range(1, size):
+        prefix[i] = (prefix[i][:, :, None] * prefix[i - 1][None]).sum(1)
+    starts = np.empty((n, blocks), dtype=np.complex128)
+    starts[:, 0] = psi
+    starts[:, 1:] = _scan(prefix[-1, ..., :-1], psi).T
+    return (prefix * starts).sum(2).transpose(2, 0, 1).reshape(blocks * size, n)[:count]
+
+
 def _period_steps(spec: SystemSpec, dt: float):
     """Steps per drive period K when dt divides the period, else None.
 
     The step-midpoint Hamiltonians then repeat every K steps.  A constant
     Hamiltonian (no drive, g = 0 or w = 0) repeats every step, K = 1.
     """
-    if spec.drive_model == "none" or spec.g == 0.0 or spec.omega == 0.0:
+    if _is_static(spec):
         return 1
     turn = abs(spec.omega) * dt
     if turn * MAX_STEPS < 2.0 * math.pi:
@@ -399,9 +467,10 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
             f"{n_samples} samples of {n} levels need {need} bytes, over the "
             f"{MAX_SAMPLE_BYTES}-byte budget; raise sample_every or shorten the run"
         )
-    # w t is largest in size at an end of the run
+    # w t is largest in size at an end of the run; a static spec never forms it
+    # (see _phase_factors)
     for t in (t_start, t_end):
-        if not math.isfinite(spec.omega * t):
+        if not (_is_static(spec) or math.isfinite(spec.omega * t)):
             raise ValueError(f"drive phase w t is not finite at t = {t!r}")
     # H(t) - H(t)^dagger does not depend on t (see hamiltonian_at), so the
     # first step's midpoint stands for every step

@@ -408,6 +408,16 @@ class TestEvolveFailureExitCodes:
         assert "drive phase w t is not finite at t = 179800000.0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_static_spec_with_overflowing_drive_phase_exits_0(self, tmp_path):
+        # without a drive the phase w t plays no part, however large
+        payload = dict(BASE_EVOLVE, n=3, energies=[-1.0, 0.3, 1.1], g=0.0,
+                       omega=1e300, drive_model="none", t_end=1e9, dt=1e8)
+        code, out = self._evolve(tmp_path, payload)
+        assert code == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert data.shape == (11, 5)
+        assert np.allclose(data[:, 1:4], [1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("out", ["nodir/x.csv", ""])
     def test_bad_output_path_exits_1_before_the_run(self, tmp_path, monkeypatch, capsys, out):
         work = tmp_path / "work"

@@ -294,6 +294,13 @@ class TestHamiltonianAt:
     def test_scalar_time_gives_one_matrix(self):
         assert hamiltonian_at(self.SPEC, 2).shape == (4, 4)
 
+    def test_static_spec_is_the_drift_at_any_time(self):
+        # w t overflows at t = 1e9, but no drive means no phase
+        spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1), g=0.0, omega=1e300,
+                          drive_model="generalized")
+        stack = hamiltonian_at(spec, [0.0, 1e9])
+        assert np.array_equal(stack, np.broadcast_to(build_drift(spec), (2, 3, 3)))
+
     @pytest.mark.parametrize("times", [[0.0, math.inf], [math.nan], [1j]])
     def test_rejects_non_finite_or_complex_times(self, times):
         with pytest.raises(ValueError, match="finite real"):

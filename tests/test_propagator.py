@@ -344,6 +344,17 @@ class TestFailureMapping:
         with pytest.raises(ValueError, match=f"not finite at t = {t_end!r}"):
             evolve(spec, config)
 
+    @pytest.mark.parametrize("t_end", [1e9, 9.5e8], ids=["grid", "shortened"])
+    @pytest.mark.parametrize("model, g", [("none", 0.3), ("generalized", 0.0)])
+    def test_static_spec_ignores_drive_phase(self, model, g, t_end):
+        # H(t) does not depend on the phase, so w t = inf must not reach it
+        spec = dataclasses.replace(THREE_LEVEL, g=g, omega=1e300, drive_model=model)
+        config = EvolutionConfig(t_start=0.0, t_end=t_end, dt=1e8,
+                                 initial_state=[1.0, 1j, 0.0])
+        traj = evolve(spec, config)
+        assert traj.times[-1] == t_end
+        assert np.allclose(traj.populations, [0.5, 0.5, 0.0], rtol=0.0, atol=1e-12)
+
     def test_solver_failure_raises_convergence_error(self, monkeypatch):
         def fail(a, UPLO="L"):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -611,11 +622,23 @@ class TestPeriodReuse:
         assert max(built_steps) == 50
 
 
-class TestChain:
-    # the blocked scan against one matrix-vector product per unitary
+SCAN_BLOCK = propagator._SCAN_BLOCK
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 32])
-    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 15, 16, 17, 455, 1820])
+
+class TestChain:
+    # both kernels of _chain against one matrix-vector product per unitary:
+    # the elementwise scan up to n = _SCAN_MAX_N and the BLAS blocked product
+    # above it, each n next to that crossover; counts on both sides of the
+    # scan's block length and its square, and the chunk lengths at n = 2 and 3
+
+    @pytest.mark.parametrize("n", sorted({2, 3, propagator._SCAN_MAX_N,
+                                          propagator._SCAN_MAX_N + 1, 8, 32}))
+    @pytest.mark.parametrize("count", sorted({
+        1, 2, 3, 4, 5, 15, 16, 17, 455, 1820,
+        SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+        SCAN_BLOCK**2 - 1, SCAN_BLOCK**2, SCAN_BLOCK**2 + 1,
+        *(propagator.CHUNK_BYTES // (16 * n * n) for n in (2, 3)),
+    }))
     def test_matches_plain_loop(self, count, n):
         rng = np.random.default_rng(1000 * count + n)
         m = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
