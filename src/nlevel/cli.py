@@ -133,7 +133,8 @@ def _atomic_open(path):
 
 
 def _write_json(payload, out_path):
-    text = json.dumps(payload, indent=2) + "\n"
+    # a non-finite value has no JSON form: raise ValueError, write nothing
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:

@@ -202,8 +202,9 @@ def hamiltonian_at(spec: SystemSpec, times) -> np.ndarray:
 
     Returns an array of shape ``np.shape(times) + (n, n)``: one matrix for a
     scalar time, a stack for an array of times.  A is drive_coefficient(spec).
-    The bracket is hermitian to the bit, so H(t) is hermitian exactly when the
-    drift is, at every t.  A static spec (no drive, g = 0 or w = 0) takes the
+    The drift is real and diagonal and the bracket is hermitian to the bit,
+    so H(t) is exactly hermitian at every t, which the propagator relies on
+    without a check.  A static spec (no drive, g = 0 or w = 0) takes the
     phase factor 1, so its H(t) is finite at any t.
     """
     t = np.asarray(times)

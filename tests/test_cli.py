@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import nlevel.cli as cli
-import nlevel.hamiltonian as hamiltonian
 from nlevel import (
     EvolutionConfig,
     SystemSpec,
@@ -122,6 +121,18 @@ class TestDecomposeCommand:
         assert abs(payload["deltas"][0]["re"] - 2.0) <= 1e-13
         for cell in payload["deltas"][1:]:
             assert abs(complex(cell["re"], cell["im"])) <= 1e-13
+
+    def test_non_finite_deltas_exit_1_without_output(self, tmp_path):
+        # these deltas overflow to inf and nan, which JSON cannot hold
+        config = write_config(tmp_path, {"n": 4, "energies": [1e308, -1e308, 1e308, -1e308]})
+        target = tmp_path / "report.json"
+        proc = run_cli("decompose", "--config", config, "--out", str(target))
+        assert proc.returncode == 1
+        assert "not JSON compliant" in proc.stderr
+        assert os.listdir(tmp_path) == ["config.json"]
+        proc = run_cli("decompose", "--config", config)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
 
     def test_unknown_key_is_named(self, tmp_path):
         config = write_config(tmp_path, {"n": 2, "energies": [0, 1], "bogus": 3})
@@ -390,13 +401,26 @@ class TestEvolveFailureExitCodes:
         assert "drive-phase table" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_non_hermitian_drift_exits_1(self, tmp_path, monkeypatch, capsys):
-        skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        monkeypatch.setattr(hamiltonian, "build_drift", lambda spec: skew)
-        code, out = self._evolve(tmp_path, BASE_EVOLVE)
-        assert code == 1
-        assert "not hermitian at t = 0.025" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("energies, g, dt, t_end, what", [
+        ([1.7e308, -1.7e308, 0.0], 1e308, 0.1, 1.0, "step phase bound"),
+        ([1.7e308, 1.7e308, 1.0], 0.25, 0.1, 1.0, "drift"),
+        ([1e300, -1e300, 0.0], 0.25, 1e9, 1e10, "step phase bound"),  # eigh
+        ([1e300, -1e300, 0.0], 1e-10, 1e9, 1e11, "step phase bound"),  # phase table
+    ], ids=["drift_plus_g", "mean_energy", "eigh", "table"])
+    def test_too_large_for_float64_exits_1(self, tmp_path, energies, g, dt, t_end, what):
+        # a fresh interpreter with warnings as errors: an overflow warning
+        # anywhere in the run would end it with a traceback instead
+        payload = dict(BASE_EVOLVE, n=3, energies=energies, g=g, dt=dt, t_end=t_end)
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nlevel", "evolve",
+             "--config", write_config(tmp_path, payload), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"nlevel: error: {what} ")
+        assert proc.stderr.endswith(" is too large for float64\n")
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_overflowing_drive_phase_exits_1(self, tmp_path, capsys):
         # w t overflows between t_start and t_end: no step may write NaN

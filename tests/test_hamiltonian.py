@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +22,8 @@ from nlevel import (
     interaction_diagonal,
     mat_pow,
 )
+from nlevel.algebra import root_power
+from nlevel.hamiltonian import _at_phase
 
 
 def max_abs(m):
@@ -263,6 +267,9 @@ class TestFullHamiltonian:
 
     @pytest.mark.parametrize("model", DRIVE_MODELS)
     def test_hermitian_for_random_specs(self, model):
+        # the propagator relies on H being hermitian to the bit and does not
+        # check it: at one time, over a stack of times and at the phase
+        # table's roots of unity, with and without Delta_0, at any scale
         rng = np.random.default_rng(400 + DRIVE_MODELS.index(model))
         for _ in range(50):
             n = 2 if model in ("cosine2", "rwa2") else int(rng.integers(2, 9))
@@ -274,8 +281,21 @@ class TestFullHamiltonian:
                 drive_model=model,
             )
             t = float(rng.uniform(0.0, 20.0))
-            h = build_full_hamiltonian(spec, t)
-            assert max_abs(h - h.conj().T) <= 1e-12
+            for scale, keep in itertools.product((1.0, 1e-6, 1e150, 1e300), (False, True)):
+                scaled = dataclasses.replace(
+                    spec,
+                    energies=tuple(scale * e for e in spec.energies),
+                    g=scale * spec.g,
+                    omega=scale * spec.omega,
+                    include_delta0=keep,
+                )
+                stacks = [
+                    build_full_hamiltonian(scaled, t / scale)[None],
+                    hamiltonian_at(scaled, (t + np.linspace(0.0, 20.0, 7)) / scale),
+                ]
+                stacks += [_at_phase(scaled, root_power(p, np.arange(p))) for p in (2, 12, 18)]
+                for h in stacks:
+                    assert np.array_equal(h, np.swapaxes(h.conj(), -1, -2))
 
 
 class TestHamiltonianAt:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -308,29 +309,46 @@ class TestInitialState:
 class TestFailureMapping:
     CONFIG = dict(t_start=0.0, t_end=1.0, dt=0.5)
 
-    def test_non_hermitian_drift_names_time(self, monkeypatch):
-        skew = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        monkeypatch.setattr(hamiltonian, "build_drift", lambda spec: skew)
-        with pytest.raises(ValueError, match="not hermitian at t = 0.25"):
-            evolve(THREE_LEVEL, EvolutionConfig(**self.CONFIG))
+    # the numerical contract, checked before any eigh: the drift and the
+    # bound 2 (max|drift| + g) dt on a step's eigenphases must be finite.
+    # Each spec overflows somewhere else; none may warn or write NaN.  The
+    # last two would otherwise step by eigh and by a phase table of order 8
+    @pytest.mark.parametrize("energies, g, dt, t_end, order, what", [
+        ((1.7e308, -1.7e308, 0.0), 1e308, 0.1, 1.0, None, "step phase bound"),
+        ((1.7e308, 1.7e308, 1.0), 0.25, 0.1, 1.0, None, "drift"),
+        ((1e300, -1e300, 0.0), 0.25, 1e9, 1e10, None, "step phase bound"),
+        ((1e300, -1e300, 0.0), 1e-10, 1e9, 1e11, 8, "step phase bound"),
+    ], ids=["drift_plus_g", "mean_energy", "eigh", "table"])
+    def test_too_large_for_float64(self, monkeypatch, energies, g, dt, t_end, order,
+                                   what):
+        spec = dataclasses.replace(THREE_LEVEL, energies=energies, g=g)
+        config = EvolutionConfig(t_start=0.0, t_end=t_end, dt=dt)
+        assert propagator._table_order(spec, dt, propagator._step_count(t_end, dt)) == order
 
-    def test_hermiticity_checked_once_per_run(self, monkeypatch):
-        # H(t) - H(t)^dagger does not depend on t, so neither chunks nor
-        # period reuse repeat the check
-        calls = []
-        plain = propagator._not_hermitian
+        def never(*args, **kwargs):
+            pytest.fail("eigh ran before the contract was checked")
 
-        def spy(h):
-            calls.append(np.shape(h))
-            return plain(h)
+        monkeypatch.setattr(np.linalg, "eigh", never)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{what} .*too large for float64$"):
+                evolve(spec, config)
 
-        monkeypatch.setattr(propagator, "_not_hermitian", spy)
-        monkeypatch.setattr(propagator, "CHUNK_BYTES", 7 * 16 * 3 * 3)
-        evolve(THREE_LEVEL, EvolutionConfig(t_start=0.0, t_end=2.0, dt=0.05))
-        rabi = SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1.0,
-                          drive_model="rwa2")
-        evolve(rabi, EvolutionConfig(t_start=0.0, t_end=20 * math.pi, dt=math.pi / 50))
-        assert calls == [(3, 3), (2, 2)]
+    @pytest.mark.parametrize("energies, g, dt, include_delta0, built", [
+        ((1.7e308, -1.7e308, 0.0), 100.0, 0.25, False, []),  # 2 B dt = 8.5e307
+        ((1.7e308, -1.7e308, 0.0), 0.25, 0.25, False, [16]),
+        ((1.7e308, 1.7e308, 1.0), 0.25, 1e-300, True, [2]),  # no mean is formed
+    ], ids=["eigh", "table", "delta0"])
+    def test_contract_accepts_the_largest_finite_specs(self, table_builds, energies, g,
+                                                       dt, include_delta0, built):
+        spec = dataclasses.replace(THREE_LEVEL, energies=energies, g=g,
+                                   include_delta0=include_delta0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(spec, EvolutionConfig(t_start=0.0, t_end=40 * dt, dt=dt))
+        assert table_builds == built
+        assert np.all(np.isfinite(traj.populations))
+        assert float(np.max(traj.norm_errors)) <= 1e-12
 
     @pytest.mark.parametrize("g, t_start, t_end, dt", [
         (1e-10, 1.7975e8, 1.798e8, 1.0),  # phase table
@@ -413,11 +431,11 @@ class TestEnergyScale:
         return evolve(spec, config)
 
     def test_populations_agree_across_scales(self):
-        runs = [self._run(scale) for scale in (1e-6, 1.0, 1e6)]
+        runs = [self._run(scale) for scale in (1e-300, 1e-6, 1.0, 1e6, 1e300)]
         for run in runs:
             assert float(np.max(run.norm_errors)) <= 1e-10
-        for run in (runs[0], runs[2]):
-            assert max_abs(run.populations - runs[1].populations) <= 1e-9
+        for run in runs[:2] + runs[3:]:
+            assert max_abs(run.populations - runs[2].populations) <= 1e-9
 
     def test_large_scale_system_runs(self):
         spec = SystemSpec(
