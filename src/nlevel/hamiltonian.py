@@ -104,7 +104,9 @@ def energies_to_deltas(energies) -> np.ndarray:
     """Fourier coefficients Delta_j = (1/n) sum_k sigma^((n-j)k mod n) E_k.
 
     For real energies the coefficients pair up as Delta_{n-j} == conj(Delta_j)
-    and Delta_0 is the mean energy.
+    and Delta_0 is the mean energy.  The sum runs on the energies scaled by
+    2^-p, p the binary exponent of max|E|, which is exact and keeps it from
+    overflowing at any finite energies; the result is scaled back by 2^p.
     """
     arr = np.asarray(energies)
     if np.iscomplexobj(arr):
@@ -117,7 +119,9 @@ def energies_to_deltas(energies) -> np.ndarray:
     n = e.shape[0]
     j = np.arange(n)[:, None]
     k = np.arange(n)[None, :]
-    return root_power(n, (n - j) * k) @ e / n
+    p = np.frexp(np.max(np.abs(e)))[1]
+    d = root_power(n, (n - j) * k) @ np.ldexp(e, -p) / n
+    return np.ldexp(d.view(np.float64), p).view(np.complex128)
 
 
 def deltas_to_energies(deltas, imag_tol: float = 1e-10) -> np.ndarray:

@@ -37,18 +37,21 @@ Rev. 138, B979, 1965), so C_m for |m| <= M (see _table_order) give U to
 about eps.  evolve diagonalizes U at P = 2M + 2 phases in one batched eigh,
 once per run, and every full-length step then costs one row of a
 (N, 2M + 1) @ (2M + 1, n n) product of its phase powers e^{i m theta} with
-the C_m.  This applies to the steps not taken by period reuse, except a last
-step shortened to land on t_end, when there are at least P of them and P
-matrices fit in a chunk; other runs, such as a one-step run or two steps at
-n = 32, diagonalize every step.
+the C_m.  The steps that need a unitary are the K of a period that reuse
+repeats (below) and the fresh full-length steps; a last step shortened to
+land on t_end is not one of them.  The table serves them all when there are
+at least P of them and P matrices fit in a chunk; other runs, such as a
+one-step run, two steps at n = 32 or a period of K < P steps all reused,
+diagonalize every step.
 
 Period reuse.  The drive e^{i w t} A + h.c. repeats after T = 2 pi / |w|, so
 when K steps of dt make up T the midpoint Hamiltonians repeat every K steps
-(Floquet periodicity).  evolve then diagonalizes only those K, multiplies
-them into the propagators from one sample to the next, and chains the
-samples through those propagators with the same blocked product.  This
-applies when K |w| dt equals 2 pi within 4 ulps (a static H counts as K = 1)
-and lcm(K, sample_every) steps of unitaries fit in one CHUNK_BYTES chunk.
+(Floquet periodicity).  evolve then forms only those K unitaries, from the
+phase table or one batched eigh, multiplies them into the propagators from
+one sample to the next, and chains the samples through those propagators
+with the same blocked product.  This applies when K |w| dt equals 2 pi
+within 4 ulps (a static H counts as K = 1) and lcm(K, sample_every) steps
+of unitaries fit in one CHUNK_BYTES chunk.
 The steps after the last whole lcm(K, sample_every) block follow as fresh
 chunks, and the shortened last step after them, in the same loop: each pass
 chains one stack, reused, fresh or the last step, and records the states
@@ -135,13 +138,15 @@ def hermitian_eig(h):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if 0.5 * np.max(np.abs(a - _adjoint(a))) > HERMITIAN_RTOL * np.max(np.abs(a)):
+    # halves first: a + a^dagger and a - a^dagger overflow near the float64 limit
+    half, half_adjoint = 0.5 * a, 0.5 * _adjoint(a)
+    if np.max(np.abs(half - half_adjoint)) > HERMITIAN_RTOL * np.max(np.abs(a)):
         raise ValueError(
             "matrix is not hermitian (anti-hermitian residue above "
             f"{HERMITIAN_RTOL:g} of its largest entry)"
         )
     try:
-        return np.linalg.eigh(0.5 * (a + _adjoint(a)))
+        return np.linalg.eigh(half + half_adjoint)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigensolver failed to converge: {exc}") from exc
 
@@ -408,16 +413,19 @@ def _period_steps(spec: SystemSpec, dt: float):
 
 
 def _sample_propagators(
-    spec: SystemSpec, t_start: float, dt: float, period: int, every: int
+    spec: SystemSpec, t_start: float, dt: float, period: int, every: int,
+    table: np.ndarray = None,
 ) -> np.ndarray:
     """Products of every consecutive step unitaries over lcm(period, every) steps.
 
     Entry j maps the state at step j * every to the state at step
     (j + 1) * every, for a grid whose midpoint Hamiltonians repeat every
-    ``period`` steps from t_start on.  Only the first period is diagonalized.
+    ``period`` steps from t_start on.  Only the first period's unitaries are
+    formed, summed from ``table`` when given (see _step_unitaries), else from
+    one batched eigh.
     """
     block = math.lcm(period, every)
-    u = _step_unitaries(spec, t_start + (np.arange(period) + 0.5) * dt, dt)
+    u = _step_unitaries(spec, t_start + (np.arange(period) + 0.5) * dt, dt, table)
     u = u[np.arange(block) % period].reshape(block // every, every, spec.n, spec.n)
     # halve the number of factors per propagator until one is left; the
     # later step multiplies from the left, an odd last factor waits a round
@@ -432,14 +440,15 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     """Propagate the spec's initial value problem over the config's time grid.
 
     The drive phase is taken at every step midpoint, so it is exact.  Steps
-    are processed in chunks of at most CHUNK_BYTES of matrices.  When at
-    least P full-length steps are left to step (P = 2M + 2, M from dt g / 2;
-    see _table_order), their unitaries are summed from a Fourier table over
-    the drive phase that one batched eigh of P matrices builds once per run;
-    other steps are diagonalized in one batched eigh call per chunk.  On a
-    grid of K steps per drive period only one period is diagonalized and
-    each sample costs one propagator in the chain; all kinds of chunk share
-    one loop (see the module docstring).  Raises
+    are processed in chunks of at most CHUNK_BYTES of matrices.  On a grid
+    of K steps per drive period only one period's unitaries are formed and
+    each sample costs one propagator in the chain.  When the full-length
+    steps that need a unitary, the reused period's and the fresh ones, are
+    at least P (P = 2M + 2, M from dt g / 2; see _table_order), their
+    unitaries are summed from a Fourier table over the drive phase that one
+    batched eigh of P matrices builds once per run; otherwise they are
+    diagonalized in one batched eigh call per chunk.  All kinds of chunk
+    share one loop (see the module docstring).  Raises
     ValueError when the drive phase w t is not finite at t_start or t_end
     (the time is reported), when the drift diag(E - Delta_0) or the bound
     2 (max|drift| + g) dt on a step's eigenphases is too large for float64,
@@ -469,10 +478,10 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     # times dt; the factor 2 leaves room for rounding and for a last step
     # slightly longer than dt (see _step_count)
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = np.diag(build_drift(spec))
-    if not np.all(np.isfinite(drift)):
+        drift = build_drift(spec).diagonal().tolist()
+    if not all(map(math.isfinite, drift)):
         raise ValueError("drift diag(E - Delta_0) is too large for float64")
-    if not math.isfinite(2.0 * ((float(np.max(np.abs(drift))) + spec.g) * dt)):
+    if not math.isfinite(2.0 * ((max(map(abs, drift)) + spec.g) * dt)):
         raise ValueError("step phase bound 2 (max|drift| + g) dt is too large for float64")
     # sample k follows step min(k every, n_steps); the ends are set as given,
     # since t_start + 0 dt would turn a t_start of -0.0 into 0.0
@@ -491,13 +500,14 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     if period is not None:
         block = math.lcm(period, every)
         done = whole // block * block if block <= chunk else 0
-    # the fresh full-length steps are summed from a phase table when its P
-    # phases fit a chunk and cost no more eigh work than those steps; this is
-    # decided before any eigh, and the table is built once, only for such runs
-    order = _table_order(spec, dt, min(whole - done, chunk))
-    if done:
-        props = _sample_propagators(spec, t_start, dt, period, every)
+    # the full-length steps that need a unitary, the reused period's K and the
+    # fresh ones, are summed from a phase table when its P phases fit a chunk
+    # and cost no more eigh work than those steps; this is decided before any
+    # eigh, and the table is built once, only for such runs
+    order = _table_order(spec, dt, min((period if done else 0) + whole - done, chunk))
     table = None if order is None else _phase_table(spec, dt, order)
+    if done:
+        props = _sample_propagators(spec, t_start, dt, period, every, table)
 
     # each pass chains a stack u of unitaries, u[i] ending at step ends[i]:
     # reused sample propagators up to step done, fresh full-length steps up to

@@ -122,17 +122,36 @@ class TestDecomposeCommand:
         for cell in payload["deltas"][1:]:
             assert abs(complex(cell["re"], cell["im"])) <= 1e-13
 
-    def test_non_finite_deltas_exit_1_without_output(self, tmp_path):
-        # these deltas overflow to inf and nan, which JSON cannot hold
-        config = write_config(tmp_path, {"n": 4, "energies": [1e308, -1e308, 1e308, -1e308]})
+    def test_extreme_energies_decompose_to_finite_json(self, tmp_path):
+        # the alternating sum 4e308 overflows unless the energies are scaled first
+        energies = [1e308, -1e308, 1e308, -1e308]
+        config = write_config(tmp_path, {"n": 4, "energies": energies})
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nlevel", "decompose", "--config", config],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        deltas = parse_matrix([payload["deltas"]])[0]
+        assert np.array_equal(deltas, energies_to_deltas(energies))
+        assert deltas[2].real == 1e308
+        # the roots of unity are rounded to about eps, so are the sums of 1e308
+        assert payload["hermitian_residual"] <= 1e-15 * 1e308
+        assert payload["reconstruction_residual"] <= 1e-15 * 1e308
+
+    def test_non_finite_report_exits_1_without_output(self, tmp_path, monkeypatch, capsys):
+        # no finite energies give non-finite deltas; a NaN, which JSON cannot
+        # hold, must still write nothing
+        monkeypatch.setattr(cli, "energies_to_deltas",
+                            lambda energies: np.full(len(energies), np.nan + 0j))
+        config = write_config(tmp_path, {"n": 2, "energies": [1.0, -1.0]})
         target = tmp_path / "report.json"
-        proc = run_cli("decompose", "--config", config, "--out", str(target))
-        assert proc.returncode == 1
-        assert "not JSON compliant" in proc.stderr
+        assert cli.main(["decompose", "--config", config, "--out", str(target)]) == 1
+        assert "not JSON compliant" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
-        proc = run_cli("decompose", "--config", config)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
+        assert cli.main(["decompose", "--config", config]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_unknown_key_is_named(self, tmp_path):
         config = write_config(tmp_path, {"n": 2, "energies": [0, 1], "bogus": 3})

@@ -77,6 +77,18 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="finite"):
             hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_entries_near_the_float64_limit(self):
+        # H + H^dagger and H - H^dagger overflow here, so neither may be formed
+        h = np.diag([1.7e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, _ = hermitian_eig(h)
+            psi = exp_step(h, 0.5, np.array([0.6, 0.8j]))
+            with pytest.raises(ValueError, match="not hermitian"):
+                hermitian_eig(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]))
+        assert np.array_equal(w, [0.0, 1.7e308])
+        assert np.array_equal(np.abs(psi) ** 2, np.abs([0.6, 0.8j]) ** 2)
+
 
 class TestExpStep:
     def test_zero_dt_is_identity(self):
@@ -549,10 +561,11 @@ def assert_matches_stepwise(spec, config):
 
 
 class TestPeriodReuse:
-    # reuse builds one drive period of step unitaries, not one per step
+    # reuse builds one drive period of step unitaries, not one per step; on
+    # the Rabi grid they come from the P = 10 phase table, not from eigh
 
     @pytest.mark.parametrize("short", [0.0, 0.4])
-    def test_rabi_config_matches_stepwise(self, built_steps, short):
+    def test_rabi_config_matches_stepwise(self, built_steps, table_builds, short):
         # the config's t_end sits one ulp below 2000 dt; short cuts the last step
         spec, config = load_config("rabi_two_level.json")
         config = EvolutionConfig(
@@ -565,8 +578,9 @@ class TestPeriodReuse:
         # one period, the full steps after the last whole block of 100, then
         # the shortened last step
         assert built_steps == [100, 99, 1]
+        assert table_builds == [10]
 
-    def test_reuse_over_several_chunks(self, built_steps, monkeypatch):
+    def test_reuse_over_several_chunks(self, built_steps, table_builds, monkeypatch):
         # 100-step chunks: 380 reused samples in four passes, then 99 fresh
         # full steps and the shortened last step
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 100 * 16 * 2 * 2)
@@ -581,9 +595,10 @@ class TestPeriodReuse:
         spec, config = load_config("rabi_two_level.json")
         assert_matches_stepwise(spec, config)
         assert built_steps == [100, 99, 1]
+        assert table_builds == [10]
         assert chained == [100, 100, 100, 80, 99, 1]
 
-    def test_late_start_matches_stepwise(self, built_steps):
+    def test_late_start_matches_stepwise(self, built_steps, table_builds):
         spec, config = load_config("rabi_two_level.json")
         config = EvolutionConfig(
             t_start=3.1, t_end=3.1 + 7.5 * 100 * config.dt, dt=config.dt,
@@ -592,6 +607,7 @@ class TestPeriodReuse:
         assert_matches_stepwise(spec, config)
         assert built_steps[0] == 100
         assert sum(built_steps) < 750 / 2
+        assert table_builds == [10]
 
     def test_static_hamiltonian_matches_stepwise(self, built_steps):
         spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1))
@@ -810,20 +826,43 @@ class TestPhaseTable:
         evolve(spec, EvolutionConfig(t_start=0.0, t_end=20.0, dt=0.01))
         assert table_builds == []
 
-    def test_not_built_when_every_step_is_reused(self, table_builds, built_steps):
-        # the committed Rabi config ends one ulp short of 2000 dt, which leaves
-        # 99 fresh full-length steps; ending on 2000 dt leaves none
+    def test_built_for_the_reused_period(self, table_builds, built_steps, monkeypatch):
+        # ending on exactly 2000 dt, every step is reused and none is fresh:
+        # the period's K = 100 unitaries are summed from a P = 10 table, so
+        # eigh sees its 10 phases and no step
         spec, config = load_config("rabi_two_level.json")
         exact = EvolutionConfig(
             t_start=config.t_start, t_end=config.t_start + 2000 * config.dt,
             dt=config.dt, initial_state=config.initial_state,
             sample_every=config.sample_every,
         )
+        phases = []
+        plain = propagator._unitaries
+
+        def spy(spec, z, *rest):
+            phases.append(len(z))
+            return plain(spec, z, *rest)
+
+        monkeypatch.setattr(propagator, "_unitaries", spy)
         assert_matches_stepwise(spec, exact)
-        assert table_builds == []
-        assert built_steps == [100]
-        evolve(spec, config)
         assert table_builds == [10]
+        assert built_steps == [100]
+        assert phases == [10]
+
+    def test_not_built_for_a_period_shorter_than_the_table(self, table_builds,
+                                                           built_steps):
+        # K = 16 steps per period, all reused, at ||H|| dt = 10, where the
+        # table needs more phases than the period has steps
+        spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.0), g=0.25, omega=1.0,
+                          drive_model="generalized")
+        dt = 10.0 / np.linalg.norm(build_full_hamiltonian(spec, 0.0), 2)
+        spec = dataclasses.replace(spec, omega=2.0 * math.pi / (16 * dt))
+        assert propagator._period_steps(spec, dt) == 16
+        assert 2 * propagator._table_order(spec, dt, 10**6) + 2 > 16
+        config = EvolutionConfig(t_start=0.0, t_end=64 * dt, dt=dt, sample_every=4)
+        assert_matches_stepwise(spec, config)
+        assert table_builds == []
+        assert built_steps == [16]
 
     def test_solver_failure_in_the_table_raises_convergence_error(self, monkeypatch):
         def fail(a, UPLO="L"):
