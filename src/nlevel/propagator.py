@@ -14,20 +14,19 @@ hermitian by construction (see hamiltonian_at), so nothing checks that at
 run time; before any step, evolve checks that the drift and a bound on every
 step's eigenphases are finite, so that no step can overflow.  The chain of
 states through a chunk is a blocked prefix product (Blelloch, CMU-CS-90-190,
-1990): the N unitaries are cut into blocks, each block's running products
-are formed for all blocks at once, the state is carried from block to block,
-and one more product over all blocks gives every state.  At small n (up to
-_SCAN_MAX_N) the blocks are at most 8 long and laid out block index
-innermost, so each product is one elementwise multiply and sum over all
-blocks, and the carries recurse through the same scan (_scan); a BLAS call
-per 3 x 3 product would cost more than its arithmetic.  Above that the
-blocks are isqrt(N) long, the products are batched BLAS products and the
-carries one matrix-vector product per block, about 2 sqrt(N) numpy calls in
-place of N.  The scheme is second order in dt and unitary to solver
-precision, so norm drift shows rounding only, not the discretization error:
-the resonant two-level drive of configs/rabi_two_level.json, run for 5,000
-steps of T/100, strays up to 1.17e-3 from the closed form sin^2(g t / 2)
-while its norm errors stay below 1.3e-12.
+1990), one algorithm for every n (_chain): the N unitaries are cut into
+blocks of at most 8, each block's running products are formed for all
+blocks at once, the state is carried from block to block by the same chain
+over the block products, and one more product over all blocks gives every
+state.  Only the storage and the product depend on n.  Up to _SCAN_MAX_N the
+blocks are stored block index innermost, so each product is one elementwise
+multiply and sum over all blocks; a BLAS call per 3 x 3 product would cost
+more than its arithmetic.  Above it each product is one batched BLAS call.
+The scheme is second order in dt and unitary to solver precision, so norm
+drift shows rounding only, not the discretization error: the resonant
+two-level drive of configs/rabi_two_level.json, run for 5,000 steps of T/100,
+strays up to 1.17e-3 from the closed form sin^2(g t / 2) while its norm
+errors stay below 1.3e-12.
 
 Phase table.  H = drift + e^{i theta} A + h.c. depends on t only through the
 drive phase theta = w t, so the unitary U(theta) = exp(-i dt H(theta)) of a
@@ -91,25 +90,27 @@ MAX_STEPS = 10**8
 HERMITIAN_RTOL = 1e-10
 # byte size of one chunk's Hamiltonian stack; evolve holds a few arrays of this
 # size at once (stack, eigenvectors, step unitaries, block products, phase
-# table), whatever the run length.  Measured on the phase-table path with
-# _scan at n = 3 and the BLAS chain at n = 8 (20,000 and 4,000 steps of
-# dt = 0.005, off the period grid, every step sampled) on one pinned CPU of a
-# 2-vCPU x86 VM (OpenBLAS): evolve took 0.77, 0.61, 0.50, 0.54 and
-# 0.57 us/step at n = 3 and 3.26, 2.56, 2.07, 1.89 and 2.20 us/step at n = 8
-# for 64 KiB, 128 KiB, 256 KiB, 512 KiB and 1 MiB chunks (median of 3 runs of
-# 9 calls each).
+# table), whatever the run length.  Measured on the phase-table path at n = 3
+# and n = 8, when blocks above _SCAN_MAX_N were isqrt(N) long (20,000 and
+# 4,000 steps of dt = 0.005, off the period grid, every step sampled) on one
+# pinned CPU of a 2-vCPU x86 VM (OpenBLAS): evolve took 0.77, 0.61, 0.50,
+# 0.54 and 0.57 us/step at n = 3 and 3.26, 2.56, 2.07, 1.89 and 2.20 us/step
+# at n = 8 for 64 KiB, 128 KiB, 256 KiB, 512 KiB and 1 MiB chunks (median of
+# 3 runs of 9 calls each).
 CHUNK_BYTES = 2**18
-# largest n whose states _chain forms elementwise (see _scan) in place of one
-# BLAS call per matrix: numpy's @ on a (B, n, n) stack calls zgemm once per
-# matrix, about 0.37 us each at n = 3.  Measured on the same CPU (medians of 31
-# interleaved calls), _scan took 0.86, 0.91, 0.98, 1.07, 1.20, 1.33 and 1.66
-# times the BLAS chain's time at n = 2..8 for N = 50 unitaries, and 0.17,
-# 0.31, 0.50, 0.70, 0.92, 1.16 and 1.71 times for one chunk (N = 4096, 1820,
-# 1024, 655, 455, 334 and 256).
+# largest n whose blocks _chain stores block index innermost and multiplies
+# elementwise, in place of one BLAS call per matrix: numpy's @ on a (B, n, n)
+# stack calls zgemm once per matrix, about 0.37 us each at n = 3.  Measured on
+# the same CPU (median over 3 runs of the medians of 101 interleaved calls),
+# the elementwise products made _chain take 0.95, 1.00, 1.13, 1.23, 1.44,
+# 1.58 and 1.91 times as long as batched BLAS at n = 2..8 for N = 50
+# unitaries, and 0.21, 0.37, 0.69, 0.83, 1.35, 1.62 and 2.10 times for one
+# chunk (N = 4096, 1820, 1024, 655, 455, 334 and 256).
 _SCAN_MAX_N = 4
-# block length of _scan, and the longest stack it chains one product at a
+# block length of _chain, and the longest stack it chains one product at a
 # time; block lengths 4 to 12 measured within noise of each other at n = 2..4
-# (16 was up to 25% slower at N = 300)
+# (16 was up to 25% slower at N = 300), and 4 to 16 within 7% of each other
+# at n = 5..16 for N = 50 and one chunk
 _SCAN_BLOCK = 8
 # cap on the sampled times, populations and norm errors a run may hold
 MAX_SAMPLE_BYTES = 2**30
@@ -332,67 +333,51 @@ def _phase_powers(z: np.ndarray, order: int) -> np.ndarray:
 def _chain(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """States u[0] psi, u[1] u[0] psi, ... for a stack of N unitaries, as (N, n).
 
-    Up to n = _SCAN_MAX_N the states come from _scan: about 20 numpy calls
-    for every factor of 8 in N, none of them per matrix.  Above it the
-    stack, padded with identities, is cut into B = ceil(N / L) blocks of
-    L = isqrt(N) unitaries.  L - 1 batched products form every block's
-    running products, B - 1 matrix-vector products carry psi to the start of
-    each block, and one batched product applies each block's running
-    products to its start: about 2 sqrt(N) numpy calls, each of which calls
-    BLAS once per matrix.  The input stack is left unchanged.
+    Up to _SCAN_BLOCK unitaries are applied one by one.  A longer stack is
+    cut into B blocks of L = min(_SCAN_BLOCK, isqrt(N)), and L - 1 products
+    form the running products of every block at once.  psi is carried to the
+    start of each block by _chain over the B - 1 block products, and one more
+    product applies each block's running products to its start.  Up to
+    n = _SCAN_MAX_N the blocks are stored block index innermost and each
+    product is one elementwise multiply and sum over all blocks; above it
+    each matrix is stored whole and each product is one batched BLAS call.
+    The input stack is left unchanged.
     """
     count, n = u.shape[0], u.shape[-1]
-    if n <= _SCAN_MAX_N:
-        return _scan(u.transpose(1, 2, 0), psi)
-    size = math.isqrt(count)
-    blocks = -(-count // size)
-    pad = np.broadcast_to(np.eye(n, dtype=u.dtype), (blocks * size - count, n, n))
-    # prefix[b, i] = u[b L + i] ... u[b L + 1] u[b L]
-    prefix = np.concatenate((u, pad)).reshape(blocks, size, n, n)
-    for i in range(1, size):
-        prefix[:, i] = prefix[:, i] @ prefix[:, i - 1]
-    starts = np.empty((blocks, n, 1), dtype=np.complex128)
-    starts[0, :, 0] = psi
-    for b in range(1, blocks):
-        starts[b] = prefix[b - 1, -1] @ starts[b - 1]
-    return (prefix @ starts[:, None]).reshape(blocks * size, n)[:count]
-
-
-def _scan(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The states of _chain for a stack laid out as (n, n, N), step index last.
-
-    Up to _SCAN_BLOCK unitaries are applied one by one.  A longer stack is
-    cut into blocks of L = min(_SCAN_BLOCK, isqrt(N)), copied block index
-    innermost as (L, n, n, B), so that each of the L - 1 running products
-    forms the product of every block at once, elementwise.  psi is carried
-    to the start of each block by _scan over the B - 1 block products, and
-    one more elementwise product applies each block's running products to
-    its start.  The input stack is left unchanged.
-    """
-    n, count = u.shape[0], u.shape[-1]
     if count <= _SCAN_BLOCK:
         states = np.empty((count, n), dtype=np.complex128)
-        states[0] = u[..., 0] @ psi
+        states[0] = u[0] @ psi
         for j in range(1, count):
-            states[j] = u[..., j] @ states[j - 1]
+            states[j] = u[j] @ states[j - 1]
         return states
     size = min(_SCAN_BLOCK, math.isqrt(count))
     blocks, rest = -(-count // size), count % size
-    full = count - rest
-    # prefix[i, :, :, b] = u[b L + i] ... u[b L + 1] u[b L]; zeros pad the last
-    # block, whose products only reach the states cut off at the end
-    prefix = np.empty((size, n, n, blocks), dtype=np.complex128)
-    grouped = u[..., :full].reshape(n, n, -1, size)
-    prefix[..., : full // size] = grouped.transpose(3, 0, 1, 2)
+    small = n <= _SCAN_MAX_N
+    # prefix[i] holds u[b L + i] ... u[b L + 1] u[b L] for every block b, as
+    # (n, n, B) up to _SCAN_MAX_N, else as (B, n, n); grouped views it as
+    # (B, L, n, n), and starts[b], the state at the start of block b, keeps
+    # the block index innermost.  Zeros pad the last block, whose products
+    # only reach the states cut off at the end
+    prefix = np.empty((size, n, n, blocks) if small else (size, blocks, n, n), np.complex128)
+    grouped = prefix.transpose((3, 0, 1, 2) if small else (1, 0, 2, 3))
+    grouped[: count // size] = u[: count - rest].reshape(-1, size, n, n)
     if rest:
-        prefix[:rest, ..., -1] = u[..., full:].transpose(2, 0, 1)
-        prefix[rest:, ..., -1] = 0.0
+        grouped[-1, :rest] = u[count - rest :]
+        grouped[-1, rest:] = 0.0
     for i in range(1, size):
-        prefix[i] = (prefix[i][:, :, None] * prefix[i - 1][None]).sum(1)
-    starts = np.empty((n, blocks), dtype=np.complex128)
-    starts[:, 0] = psi
-    starts[:, 1:] = _scan(prefix[-1, ..., :-1], psi).T
-    return (prefix * starts).sum(2).transpose(2, 0, 1).reshape(blocks * size, n)[:count]
+        if small:
+            prefix[i] = (prefix[i][:, :, None] * prefix[i - 1][None]).sum(1)
+        else:
+            prefix[i] = prefix[i] @ prefix[i - 1]
+    starts = np.empty((n, blocks), dtype=np.complex128).T
+    starts[0] = psi
+    starts[1:] = _chain(grouped[:-1, -1], psi)
+    if small:
+        grouped *= starts[:, None, None]
+        states = grouped.sum(3)
+    else:
+        states = grouped @ starts[:, None, :, None]
+    return states.reshape(blocks * size, n)[:count]
 
 
 def _period_steps(spec: SystemSpec, dt: float):

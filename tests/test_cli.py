@@ -486,18 +486,23 @@ class TestEvolveFailureExitCodes:
         assert "must not be empty" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["work"]
 
+    @pytest.mark.filterwarnings("error")
     def test_energy_offset_runs(self, tmp_path):
-        # a mean energy of 1e6 next to a spacing of 1 is a valid system
-        payload = dict(BASE_EVOLVE, n=3, energies=[-1.0, 0.3, 1.1])
-        lifted = dict(payload, energies=[e + 1e6 for e in payload["energies"]])
-        rows = []
-        for name, config in (("a", payload), ("b", lifted)):
-            out = tmp_path / f"{name}.csv"
-            path = write_config(tmp_path, config, name=f"{name}.json")
-            assert cli.main(["evolve", "--config", path, "--out", str(out)]) == 0
-            rows.append(np.loadtxt(out, delimiter=",", skiprows=1))
-        assert np.array_equal(rows[0][:, 0], rows[1][:, 0])
-        assert np.max(np.abs(rows[0][:, 1:4] - rows[1][:, 1:4])) <= 1e-9
+        # a mean energy of 1e6 next to a spacing of 1 is a valid system, in a
+        # short run and in the committed three-level config
+        short = dict(BASE_EVOLVE, n=3, energies=[-1.0, 0.3, 1.1])
+        driven = json.loads((CONFIGS / "driven_three_level.json").read_text())
+        for case, payload in (("short", short), ("driven", driven)):
+            lifted = dict(payload, energies=[e + 1e6 for e in payload["energies"]])
+            rows = []
+            for name, config in (("a", payload), ("b", lifted)):
+                out = tmp_path / f"{case}_{name}.csv"
+                path = write_config(tmp_path, config, name=f"{case}_{name}.json")
+                assert cli.main(["evolve", "--config", path, "--out", str(out)]) == 0
+                rows.append(np.loadtxt(out, delimiter=",", skiprows=1))
+            assert len(rows[0]) > 1
+            assert np.array_equal(rows[0][:, 0], rows[1][:, 0])
+            assert np.max(np.abs(rows[0][:, 1:4] - rows[1][:, 1:4])) <= 1e-9
 
     def test_oversized_sample_grid_exits_1(self, tmp_path, capsys):
         payload = dict(BASE_EVOLVE, n=64, energies=list(range(64)), t_end=1.0, dt=2e-8)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nlevel.cli as cli
 import nlevel.hamiltonian as hamiltonian
 import nlevel.propagator as propagator
 from nlevel import (
@@ -19,6 +20,7 @@ from nlevel import (
     exp_step,
     hermitian_eig,
 )
+from test_cli import write_config
 
 
 def max_abs(m):
@@ -491,8 +493,17 @@ class TestSampleBudget:
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def committed(name):
+    """A committed `nlevel evolve` config, parsed."""
+    return json.loads((CONFIGS / name).read_text())
+
+
 def load_config(name):
-    raw = json.loads((CONFIGS / name).read_text())
+    return config_objects(committed(name))
+
+
+def config_objects(raw):
+    """The SystemSpec and EvolutionConfig of a parsed `nlevel evolve` config."""
     spec = SystemSpec(
         n=raw["n"], energies=tuple(raw["energies"]), g=raw["g"],
         omega=raw["omega"], drive_model=raw["drive_model"],
@@ -536,6 +547,20 @@ def built_steps(monkeypatch):
 
     monkeypatch.setattr(propagator, "_step_unitaries", spy)
     return counts
+
+
+@pytest.fixture
+def reuse_builds(monkeypatch):
+    """Periods K of every set of sample propagators evolve builds for reuse."""
+    builds = []
+    plain = propagator._sample_propagators
+
+    def spy(spec, t_start, dt, period, *rest):
+        builds.append(period)
+        return plain(spec, t_start, dt, period, *rest)
+
+    monkeypatch.setattr(propagator, "_sample_propagators", spy)
+    return builds
 
 
 @pytest.fixture
@@ -584,12 +609,18 @@ class TestPeriodReuse:
         # 100-step chunks: 380 reused samples in four passes, then 99 fresh
         # full steps and the shortened last step
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 100 * 16 * 2 * 2)
-        chained = []
+        chained, depth = [], []
         plain = propagator._chain
 
         def spy(u, psi):
-            chained.append(len(u))
-            return plain(u, psi)
+            # _chain's carries call _chain again, through this spy; count
+            # only the stacks evolve hands in
+            if not depth:
+                chained.append(len(u))
+            depth.append(len(u))
+            states = plain(u, psi)
+            depth.pop()
+            return states
 
         monkeypatch.setattr(propagator, "_chain", spy)
         spec, config = load_config("rabi_two_level.json")
@@ -656,14 +687,69 @@ class TestPeriodReuse:
         assert max(built_steps) == 50
 
 
+def evolve_through_cli(tmp_path, raw):
+    """Sample times and populations of `nlevel evolve` on a config."""
+    out = tmp_path / "out.csv"
+    assert cli.main(["evolve", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    return rows[:, 0], rows[:, 1:-1]
+
+
+@pytest.mark.filterwarnings("error")
+class TestConfigsThroughCli:
+    # the committed configs and two copies through `nlevel evolve`, with
+    # warnings as errors: the three-level config takes 6,000 phase-table
+    # steps, its copy ending at t = 29.9973 5,999 and then one shortened
+    # step; the Rabi copy with omega detuned off the period grid chains its
+    # 2,000 table steps elementwise at n = 2, which the Rabi config itself
+    # reaches only through period reuse, with its period summed from the table
+
+    @pytest.mark.parametrize("name, changes, reuse", [
+        ("driven_three_level.json", lambda raw: raw, False),
+        ("driven_three_level.json", lambda raw: dict(raw, t_end=29.9973), False),
+        ("rabi_two_level.json", lambda raw: dict(raw, omega=raw["omega"] * 1.0137), False),
+        ("rabi_two_level.json", lambda raw: raw, True),
+    ], ids=["driven", "driven_short", "rabi_detuned", "rabi"])
+    def test_matches_stepwise(self, tmp_path, table_builds, reuse_builds, name,
+                              changes, reuse):
+        raw = changes(committed(name))
+        times, populations = evolve_through_cli(tmp_path, raw)
+        assert len(table_builds) == 1
+        assert len(reuse_builds) == reuse
+        expected_times, expected = stepwise(*config_objects(raw))
+        assert np.array_equal(times, expected_times)
+        assert max_abs(populations - expected) <= 1e-10
+
+    def test_rabi_config_follows_closed_form(self, tmp_path):
+        raw = committed("rabi_two_level.json")
+        times, populations = evolve_through_cli(tmp_path, raw)
+        assert len(times) > 1
+        assert max_abs(populations[:, 0] - np.sin(0.5 * raw["g"] * times) ** 2) <= 1e-3
+
+
 SCAN_BLOCK = propagator._SCAN_BLOCK
 
 
+def plain_chain(u, psi):
+    """The states of _chain from one matrix-vector product per unitary."""
+    states = np.empty((len(u), len(psi)), dtype=complex)
+    for j, u_j in enumerate(u):
+        psi = u_j @ psi
+        states[j] = psi
+    return states
+
+
+def random_unitaries(rng, count, n):
+    m = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return np.linalg.qr(m)[0]
+
+
 class TestChain:
-    # both kernels of _chain against one matrix-vector product per unitary:
-    # the elementwise scan up to n = _SCAN_MAX_N and the BLAS blocked product
-    # above it, each n next to that crossover; counts on both sides of the
-    # scan's block length and its square, and the chunk lengths at n = 2 and 3
+    # _chain against one matrix-vector product per unitary, with blocks
+    # stored block index innermost up to n = _SCAN_MAX_N and matrix by
+    # matrix above it, each n next to that crossover; counts on both sides of the
+    # block length and its square, and the chunk lengths evolve hands in
 
     @pytest.mark.parametrize("n", sorted({2, 3, propagator._SCAN_MAX_N,
                                           propagator._SCAN_MAX_N + 1, 8, 32}))
@@ -671,22 +757,36 @@ class TestChain:
         1, 2, 3, 4, 5, 15, 16, 17, 455, 1820,
         SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
         SCAN_BLOCK**2 - 1, SCAN_BLOCK**2, SCAN_BLOCK**2 + 1,
-        *(propagator.CHUNK_BYTES // (16 * n * n) for n in (2, 3)),
+        *(propagator.CHUNK_BYTES // (16 * n * n) for n in (2, 3, 5, 8, 32)),
     }))
     def test_matches_plain_loop(self, count, n):
         rng = np.random.default_rng(1000 * count + n)
-        m = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
-        u = np.linalg.qr(m)[0]
+        u = random_unitaries(rng, count, n)
         kept = u.copy()
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi /= np.linalg.norm(psi)
         states = propagator._chain(u, psi)
-        expected = np.empty((count, n), dtype=complex)
-        for j, u_j in enumerate(u):
-            psi = u_j @ psi
-            expected[j] = psi
         assert states.shape == (count, n)
-        assert max_abs(states - expected) <= 1e-13
+        assert max_abs(states - plain_chain(u, psi)) <= 1e-13
+        assert np.array_equal(u, kept)
+
+    @pytest.mark.parametrize("n", [propagator._SCAN_MAX_N, propagator._SCAN_MAX_N + 1])
+    @pytest.mark.parametrize("count", [SCAN_BLOCK, SCAN_BLOCK + 1, 100])
+    @pytest.mark.parametrize("layout", ["every_other", "step_index_last"])
+    def test_strided_stack_matches_plain_loop(self, layout, count, n):
+        # the carries hand _chain views of a larger buffer: every other
+        # matrix of a stack, or a stack stored step index last
+        rng = np.random.default_rng(7 * count + n)
+        if layout == "every_other":
+            u = random_unitaries(rng, 2 * count, n)[::2]
+        else:
+            u = random_unitaries(rng, count, n).transpose(1, 2, 0).copy().transpose(2, 0, 1)
+        assert not u.flags.c_contiguous
+        kept = u.copy()
+        psi = np.exp(1j * rng.normal(size=n)) / math.sqrt(n)
+        states = propagator._chain(u, psi)
+        assert states.shape == (count, n)
+        assert max_abs(states - plain_chain(u, psi)) <= 1e-13
         assert np.array_equal(u, kept)
 
     @pytest.mark.parametrize("chunk_bytes", [None, 1])
