@@ -34,6 +34,7 @@ from .algebra import (
 )
 from .hamiltonian import (
     SystemSpec,
+    _clock_sums,
     build_interaction,
     energies_to_deltas,
     interaction_diagonal,
@@ -238,15 +239,11 @@ def _cmd_decompose(args) -> int:
     pairing = 0.0
     for j in range(n):
         pairing = max(pairing, abs(deltas[(n - j) % n] - deltas[j].conjugate()))
-    # the paper's sum_j Delta_j clock^j, whose diagonal should give back E; as
-    # in energies_to_deltas, it runs on E scaled by 2^-p, exactly, so that it
-    # cannot overflow, and its residual is scaled back by 2^p
-    energies = np.asarray(spec.energies)
-    p = np.frexp(np.max(np.abs(energies)))[1]
-    scaled = np.ldexp(energies, -p)
-    k = np.arange(n)
-    clock_sum = root_power(n, k[:, None] * k) @ energies_to_deltas(scaled)
-    reconstruction = np.ldexp(_max_abs(clock_sum - scaled), p)
+    # the paper's sum_j Delta_j clock^j, whose diagonal should give back E; it
+    # runs scaled by 2^-p (see _clock_sums), so E is scaled the same way for
+    # the residual, which is then scaled back by 2^p
+    clock_sum, p = _clock_sums(deltas, 1)
+    reconstruction = np.ldexp(_max_abs(clock_sum - np.ldexp(spec.energies, -p)), p)
 
     payload = {
         "n": n,

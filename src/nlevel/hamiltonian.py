@@ -100,13 +100,31 @@ class SystemSpec:
             raise ValueError("include_delta0 must be a bool")
 
 
+def _clock_sums(x, sign: int):
+    """(s, p) with s_j = 2^-p sum_k sigma^(sign j k) x_k for j = 0..n-1.
+
+    p is the binary exponent of the largest real or imaginary part of x.
+    Scaling x by 2^-p is exact and keeps every sum below n sqrt(2) in size at
+    any finite x; the caller scales back by 2^p (see _ldexp) where it fits.
+    """
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    p = int(np.frexp(np.max(np.abs(x.view(np.float64))))[1])
+    k = np.arange(len(x))
+    return root_power(len(x), sign * np.outer(k, k)) @ _ldexp(x, -p), p
+
+
+def _ldexp(z: np.ndarray, p: int) -> np.ndarray:
+    """z 2^p for a complex array, exact unless a part leaves the float64 range."""
+    return np.ldexp(z.view(np.float64), p).view(np.complex128)
+
+
 def energies_to_deltas(energies) -> np.ndarray:
     """Fourier coefficients Delta_j = (1/n) sum_k sigma^((n-j)k mod n) E_k.
 
     For real energies the coefficients pair up as Delta_{n-j} == conj(Delta_j)
     and Delta_0 is the mean energy.  The sum runs on the energies scaled by
-    2^-p, p the binary exponent of max|E|, which is exact and keeps it from
-    overflowing at any finite energies; the result is scaled back by 2^p.
+    2^-p, p the binary exponent of max|E| (see _clock_sums), so it cannot
+    overflow at any finite energies; the result is scaled back by 2^p.
     """
     arr = np.asarray(energies)
     if np.iscomplexobj(arr):
@@ -116,18 +134,16 @@ def energies_to_deltas(energies) -> np.ndarray:
         raise ValueError("energies must be a 1-d sequence of length >= 2")
     if not np.all(np.isfinite(e)):
         raise ValueError("energies must be finite")
-    n = e.shape[0]
-    j = np.arange(n)[:, None]
-    k = np.arange(n)[None, :]
-    p = np.frexp(np.max(np.abs(e)))[1]
-    d = root_power(n, (n - j) * k) @ np.ldexp(e, -p) / n
-    return np.ldexp(d.view(np.float64), p).view(np.complex128)
+    sums, p = _clock_sums(e, -1)
+    return _ldexp(sums / e.shape[0], p)
 
 
 def deltas_to_energies(deltas, imag_tol: float = 1e-10) -> np.ndarray:
     """Invert the coefficient map: E_m = sum_j sigma^(m j) Delta_j.
 
-    The reconstruction must come out real; an imaginary residue larger than
+    The sum runs on the deltas scaled as in energies_to_deltas, so it cannot
+    overflow; energies that do not fit in float64 raise ValueError.  The
+    reconstruction must come out real; an imaginary residue larger than
     ``imag_tol`` times max(1, max|E|) raises ValueError, smaller ones are
     discarded, so the test means the same at any energy scale above 1.
     """
@@ -136,10 +152,11 @@ def deltas_to_energies(deltas, imag_tol: float = 1e-10) -> np.ndarray:
         raise ValueError("deltas must be a 1-d sequence of length >= 2")
     if not np.all(np.isfinite(d)):
         raise ValueError("deltas must be finite")
-    n = d.shape[0]
-    m = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    e = root_power(n, m * j) @ d
+    sums, p = _clock_sums(d, 1)
+    with np.errstate(over="ignore"):
+        e = _ldexp(sums, p)
+    if not np.all(np.isfinite(e)):
+        raise ValueError("reconstructed energies are too large for float64")
     residue = float(np.max(np.abs(e.imag)))
     if residue > imag_tol * max(1.0, float(np.max(np.abs(e.real)))):
         raise ValueError(

@@ -46,15 +46,18 @@ diagonalize every step.
 Period reuse.  The drive e^{i w t} A + h.c. repeats after T = 2 pi / |w|, so
 when K steps of dt make up T the midpoint Hamiltonians repeat every K steps
 (Floquet periodicity).  evolve then forms only those K unitaries, from the
-phase table or one batched eigh, multiplies them into the propagators from
-one sample to the next, and chains the samples through those propagators
-with the same blocked product.  This applies when K |w| dt equals 2 pi
-within 4 ulps (a static H counts as K = 1) and lcm(K, sample_every) steps
-of unitaries fit in one CHUNK_BYTES chunk.
-The steps after the last whole lcm(K, sample_every) block follow as fresh
-chunks, and the shortened last step after them, in the same loop: each pass
-chains one stack, reused, fresh or the last step, and records the states
-that end on a multiple of sample_every or on the last step.
+phase table or one batched eigh, and _sample_propagators multiplies them
+into the G = lcm(K, sample_every) / sample_every propagators from one sample
+to the next: sample interval j starts at step j sample_every, whose residue
+mod K depends on j mod G alone.  The samples are chained through those
+propagators with the same blocked product.  This applies when K |w| dt
+equals 2 pi within 4 ulps (a static H counts as K = 1) and
+lcm(K, sample_every) steps fit both in one CHUNK_BYTES chunk and in the
+run's full-length steps, and then covers every whole sample interval.  The
+fewer than sample_every full-length steps after the last of them follow as
+fresh steps, and the shortened last step after them, in the same loop: each
+pass chains one stack, reused, fresh or the last step, and records the
+states that end on a multiple of sample_every or on the last step.
 """
 
 import math
@@ -91,12 +94,13 @@ HERMITIAN_RTOL = 1e-10
 # byte size of one chunk's Hamiltonian stack; evolve holds a few arrays of this
 # size at once (stack, eigenvectors, step unitaries, block products, phase
 # table), whatever the run length.  Measured on the phase-table path at n = 3
-# and n = 8, when blocks above _SCAN_MAX_N were isqrt(N) long (20,000 and
-# 4,000 steps of dt = 0.005, off the period grid, every step sampled) on one
-# pinned CPU of a 2-vCPU x86 VM (OpenBLAS): evolve took 0.77, 0.61, 0.50,
-# 0.54 and 0.57 us/step at n = 3 and 3.26, 2.56, 2.07, 1.89 and 2.20 us/step
-# at n = 8 for 64 KiB, 128 KiB, 256 KiB, 512 KiB and 1 MiB chunks (median of
-# 3 runs of 9 calls each).
+# and n = 8 (20,000 and 4,000 steps of dt = 0.005, off the period grid, every
+# step sampled) on one pinned CPU of a 2-vCPU x86 VM (OpenBLAS): evolve took
+# 0.82, 0.62, 0.50, 0.53 and 0.53 us/step at n = 3 and 3.21, 2.24, 1.99, 2.02
+# and 2.49 us/step at n = 8 for 64 KiB, 128 KiB, 256 KiB, 512 KiB and 1 MiB
+# chunks (median of 3 runs of 9 calls each); a repeat put 512 KiB ahead at
+# n = 8 (1.84 against 2.23), so 256 KiB and 512 KiB are within run-to-run
+# spread of each other.
 CHUNK_BYTES = 2**18
 # largest n whose blocks _chain stores block index innermost and multiplies
 # elementwise, in place of one BLAS call per matrix: numpy's @ on a (B, n, n)
@@ -115,7 +119,8 @@ _SCAN_BLOCK = 8
 # cap on the sampled times, populations and norm errors a run may hold
 MAX_SAMPLE_BYTES = 2**30
 # K |w| dt may miss 2 pi by this much, relative, for the grid to count as one
-# drive period of K steps; about the rounding of w t itself on the direct path
+# drive period of K steps; about the rounding of the phase w t that every step
+# takes at its midpoint (see _phase_factors)
 _PERIOD_RTOL = 4 * np.finfo(np.float64).eps
 # truncation error allowed in the phase table's Fourier sum (see _table_order)
 _EPS = np.finfo(np.float64).eps
@@ -397,21 +402,16 @@ def _period_steps(spec: SystemSpec, dt: float):
     return None
 
 
-def _sample_propagators(
-    spec: SystemSpec, t_start: float, dt: float, period: int, every: int,
-    table: np.ndarray = None,
-) -> np.ndarray:
-    """Products of every consecutive step unitaries over lcm(period, every) steps.
+def _sample_propagators(u: np.ndarray, every: int) -> np.ndarray:
+    """Products of every consecutive step unitaries of a period over lcm(K, every) steps.
 
-    Entry j maps the state at step j * every to the state at step
-    (j + 1) * every, for a grid whose midpoint Hamiltonians repeat every
-    ``period`` steps from t_start on.  Only the first period's unitaries are
-    formed, summed from ``table`` when given (see _step_unitaries), else from
-    one batched eigh.
+    ``u`` holds the K step unitaries of one period of a grid whose steps
+    repeat them.  Entry j of the result maps the state at step j * every to
+    the state at step (j + 1) * every, for j below lcm(K, every) / every.
     """
+    period, n = len(u), u.shape[-1]
     block = math.lcm(period, every)
-    u = _step_unitaries(spec, t_start + (np.arange(period) + 0.5) * dt, dt, table)
-    u = u[np.arange(block) % period].reshape(block // every, every, spec.n, spec.n)
+    u = u[np.arange(block) % period].reshape(block // every, every, n, n)
     # halve the number of factors per propagator until one is left; the
     # later step multiplies from the left, an odd last factor waits a round
     while u.shape[1] > 1:
@@ -427,13 +427,15 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     The drive phase is taken at every step midpoint, so it is exact.  Steps
     are processed in chunks of at most CHUNK_BYTES of matrices.  On a grid
     of K steps per drive period only one period's unitaries are formed and
-    each sample costs one propagator in the chain.  When the full-length
-    steps that need a unitary, the reused period's and the fresh ones, are
-    at least P (P = 2M + 2, M from dt g / 2; see _table_order), their
-    unitaries are summed from a Fourier table over the drive phase that one
-    batched eigh of P matrices builds once per run; otherwise they are
-    diagonalized in one batched eigh call per chunk.  All kinds of chunk
-    share one loop (see the module docstring).  Raises
+    each whole sample interval costs one propagator in the chain; only the
+    full-length steps after the last whole interval and a shortened last
+    step are fresh.  When the full-length steps that need a unitary, the
+    reused period's and the fresh ones, are at least P (P = 2M + 2, M from
+    dt g / 2; see _table_order), their unitaries are summed from a Fourier
+    table over the drive phase that one batched eigh of P matrices builds
+    once per run; otherwise they are diagonalized in one batched eigh call
+    per chunk.  All kinds of chunk share one loop (see the module
+    docstring).  Raises
     ValueError when the drive phase w t is not finite at t_start or t_end
     (the time is reported), when the drift diag(E - Delta_0) or the bound
     2 (max|drift| + g) dt on a step's eigenphases is too large for float64,
@@ -480,19 +482,22 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     # a last step shortened to land on t_end is neither the period's nor the
     # phase table's
     whole = n_steps if t_start + n_steps * dt == t_end else n_steps - 1
-    done = 0  # steps taken by period reuse
+    # period reuse takes every whole sample interval, up to step done, when
+    # lcm(K, every) steps fit a chunk and the run: sample j starts at residue
+    # j every mod K, which repeats with j mod lcm(K, every) / every
     period = _period_steps(spec, dt)
-    if period is not None:
-        block = math.lcm(period, every)
-        done = whole // block * block if block <= chunk else 0
+    reuse = period is not None and math.lcm(period, every) <= min(chunk, whole)
+    done = whole - whole % every if reuse else 0
     # the full-length steps that need a unitary, the reused period's K and the
-    # fresh ones, are summed from a phase table when its P phases fit a chunk
-    # and cost no more eigh work than those steps; this is decided before any
-    # eigh, and the table is built once, only for such runs
-    order = _table_order(spec, dt, min((period if done else 0) + whole - done, chunk))
+    # fresh ones (fewer than every under reuse), are summed from a phase table
+    # when its P phases fit a chunk and cost no more eigh work than those
+    # steps; this is decided before any eigh, and the table is built once,
+    # only for such runs
+    order = _table_order(spec, dt, min((period if reuse else 0) + whole - done, chunk))
     table = None if order is None else _phase_table(spec, dt, order)
-    if done:
-        props = _sample_propagators(spec, t_start, dt, period, every, table)
+    if reuse:
+        mids = t_start + (np.arange(period) + 0.5) * dt
+        props = _sample_propagators(_step_unitaries(spec, mids, dt, table), every)
 
     # each pass chains a stack u of unitaries, u[i] ending at step ends[i]:
     # reused sample propagators up to step done, fresh full-length steps up to

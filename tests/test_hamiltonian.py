@@ -117,6 +117,7 @@ class TestDecomposition:
         out = deltas_to_energies(deltas, imag_tol=1e-6)
         assert out.dtype == np.float64
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e6, 1e9])
     def test_roundtrip_at_large_scale(self, scale):
         # the rounding residue in the imaginary part grows with the energies
@@ -127,6 +128,14 @@ class TestDecomposition:
             assert max_abs(back - energies) <= 1e-12 * max_abs(energies)
         with pytest.raises(ValueError, match="not real"):
             deltas_to_energies(scale * np.array([0.0, 1.0j, 0.0]))
+        # near the float64 limit, where the unscaled sum E_0 = sum_j Delta_j
+        # overflows
+        energies = np.array([1.7e308, 1.6e308, 1.5e308, 1.4e308, -1.7e308])
+        back = deltas_to_energies(energies_to_deltas(energies))
+        assert max_abs(back - energies) <= 1e-15 * max_abs(energies)
+        # E_0 = Delta_0 + Delta_1 = 3.4e308 does not fit in float64
+        with pytest.raises(ValueError, match="too large for float64"):
+            deltas_to_energies([1.7e308, 1.7e308])
 
 
 class TestDrift:

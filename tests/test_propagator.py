@@ -555,9 +555,9 @@ def reuse_builds(monkeypatch):
     builds = []
     plain = propagator._sample_propagators
 
-    def spy(spec, t_start, dt, period, *rest):
-        builds.append(period)
-        return plain(spec, t_start, dt, period, *rest)
+    def spy(u, every):
+        builds.append(len(u))
+        return plain(u, every)
 
     monkeypatch.setattr(propagator, "_sample_propagators", spy)
     return builds
@@ -600,13 +600,13 @@ class TestPeriodReuse:
         )
         assert propagator._period_steps(spec, config.dt) == 100
         assert_matches_stepwise(spec, config)
-        # one period, the full steps after the last whole block of 100, then
-        # the shortened last step
-        assert built_steps == [100, 99, 1]
+        # one period, the 4 full steps after the last whole sample interval
+        # of 5, then the shortened last step
+        assert built_steps == [100, 4, 1]
         assert table_builds == [10]
 
     def test_reuse_over_several_chunks(self, built_steps, table_builds, monkeypatch):
-        # 100-step chunks: 380 reused samples in four passes, then 99 fresh
+        # 100-step chunks: 399 reused samples in four passes, then 4 fresh
         # full steps and the shortened last step
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 100 * 16 * 2 * 2)
         chained, depth = [], []
@@ -625,9 +625,9 @@ class TestPeriodReuse:
         monkeypatch.setattr(propagator, "_chain", spy)
         spec, config = load_config("rabi_two_level.json")
         assert_matches_stepwise(spec, config)
-        assert built_steps == [100, 99, 1]
+        assert built_steps == [100, 4, 1]
         assert table_builds == [10]
-        assert chained == [100, 100, 100, 80, 99, 1]
+        assert chained == [100, 100, 100, 99, 4, 1]
 
     def test_late_start_matches_stepwise(self, built_steps, table_builds):
         spec, config = load_config("rabi_two_level.json")
@@ -685,6 +685,21 @@ class TestPeriodReuse:
         assert_matches_stepwise(spec, config)
         assert sum(built_steps) == 2000
         assert max(built_steps) == 50
+
+    @pytest.mark.parametrize("period, every", [(1, 7), (3, 1), (100, 100), (100, 5),
+                                               (100, 7), (16, 40)])
+    def test_sample_propagators_match_plain_products(self, period, every):
+        # every below, equal to and above K, coprime pairs and a static K = 1,
+        # against the K steps' unitaries multiplied from the left one by one
+        rng = np.random.default_rng(1000 * period + every)
+        u = random_unitaries(rng, period, 3)
+        props = propagator._sample_propagators(u, every)
+        assert props.shape == (math.lcm(period, every) // every, 3, 3)
+        for j, prop in enumerate(props):
+            product = np.eye(3)
+            for step in range(j * every, (j + 1) * every):
+                product = u[step % period] @ product
+            assert max_abs(prop - product) <= 1e-13
 
 
 def evolve_through_cli(tmp_path, raw):
