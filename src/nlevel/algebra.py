@@ -24,11 +24,26 @@ __all__ = [
 ]
 
 
+# byte size allowed for one n x n complex matrix, so n <= 512.  Every command
+# holds a bounded number of them: peaks measured with tracemalloc at n = 128
+# and 256 were about 150 matrices for `matrices` (its JSON objects), 11 for
+# `algebra`, 7 for a two-step `evolve` and 4 for `decompose`, so none passes
+# 1 GiB
+_MAX_MATRIX_BYTES = 2**22
+
+
 def _check_dim(n) -> int:
+    """n as an int, when it is at least 2 and one n x n matrix fits the byte budget."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"dimension must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
+    need = 16 * int(n) ** 2
+    if need > _MAX_MATRIX_BYTES:
+        raise ValueError(
+            f"dimension {n} needs {need} bytes per n x n matrix, over the "
+            f"{_MAX_MATRIX_BYTES}-byte budget"
+        )
     return int(n)
 
 

@@ -4,8 +4,9 @@ The static part is the paper's sum_j Delta_j clock^j over the Fourier
 coefficients of the level energies, which is exactly diag(energies); the
 drift is built in that real closed form.  The drive couples the levels
 cyclically through the shift matrix.  _at_phase alone forms H(t), from the
-drive phase factor e^{i w t}: hamiltonian_at passes it the times' factors
-(see _phase_factors), the propagator's phase table equally spaced ones.
+drift, the drive coefficient and the drive phase factor e^{i w t}:
+hamiltonian_at passes it the times' factors (see _phase_factors), the
+propagator the factors of its steps and of its phase table.
 Supported drive models:
 
 * ``"none"``         static Hamiltonian only
@@ -231,7 +232,7 @@ def hamiltonian_at(spec: SystemSpec, times) -> np.ndarray:
     t = np.asarray(times)
     if t.dtype.kind not in "iuf" or not np.all(np.isfinite(t)):
         raise ValueError("times must be finite real numbers")
-    return _at_phase(spec, _phase_factors(spec, t))
+    return _at_phase(build_drift(spec), drive_coefficient(spec), _phase_factors(spec, t))
 
 
 def _is_static(spec: SystemSpec) -> bool:
@@ -250,10 +251,13 @@ def _phase_factors(spec: SystemSpec, t) -> np.ndarray:
     return np.exp(1j * spec.omega * t)
 
 
-def _at_phase(spec: SystemSpec, phase: np.ndarray) -> np.ndarray:
-    """drift + (phase A + h.c.) for every entry of an array of phase factors e^{i theta}."""
-    m = phase[..., None, None] * drive_coefficient(spec)
-    return build_drift(spec) + (m + _adjoint(m))
+def _at_phase(drift: np.ndarray, a: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """drift + (phase a + h.c.) for every entry of an array of phase factors e^{i theta}.
+
+    ``drift`` and ``a`` are build_drift and drive_coefficient of one spec.
+    """
+    m = phase[..., None, None] * a
+    return drift + (m + _adjoint(m))
 
 
 def build_full_hamiltonian(spec: SystemSpec, t) -> np.ndarray:

@@ -31,16 +31,25 @@ errors stay below 1.3e-12.
 Phase table.  H = drift + e^{i theta} A + h.c. depends on t only through the
 drive phase theta = w t, so the unitary U(theta) = exp(-i dt H(theta)) of a
 step of length dt is a smooth 2 pi-periodic function of one angle.  Its
-Fourier coefficients C_m fall off like (dt g/2)^|m| / |m|! (Shirley, Phys.
-Rev. 138, B979, 1965), so C_m for |m| <= M (see _table_order) give U to
-about eps.  evolve diagonalizes U at P = 2M + 2 phases in one batched eigh,
-once per run, and every full-length step then costs one row of a
-(N, 2M + 1) @ (2M + 1, n n) product of its phase powers e^{i m theta} with
-the C_m.  The steps that need a unitary are the K of a period that reuse
-repeats (below) and the fresh full-length steps; a last step shortened to
-land on t_end is not one of them.  The table serves them all when there are
-at least P of them and P matrices fit in a chunk; other runs, such as a
-one-step run, two steps at n = 32 or a period of K < P steps all reused,
+Fourier coefficients fall off like (dt g/2)^|m| / |m|! (Shirley, Phys. Rev.
+138, B979, 1965), so the orders |m| <= M (see _table_order) give U to about
+eps.  The paper's clock Z and shift S obey Z S Z^dagger = sigma S, sigma =
+e^{2 pi i / n} (Weyl), every drive model's A obeys Z A Z^dagger = sigma A, and
+the drift is diagonal, so U(theta + 2 pi / n) = Z U(theta) Z^dagger: entry
+(a, b) of U carries only the orders m = a - b mod n.  So U(theta) is a fixed
+phase pattern e^{i m*(a, b) theta}, m* the representative of a - b nearest 0,
+times a function of period 2 pi / n, and the phases in [0, 2 pi / n) fix it.
+evolve diagonalizes U at Q = 2S + 1 such phases in one batched eigh, once per
+run, S = (M + n/2) // n, and keeps the table by cyclic diagonals (see
+_phase_table); every full-length step then costs one column of n products
+(n, Q) @ (Q, N), one per diagonal, of the table with the powers
+e^{i (m* + n s) theta}, and a gather back to matrix order.  At
+n >= 2M + 1, and for a static spec, S = 0: one eigh, of U(0), serves every
+full-length step of the run.  The steps that need a unitary are the K of a
+period that reuse repeats (below) and the fresh full-length steps; a last
+step shortened to land on t_end is not one of them.  The table serves them
+all when there are at least Q of them and Q matrices fit in a chunk; other
+runs, such as a one-step run or a period of K < Q steps all reused,
 diagonalize every step.
 
 Period reuse.  The drive e^{i w t} A + h.c. repeats after T = 2 pi / |w|, so
@@ -60,6 +69,7 @@ pass chains one stack, reused, fresh or the last step, and records the
 states that end on a multiple of sample_every or on the last step.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,8 +82,10 @@ from .hamiltonian import (
     _as_real,
     _at_phase,
     _is_static,
+    _ldexp,
     _phase_factors,
     build_drift,
+    drive_coefficient,
 )
 
 __all__ = [
@@ -240,12 +252,18 @@ def _initial_vector(n: int, initial_state) -> np.ndarray:
     arr = np.asarray(initial_state, dtype=np.complex128)
     if arr.shape != (n,):
         raise ValueError(f"initial state must have {n} amplitudes, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    arr = np.ascontiguousarray(arr)
+    values = arr.view(np.float64).tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("initial state amplitudes must be finite")
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
+    big = max(map(abs, values))
+    if big == 0.0:
         raise ValueError("initial state must not be the zero vector")
-    return arr / norm
+    # scaled exactly by 2^-p, p the binary exponent of the largest real or
+    # imaginary part (as _clock_sums does), the sum of squares neither
+    # overflows nor underflows to 0 at any finite amplitudes
+    p = math.frexp(big)[1]
+    return _ldexp(arr, -p) / math.sqrt(sum(math.ldexp(x, -p) ** 2 for x in values))
 
 
 def _step_count(span: float, dt: float) -> int:
@@ -254,71 +272,137 @@ def _step_count(span: float, dt: float) -> int:
     return max(n_steps, 1)
 
 
-def _unitaries(spec: SystemSpec, z: np.ndarray, dt: float, where: str) -> np.ndarray:
-    """exp(-i dt H) for H = _at_phase(spec, z) at every phase factor of z, as a stack.
+def _unitaries(parts: tuple, z: np.ndarray, dt: float, where: str) -> np.ndarray:
+    """exp(-i dt H) for H = _at_phase(*parts, z) at every phase factor of z, as a stack.
 
-    The one batched eigh of the propagator's steps; ``where`` names the phases
-    in the EigenConvergenceError a solver failure raises.
+    ``parts`` are the run's drift and drive coefficient.  The one batched eigh
+    of the propagator's steps; ``where`` names the phases in the
+    EigenConvergenceError a solver failure raises.
     """
     # eigh reads the lower triangle and the real diagonal, which is all of H,
     # hermitian by construction (see hamiltonian_at)
     try:
-        w, v = np.linalg.eigh(_at_phase(spec, z))
+        w, v = np.linalg.eigh(_at_phase(*parts, z))
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigensolver failed to converge {where}") from exc
     return (v * np.exp(-1j * (w * dt))[..., None, :]) @ _adjoint(v)
 
 
 def _step_unitaries(
-    spec: SystemSpec, mids: np.ndarray, dt: float, table: np.ndarray = None
+    spec: SystemSpec, parts: tuple, mids: np.ndarray, dt: float, table: np.ndarray = None
 ) -> np.ndarray:
     """exp(-i dt H(t)) at every step midpoint t of ``mids``, as a stack.
 
-    Every step is dt long.  With ``table``, the phase table built for steps of
-    that length (see _phase_table), the unitaries are summed from its Fourier
-    coefficients; without it they come from one batched eigh.
+    Every step is dt long, and ``parts`` are the run's drift and drive
+    coefficient.  With ``table``, the phase table built for steps of that
+    length (see _phase_table), the unitaries are summed from its
+    coefficients, one product per cyclic diagonal; without it they come from
+    one batched eigh.
     """
     z = _phase_factors(spec, mids)
     if table is None:
         span = f"[{float(mids[0])!r}, {float(mids[-1])!r}]"
-        return _unitaries(spec, z, dt, f"at some t in {span}")
-    u = _phase_powers(z, len(table) // 2).T @ table
-    return u.reshape(len(mids), spec.n, spec.n)
+        return _unitaries(parts, z, dt, f"at some t in {span}")
+    n = spec.n
+    u = table @ _diagonal_powers(z, n, table.shape[-1] // 2)
+    # back from diagonals to entries; the stack is a view, step index last
+    to_entries, _ = _diagonal_order(n)
+    return np.take(u.reshape(n * n, -1), to_entries, axis=0).T.reshape(len(mids), n, n)
+
+
+def _table_width(n: int, order: int) -> int:
+    """S = (M + n/2) // n, n/2 rounded down: Q = 2 S + 1 phases resolve orders up to M.
+
+    Entry (a, b) of a step unitary carries the Fourier orders m* + n s (see
+    _phase_table), m* in [-n/2, n - 1 - n/2]; |s| <= S holds every such
+    order up to M, and the first left out, |s| = S + 1, lies beyond M.
+    """
+    return (order + n // 2) // n
 
 
 def _table_order(spec: SystemSpec, dt: float, limit: int):
-    """Fourier order M of the step unitary's phase table, or None when P > limit.
+    """Fourier order M of the step unitary's phase table, or None when Q > limit.
 
     M is the smallest order with 2 x^(M+1) / (M+1)! <= eps for x = dt g / 2,
-    and the table samples P = 2M + 2 phases.  g / 2 is the spectral norm of
-    drive_coefficient for every drive model (0 for "none", a bound then).
-    The coefficient C_m of U(theta) collects terms of order |m| and above in
-    dt A, so its size falls off like x^|m| / |m|! (Shirley, Phys. Rev. 138,
-    B979, 1965): the orders left out and those the P-point transform folds
-    onto the kept ones stay at about eps.
+    and the table samples Q = 2 S + 1 phases, S from _table_width.  g / 2 is
+    the spectral norm of drive_coefficient for every drive model (0 for
+    "none", a bound then).  The Fourier coefficient of order m of U(theta)
+    collects terms of order |m| and above in dt A, so its size falls off like
+    x^|m| / |m|! (Shirley, Phys. Rev. 138, B979, 1965): the orders left out
+    and those the Q-point transform folds onto the kept ones, |m| > M, stay
+    at about eps.  A static spec takes every step at phase factor 1 (see
+    _phase_factors), where the S = 0 table is exact, so its x is 0.
     """
-    x = 0.5 * spec.g * dt
+    n = spec.n
+    x = 0.0 if _is_static(spec) else 0.5 * spec.g * dt
     order, term = 0, 2.0 * x  # term = 2 x^(order+1) / (order+1)!
-    while term > _EPS and 2 * order + 2 <= limit:
+    while term > _EPS and 2 * _table_width(n, order) + 1 <= limit:
         order += 1
         term *= x / (order + 1)
-    return order if 2 * order + 2 <= limit else None
+    return order if 2 * _table_width(n, order) + 1 <= limit else None
 
 
-def _phase_table(spec: SystemSpec, dt: float, order: int) -> np.ndarray:
-    """Fourier coefficients C_m, m = -M..M, of the full step's unitary, as (2M + 1, n n).
+def _phase_table(parts: tuple, dt: float, order: int) -> np.ndarray:
+    """Coefficients of the full step's unitary along its cyclic diagonals, as (n, n, Q).
 
     U(theta) = exp(-i dt H(theta)), with H(theta) = drift + e^{i theta} A + h.c.
-    the Hamiltonian at drive phase theta = w t, is diagonalized at the
-    P = 2M + 2 phases 2 pi j / P in one batched eigh.  C_m is the length-P
-    DFT (1/P) sum_j U(2 pi j / P) e^{-2 pi i m j / P}, so that
-    U(theta) = sum_m C_m e^{i m theta} to about eps (see _table_order).
+    the Hamiltonian at drive phase theta = w t and ``parts`` = (drift, A).
+    The clock Z obeys Z A Z^dagger = sigma A, sigma = e^{2 pi i / n} (Weyl),
+    and commutes with the drift, so U(theta + 2 pi / n) = Z U(theta) Z^dagger:
+    entry (a, b) of U carries only the Fourier orders m*(a, b) + n s, m* the
+    representative of a - b in [-n/2, n - 1 - n/2], which is the same along
+    each cyclic diagonal (see _diagonal_order).  So
+    U(theta)[a, b] = sum_s T_s[a, b] e^{i (m*(a, b) + n s) theta}, a phase
+    pattern e^{i m* theta} times a function of period 2 pi / n, and |s| <= S
+    holds every order up to M (see _table_width).  U is diagonalized at the
+    Q = 2 S + 1 phases theta_j = 2 pi j / (n Q) in one batched eigh, and
+    T_s = (1/Q) sum_j U(theta_j) e^{-i (m* + n s) theta_j}, the Q-point DFT
+    of U with its phase pattern removed, so that U is exact to about eps (see
+    _table_order).  Entry [r, a, S + s] holds T_s at row a of diagonal r.  At
+    n >= 2M + 1, S = 0 and the table is U(0) itself.
     """
-    p = 2 * order + 2
-    j = np.arange(p)
-    u = _unitaries(spec, root_power(p, j), dt, f"on the drive-phase table for dt = {dt!r}")
-    m = np.arange(-order, order + 1)
-    return root_power(p, -np.outer(m, j)) @ u.reshape(p, -1) / p
+    n = len(parts[0])
+    width = _table_width(n, order)
+    q = 2 * width + 1
+    z = root_power(n * q, np.arange(q))
+    u = _unitaries(parts, z, dt, f"on the drive-phase table for dt = {dt!r}").reshape(q, -1)
+    _, to_diagonals = _diagonal_order(n)
+    u = np.take(u, to_diagonals, axis=1).reshape(q, n, n).transpose(1, 2, 0)
+    if not width:
+        # the one phase is theta = 0, where the pattern is 1 and the DFT the identity
+        return u
+    return u @ _diagonal_powers(z.conj(), n, width).transpose(0, 2, 1) / q
+
+
+def _diagonal_powers(z: np.ndarray, n: int, width: int) -> np.ndarray:
+    """z^(m* + n s), m* = r - n/2, for every diagonal r and s = -S..S, as (n, Q, len(z)).
+
+    Row r + n (s + S) of z^m for |m| <= n S + n/2 (see _phase_powers), viewed
+    without a copy.
+    """
+    q = 2 * width + 1
+    powers = _phase_powers(z, n * width + n // 2)
+    return powers[: n * q].reshape(q, n, len(z)).transpose(1, 0, 2)
+
+
+@functools.lru_cache(maxsize=1)
+def _diagonal_order(n: int):
+    """Index arrays from the n x n entries to their cyclic diagonals and back.
+
+    Position r n + a of the diagonal order holds entry (a, b) with
+    r = (a - b + n/2) mod n, so that r - n/2 = m*(a, b), a - b reduced to
+    [-n/2, n - 1 - n/2], is constant along diagonal r.  Returns
+    (to_entries, to_diagonals): to_entries[a n + b] = r n + a, and its
+    inverse.  Kept, read-only, for the last n, as the table and every chunk
+    of a run need them.
+    """
+    k = np.arange(n)
+    # entry (a, b) lies on diagonal r = (a - b + n/2) mod n, where b = (a - r + n/2) mod n
+    to_entries = (((k[:, None] - k + n // 2) % n) * n + k[:, None]).ravel()
+    to_diagonals = (k * n + (k - k[:, None] + n // 2) % n).ravel()
+    to_entries.flags.writeable = False
+    to_diagonals.flags.writeable = False
+    return to_entries, to_diagonals
 
 
 def _phase_powers(z: np.ndarray, order: int) -> np.ndarray:
@@ -430,14 +514,14 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     each whole sample interval costs one propagator in the chain; only the
     full-length steps after the last whole interval and a shortened last
     step are fresh.  When the full-length steps that need a unitary, the
-    reused period's and the fresh ones, are at least P (P = 2M + 2, M from
-    dt g / 2; see _table_order), their unitaries are summed from a Fourier
-    table over the drive phase that one batched eigh of P matrices builds
-    once per run; otherwise they are diagonalized in one batched eigh call
-    per chunk.  All kinds of chunk share one loop (see the module
-    docstring).  Raises
-    ValueError when the drive phase w t is not finite at t_start or t_end
-    (the time is reported), when the drift diag(E - Delta_0) or the bound
+    reused period's and the fresh ones, are at least Q (Q = 2S + 1 phases
+    in [0, 2 pi / n), from M and dt g / 2; see _table_order), their
+    unitaries are summed from a Fourier table over the drive phase that one
+    batched eigh of Q matrices builds once per run; otherwise they are
+    diagonalized in one batched eigh call per chunk.  All kinds of chunk
+    share one loop (see the module docstring).  Raises ValueError when the
+    drive phase w t is not finite at t_start or t_end (the time is
+    reported), when the drift diag(E - Delta_0) or the bound
     2 (max|drift| + g) dt on a step's eigenphases is too large for float64,
     or when the samples would need more than MAX_SAMPLE_BYTES, and
     EigenConvergenceError when the eigensolver fails.
@@ -465,11 +549,14 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     # times dt; the factor 2 leaves room for rounding and for a last step
     # slightly longer than dt (see _step_count)
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = build_drift(spec).diagonal().tolist()
-    if not all(map(math.isfinite, drift)):
+        drift = build_drift(spec)
+    levels = drift.diagonal().tolist()
+    if not all(map(math.isfinite, levels)):
         raise ValueError("drift diag(E - Delta_0) is too large for float64")
-    if not math.isfinite(2.0 * ((max(map(abs, drift)) + spec.g) * dt)):
+    if not math.isfinite(2.0 * ((max(map(abs, levels)) + spec.g) * dt)):
         raise ValueError("step phase bound 2 (max|drift| + g) dt is too large for float64")
+    # every H of the run is assembled from this drift and one drive coefficient
+    parts = drift, drive_coefficient(spec)
     # sample k follows step min(k every, n_steps); the ends are set as given,
     # since t_start + 0 dt would turn a t_start of -0.0 into 0.0
     marks = np.minimum(np.arange(n_samples) * every, n_steps)
@@ -490,14 +577,14 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     done = whole - whole % every if reuse else 0
     # the full-length steps that need a unitary, the reused period's K and the
     # fresh ones (fewer than every under reuse), are summed from a phase table
-    # when its P phases fit a chunk and cost no more eigh work than those
+    # when its Q phases fit a chunk and cost no more eigh work than those
     # steps; this is decided before any eigh, and the table is built once,
     # only for such runs
     order = _table_order(spec, dt, min((period if reuse else 0) + whole - done, chunk))
-    table = None if order is None else _phase_table(spec, dt, order)
+    table = None if order is None else _phase_table(parts, dt, order)
     if reuse:
         mids = t_start + (np.arange(period) + 0.5) * dt
-        props = _sample_propagators(_step_unitaries(spec, mids, dt, table), every)
+        props = _sample_propagators(_step_unitaries(spec, parts, mids, dt, table), every)
 
     # each pass chains a stack u of unitaries, u[i] ending at step ends[i]:
     # reused sample propagators up to step done, fresh full-length steps up to
@@ -509,10 +596,11 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
             u, ends = props[j % len(props)], (j + 1) * every
         elif pos < whole:
             ends = np.arange(pos + 1, min(pos + chunk, whole) + 1)
-            u = _step_unitaries(spec, t_start + (ends - 0.5) * dt, dt, table)
+            u = _step_unitaries(spec, parts, t_start + (ends - 0.5) * dt, dt, table)
         else:
             t0 = t_start + whole * dt
-            u = _step_unitaries(spec, np.array([t0 + 0.5 * (t_end - t0)]), t_end - t0)
+            mid = np.array([t0 + 0.5 * (t_end - t0)])
+            u = _step_unitaries(spec, parts, mid, t_end - t0)
             ends = np.array([n_steps])
         chain = _chain(u, psi)
         psi = chain[-1]

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nlevel.algebra as algebra
 import nlevel.cli as cli
 from nlevel import (
     EvolutionConfig,
@@ -410,7 +411,7 @@ class TestEvolveFailureExitCodes:
     def test_solver_failure_in_the_phase_table_exits_2(self, tmp_path, monkeypatch,
                                                        capsys):
         # 40 full-length steps of dt g / 2 = 7.5e-3 take their unitaries from a
-        # table of 12 phases, whose eigh comes first
+        # table of 7 phases, whose eigh comes first
         def fail(a, UPLO="L"):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -510,6 +511,48 @@ class TestEvolveFailureExitCodes:
         assert code == 1
         assert "byte budget" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDimensionBudget:
+    # one n x n complex matrix may take algebra._MAX_MATRIX_BYTES; patched to
+    # just under a 3 x 3 matrix, n = 3 is over it and n = 2 is not, so each
+    # command is refused at n = 3 before it allocates anything n x n
+
+    @staticmethod
+    def _args(command, tmp_path, n):
+        out = tmp_path / f"{command}_{n}.out"
+        config = write_config(tmp_path, dict(BASE_EVOLVE, n=n, energies=[0.5, -0.5, 0.1][:n]))
+        return out, {
+            "algebra": ["algebra", "--n", str(n)],
+            "matrices": ["matrices", "--n", str(n), "--out", str(out)],
+            "decompose": ["decompose", "--config", config, "--out", str(out)],
+            "evolve": ["evolve", "--config", config, "--out", str(out)],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["algebra", "matrices", "decompose", "evolve"])
+    def test_dimension_over_the_budget_exits_1(self, tmp_path, monkeypatch, capsys,
+                                               command):
+        monkeypatch.setattr(algebra, "_MAX_MATRIX_BYTES", 16 * 3 * 3 - 1)
+        out, args = self._args(command, tmp_path, 2)
+        assert cli.main(args) == 0
+        capsys.readouterr()
+        out, args = self._args(command, tmp_path, 3)
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "nlevel: error: dimension 3 needs 144 bytes per n x n matrix, "
+            "over the 143-byte budget\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_budget_allows_n_up_to_512(self, capsys):
+        assert algebra._check_dim(512) == 512
+        with pytest.raises(ValueError, match="over the 4194304-byte budget"):
+            algebra._check_dim(513)
+        # 160 GB per matrix: refused before anything is built
+        assert cli.main(["algebra", "--n", "100000"]) == 1
+        assert "byte budget" in capsys.readouterr().err
 
 
 class TestOutputFiles:

@@ -302,7 +302,8 @@ class TestFullHamiltonian:
                     build_full_hamiltonian(scaled, t / scale)[None],
                     hamiltonian_at(scaled, (t + np.linspace(0.0, 20.0, 7)) / scale),
                 ]
-                stacks += [_at_phase(scaled, root_power(p, np.arange(p))) for p in (2, 12, 18)]
+                parts = build_drift(scaled), drive_coefficient(scaled)
+                stacks += [_at_phase(*parts, root_power(p, np.arange(p))) for p in (2, 12, 18)]
                 for h in stacks:
                     assert np.array_equal(h, np.swapaxes(h.conj(), -1, -2))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import warnings
@@ -14,6 +15,7 @@ from nlevel import (
     EigenConvergenceError,
     EvolutionConfig,
     SystemSpec,
+    build_clock,
     build_full_hamiltonian,
     build_shift,
     evolve,
@@ -304,6 +306,28 @@ class TestInitialState:
         with pytest.raises(ValueError, match="zero vector"):
             evolve(THREE_LEVEL, config)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1.7e308, 5e-324])
+    def test_amplitudes_at_extreme_scales(self, tmp_path, scale):
+        # the amplitudes are scaled by a power of two before their norm is
+        # taken, so neither its square overflows nor does it underflow to 0
+        raw = committed("rabi_two_level.json")
+        expected = evolve(*config_objects(dict(raw, initial_state=[1.0, 1.0])))
+        spec, config = config_objects(dict(raw, initial_state=[scale, scale]))
+        traj = evolve(spec, config)
+        _, populations = evolve_through_cli(
+            tmp_path, dict(raw, initial_state=[[scale, 0.0], [scale, 0.0]])
+        )
+        for got in (traj.populations, populations):
+            assert max_abs(got - expected.populations) <= 1e-14
+        assert float(np.max(traj.norm_errors)) <= 1e-12
+
+    def test_rejects_non_finite_amplitudes(self):
+        for bad in (np.inf, np.nan, complex(0.0, np.inf)):
+            config = EvolutionConfig(initial_state=[1.0, bad, 0.0], **self.CONFIG)
+            with pytest.raises(ValueError, match="finite"):
+                evolve(THREE_LEVEL, config)
+
     def test_rejects_wrong_length(self):
         config = EvolutionConfig(initial_state=[1.0, 0.0], **self.CONFIG)
         with pytest.raises(ValueError, match="amplitudes"):
@@ -326,10 +350,11 @@ class TestFailureMapping:
     # the numerical contract, checked before any eigh: the drift and the
     # bound 2 (max|drift| + g) dt on a step's eigenphases must be finite.
     # Each spec overflows somewhere else; none may warn or write NaN.  The
-    # last two would otherwise step by eigh and by a phase table of order 8
+    # last three would otherwise step by a phase table of order 6, by eigh
+    # and by a phase table of order 8
     @pytest.mark.parametrize("energies, g, dt, t_end, order, what", [
         ((1.7e308, -1.7e308, 0.0), 1e308, 0.1, 1.0, None, "step phase bound"),
-        ((1.7e308, 1.7e308, 1.0), 0.25, 0.1, 1.0, None, "drift"),
+        ((1.7e308, 1.7e308, 1.0), 0.25, 0.1, 1.0, 6, "drift"),
         ((1e300, -1e300, 0.0), 0.25, 1e9, 1e10, None, "step phase bound"),
         ((1e300, -1e300, 0.0), 1e-10, 1e9, 1e11, 8, "step phase bound"),
     ], ids=["drift_plus_g", "mean_energy", "eigh", "table"])
@@ -350,8 +375,8 @@ class TestFailureMapping:
 
     @pytest.mark.parametrize("energies, g, dt, include_delta0, built", [
         ((1.7e308, -1.7e308, 0.0), 100.0, 0.25, False, []),  # 2 B dt = 8.5e307
-        ((1.7e308, -1.7e308, 0.0), 0.25, 0.25, False, [16]),
-        ((1.7e308, 1.7e308, 1.0), 0.25, 1e-300, True, [2]),  # no mean is formed
+        ((1.7e308, -1.7e308, 0.0), 0.25, 0.25, False, [5]),
+        ((1.7e308, 1.7e308, 1.0), 0.25, 1e-300, True, [1]),  # no mean is formed
     ], ids=["eigh", "table", "delta0"])
     def test_contract_accepts_the_largest_finite_specs(self, table_builds, energies, g,
                                                        dt, include_delta0, built):
@@ -399,11 +424,11 @@ class TestFailureMapping:
 
 
 class TestChunking:
-    # both runs take the same path: the phase table, whose P = 12 phases a
-    # 16-step chunk holds, or eigh, when g = 200 needs more phases (P = 72)
-    # than the run has steps; the sample instants fall on both sides of every
-    # chunk edge
-    @pytest.mark.parametrize("g, steps, built", [(0.25, 16, [12, 12]), (200.0, 7, [])],
+    # both runs take the same path: the phase table, whose Q = 5 phases a
+    # 16-step chunk holds, or eigh, when g = 500 needs more phases (Q = 41)
+    # than the run has steps (38); the sample instants fall on both sides of
+    # every chunk edge
+    @pytest.mark.parametrize("g, steps, built", [(0.25, 16, [5, 5]), (500.0, 7, [])],
                              ids=["table", "eigh"])
     def test_chunk_boundaries_do_not_change_the_trajectory(self, table_builds,
                                                            monkeypatch, g, steps,
@@ -532,49 +557,51 @@ def stepwise(spec, config):
     return edges[taken], np.abs(np.array(states)[taken]) ** 2
 
 
+def spy_on(monkeypatch, name, record):
+    """Wrap propagator.<name> so that every call appends record(arguments, result).
+
+    The wrapper forwards any arguments and binds them to the function's
+    parameter names, so a spy survives a signature change that keeps the
+    names it reads.  Returns the list of records.
+    """
+    records = []
+    plain = getattr(propagator, name)
+    signature = inspect.signature(plain)
+
+    def spy(*args, **kwargs):
+        result = plain(*args, **kwargs)
+        records.append(record(signature.bind(*args, **kwargs).arguments, result))
+        return result
+
+    monkeypatch.setattr(propagator, name, spy)
+    return records
+
+
 @pytest.fixture
 def built_steps(monkeypatch):
     """Midpoint counts of every stack of step unitaries evolve builds.
 
     One entry per stack, whether its steps come from eigh or the phase table.
     """
-    counts = []
-    plain = propagator._step_unitaries
-
-    def spy(spec, mids, *rest):
-        counts.append(len(mids))
-        return plain(spec, mids, *rest)
-
-    monkeypatch.setattr(propagator, "_step_unitaries", spy)
-    return counts
+    return spy_on(monkeypatch, "_step_unitaries", lambda args, u: len(args["mids"]))
 
 
 @pytest.fixture
 def reuse_builds(monkeypatch):
     """Periods K of every set of sample propagators evolve builds for reuse."""
-    builds = []
-    plain = propagator._sample_propagators
-
-    def spy(u, every):
-        builds.append(len(u))
-        return plain(u, every)
-
-    monkeypatch.setattr(propagator, "_sample_propagators", spy)
-    return builds
+    return spy_on(monkeypatch, "_sample_propagators", lambda args, props: len(args["u"]))
 
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Phase counts P of every phase table evolve builds."""
-    builds = []
-    plain = propagator._phase_table
+    """Phase counts Q of every phase table evolve builds: one coefficient per phase."""
+    return spy_on(monkeypatch, "_phase_table", lambda args, table: table.shape[-1])
 
-    def spy(spec, dt, order):
-        builds.append(2 * order + 2)
-        return plain(spec, dt, order)
 
-    monkeypatch.setattr(propagator, "_phase_table", spy)
-    return builds
+@pytest.fixture
+def eigh_phases(monkeypatch):
+    """Matrix counts of every batched eigh evolve makes, table or steps."""
+    return spy_on(monkeypatch, "_unitaries", lambda args, u: len(args["z"]))
 
 
 def assert_matches_stepwise(spec, config):
@@ -587,7 +614,7 @@ def assert_matches_stepwise(spec, config):
 
 class TestPeriodReuse:
     # reuse builds one drive period of step unitaries, not one per step; on
-    # the Rabi grid they come from the P = 10 phase table, not from eigh
+    # the Rabi grid they come from the Q = 5 phase table, not from eigh
 
     @pytest.mark.parametrize("short", [0.0, 0.4])
     def test_rabi_config_matches_stepwise(self, built_steps, table_builds, short):
@@ -603,7 +630,7 @@ class TestPeriodReuse:
         # one period, the 4 full steps after the last whole sample interval
         # of 5, then the shortened last step
         assert built_steps == [100, 4, 1]
-        assert table_builds == [10]
+        assert table_builds == [5]
 
     def test_reuse_over_several_chunks(self, built_steps, table_builds, monkeypatch):
         # 100-step chunks: 399 reused samples in four passes, then 4 fresh
@@ -626,7 +653,7 @@ class TestPeriodReuse:
         spec, config = load_config("rabi_two_level.json")
         assert_matches_stepwise(spec, config)
         assert built_steps == [100, 4, 1]
-        assert table_builds == [10]
+        assert table_builds == [5]
         assert chained == [100, 100, 100, 99, 4, 1]
 
     def test_late_start_matches_stepwise(self, built_steps, table_builds):
@@ -638,7 +665,7 @@ class TestPeriodReuse:
         assert_matches_stepwise(spec, config)
         assert built_steps[0] == 100
         assert sum(built_steps) < 750 / 2
-        assert table_builds == [10]
+        assert table_builds == [5]
 
     def test_static_hamiltonian_matches_stepwise(self, built_steps):
         spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1))
@@ -834,13 +861,18 @@ def table_spec(model, n, x, dt, offset=0.0):
     )
 
 
+def run_parts(spec):
+    """The drift and drive coefficient evolve assembles every H of a run from."""
+    return hamiltonian.build_drift(spec), hamiltonian.drive_coefficient(spec)
+
+
 def tabled_and_direct(spec, dt, steps=300, t0=0.25):
     """The step unitaries of one grid from the phase table and from eigh."""
     mids = t0 + (np.arange(steps) + 0.5) * dt
-    order = propagator._table_order(spec, dt, 10**6)
-    table = propagator._phase_table(spec, dt, order)
-    return (propagator._step_unitaries(spec, mids, dt, table),
-            propagator._step_unitaries(spec, mids, dt))
+    parts = run_parts(spec)
+    table = propagator._phase_table(parts, dt, propagator._table_order(spec, dt, 10**6))
+    return (propagator._step_unitaries(spec, parts, mids, dt, table),
+            propagator._step_unitaries(spec, parts, mids, dt))
 
 
 class TestPhaseTable:
@@ -876,9 +908,10 @@ class TestPhaseTable:
 
         assert tail(order) <= EPS
         assert order == 0 or tail(order - 1) > EPS
-        # P = 2M + 2 phases must fit the limit
-        assert propagator._table_order(spec, 0.125, 2 * order + 2) == order
-        assert propagator._table_order(spec, 0.125, 2 * order + 1) is None
+        # Q = 2 S + 1 phases, S = (M + 1) // 3 at n = 3, must fit the limit
+        phases = 2 * ((order + 1) // 3) + 1
+        assert propagator._table_order(spec, 0.125, phases) == order
+        assert propagator._table_order(spec, 0.125, phases - 1) is None
 
     @pytest.mark.parametrize("model, n", [("none", 3), ("generalized", 2),
                                           ("generalized", 3), ("generalized", 32),
@@ -902,20 +935,21 @@ class TestPhaseTable:
 
     def test_built_once_over_several_chunks(self, table_builds, built_steps,
                                             monkeypatch):
-        # x = 1.25e-3 needs P = 10 phases; 16-step chunks hold them
+        # x = 1.25e-3 needs Q = 3 phases; 16-step chunks hold them
         config = EvolutionConfig(t_start=0.1, t_end=2.1 - 0.004, dt=0.01,
                                  initial_state=1, sample_every=3)
         whole = evolve(THREE_LEVEL, config)
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 16 * 16 * 3 * 3)
         del table_builds[:], built_steps[:]
         chunked = assert_matches_stepwise(THREE_LEVEL, config)
-        assert table_builds == [10]
+        assert table_builds == [3]
         assert built_steps == [16] * 12 + [7, 1]
         assert max_abs(chunked.populations - whole.populations) <= 1e-14
 
-    @pytest.mark.parametrize("steps, built", [(10.0, [10]), (9.6, [])])
+    @pytest.mark.parametrize("steps, built", [(10.0, [3]), (9.6, [3]), (3.0, [3]),
+                                              (2.6, [])])
     def test_needs_as_many_full_steps_as_phases(self, table_builds, steps, built):
-        # x = 6.25e-4 needs P = 10; a last step shortened to t_end is not full
+        # x = 6.25e-4 needs Q = 3; a last step shortened to t_end is not full
         dt = 0.005
         config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt)
         assert_matches_stepwise(THREE_LEVEL, config)
@@ -926,58 +960,54 @@ class TestPhaseTable:
         evolve(THREE_LEVEL, EvolutionConfig(t_start=0.0, t_end=0.005, dt=0.005))
         assert table_builds == []
 
-    def test_not_built_for_two_steps_at_n32(self, table_builds, built_steps):
-        # P = 12 phases would cost six times the eigh work of the run
+    def test_one_phase_serves_two_steps_at_n32(self, table_builds, built_steps,
+                                               eigh_phases):
+        # at n >= 2M + 1 the table is U(0): one eigh of one matrix serves both
+        # steps, where eigh on each step would cost two
         spec = SystemSpec(n=32, energies=tuple(np.linspace(-1.0, 1.0, 32)), g=0.25,
                           omega=1.0137, drive_model="generalized")
         config = EvolutionConfig(t_start=0.0, t_end=0.1, dt=0.05, sample_every=2)
         assert propagator._period_steps(spec, config.dt) is None
         evolve(spec, config)
-        assert table_builds == []
+        assert table_builds == [1]
         assert built_steps == [2]
+        assert eigh_phases == [1]
 
-    def test_not_built_for_a_static_spec(self, table_builds):
+    def test_one_phase_for_a_static_spec(self, table_builds):
         spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1))
         evolve(spec, EvolutionConfig(t_start=0.0, t_end=20.0, dt=0.01))
-        assert table_builds == []
+        assert table_builds == [1]
 
-    def test_built_for_the_reused_period(self, table_builds, built_steps, monkeypatch):
+    def test_built_for_the_reused_period(self, table_builds, built_steps, eigh_phases):
         # ending on exactly 2000 dt, every step is reused and none is fresh:
-        # the period's K = 100 unitaries are summed from a P = 10 table, so
-        # eigh sees its 10 phases and no step
+        # the period's K = 100 unitaries are summed from a Q = 5 table, so
+        # eigh sees its 5 phases and no step
         spec, config = load_config("rabi_two_level.json")
         exact = EvolutionConfig(
             t_start=config.t_start, t_end=config.t_start + 2000 * config.dt,
             dt=config.dt, initial_state=config.initial_state,
             sample_every=config.sample_every,
         )
-        phases = []
-        plain = propagator._unitaries
-
-        def spy(spec, z, *rest):
-            phases.append(len(z))
-            return plain(spec, z, *rest)
-
-        monkeypatch.setattr(propagator, "_unitaries", spy)
         assert_matches_stepwise(spec, exact)
-        assert table_builds == [10]
+        assert table_builds == [5]
         assert built_steps == [100]
-        assert phases == [10]
+        assert eigh_phases == [5]
 
     def test_not_built_for_a_period_shorter_than_the_table(self, table_builds,
                                                            built_steps):
-        # K = 16 steps per period, all reused, at ||H|| dt = 10, where the
-        # table needs more phases than the period has steps
+        # K = 8 steps per period, all reused, at ||H|| dt = 10, where the
+        # table needs more phases (Q = 13) than the period has steps
         spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.0), g=0.25, omega=1.0,
                           drive_model="generalized")
         dt = 10.0 / np.linalg.norm(build_full_hamiltonian(spec, 0.0), 2)
-        spec = dataclasses.replace(spec, omega=2.0 * math.pi / (16 * dt))
-        assert propagator._period_steps(spec, dt) == 16
-        assert 2 * propagator._table_order(spec, dt, 10**6) + 2 > 16
+        spec = dataclasses.replace(spec, omega=2.0 * math.pi / (8 * dt))
+        assert propagator._period_steps(spec, dt) == 8
+        order = propagator._table_order(spec, dt, 10**6)
+        assert 2 * propagator._table_width(3, order) + 1 > 8
         config = EvolutionConfig(t_start=0.0, t_end=64 * dt, dt=dt, sample_every=4)
         assert_matches_stepwise(spec, config)
         assert table_builds == []
-        assert built_steps == [16]
+        assert built_steps == [8]
 
     def test_solver_failure_in_the_table_raises_convergence_error(self, monkeypatch):
         def fail(a, UPLO="L"):
@@ -987,6 +1017,75 @@ class TestPhaseTable:
         config = EvolutionConfig(t_start=0.0, t_end=2.0, dt=0.01)
         with pytest.raises(EigenConvergenceError, match="drive-phase table"):
             evolve(THREE_LEVEL, config)
+
+
+class TestClockSymmetry:
+    # Z A Z^dagger = sigma A for every drive model and Z commutes with the
+    # drift, so a step at drive phase theta + 2 pi / n is the step at theta
+    # conjugated by the clock Z; the phase table rests on that
+
+    @pytest.mark.parametrize("model, n", [
+        ("none", 2), ("generalized", 2), ("cosine2", 2), ("rwa2", 2),
+        ("none", 3), ("generalized", 3), ("none", 8), ("generalized", 8),
+        ("none", 32), ("generalized", 32),
+    ])
+    def test_shifted_phase_is_a_clock_conjugation(self, model, n):
+        spec = table_spec(model, n, 0.3, 0.125, offset=0.4)
+        theta = np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, 16)
+        u, shifted = (propagator._unitaries(run_parts(spec), np.exp(1j * phase), 0.125, "")
+                      for phase in (theta, theta + 2.0 * math.pi / n))
+        z = build_clock(n)
+        assert max_abs(shifted - z @ u @ z.conj().T) <= 1e-14
+
+    @pytest.mark.parametrize("model, n, x", [
+        ("generalized", 32, 0.1), ("generalized", 8, 1e-4), ("generalized", 3, 1e-9),
+        ("cosine2", 2, 1e-17), ("rwa2", 2, 1e-17),
+    ])
+    def test_one_phase_matches_eigh(self, model, n, x):
+        # S = 0 at n >= 2M + 1: every step is U(0) times its phase pattern
+        spec = table_spec(model, n, x, 0.125)
+        order = propagator._table_order(spec, 0.125, 10**6)
+        assert propagator._table_width(n, order) == 0
+        tabled, direct = tabled_and_direct(spec, 0.125)
+        assert max_abs(tabled - direct) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    @pytest.mark.parametrize("model, omega", [("none", 1.0137), ("generalized", 0.0)])
+    def test_static_spec_takes_one_phase(self, model, omega, n):
+        # g > 0 but no drive phase: every step sits at phase factor 1
+        spec = dataclasses.replace(table_spec("generalized", n, 0.1, 0.125),
+                                   drive_model=model, omega=omega)
+        assert propagator._table_order(spec, 0.125, 1) == 0
+        tabled, direct = tabled_and_direct(spec, 0.125)
+        assert max_abs(tabled - direct) <= 1e-13
+
+    # the benchmark's three workloads at their middle parameters: dense32
+    # (n = 32, two steps), driven3_dense (n = 3, 1,500 steps, off the period
+    # grid) and rabi2_floquet (n = 2 rwa2, 100 steps per period, 50 periods)
+    @pytest.mark.parametrize("spec, dt, steps, every, phases", [
+        (SystemSpec(n=32, energies=tuple(np.linspace(-1.0, 1.0, 32)), g=0.25,
+                    omega=1.0, drive_model="generalized"), 0.05, 2, 2, 1),
+        (THREE_LEVEL, 0.005, 1500, 1, 3),
+        (SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1.0, drive_model="rwa2"),
+         2.0 * math.pi / 100, 5000, 100, 5),
+    ], ids=["dense32", "driven3_dense", "rabi2_floquet"])
+    def test_eigh_work_of_the_benchmark_runs(self, monkeypatch, table_builds, spec, dt,
+                                             steps, every, phases):
+        shapes = []
+        plain = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return plain(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt, sample_every=every)
+        traj = evolve(spec, config)
+        assert table_builds == [phases]
+        assert shapes == [(phases, spec.n, spec.n)]
+        times, populations = stepwise(spec, config)
+        assert np.array_equal(traj.times, times)
+        assert max_abs(traj.populations - populations) <= 1e-10
 
 
 class TestNormDrift:
