@@ -2,23 +2,24 @@
 
 Each step applies exp(-i dt H(t + dt/2)) to the state, with the matrix
 exponential evaluated through a full hermitian eigendecomposition (LAPACK,
-through numpy.linalg.eigh, in one kernel, _unitaries) or, for full-length
-steps of long runs, summed from a phase table built from such
-decompositions.  Step k is exactly dt long and centred at
-t_start + (k + 1/2) dt on every path, so the table and eigh see the same
-phase and length for it; when the grid does not end on t_end, a last step
-from t_start + K dt to t_end, K the number of full steps, follows as a
-one-step pass of its own.  H(t) does not depend on the state, so evolve
-forms the step unitaries of many steps at once, in chunks.  H(t) is
-hermitian by construction (see hamiltonian_at), so nothing checks that at
-run time; before any step, evolve checks that the drift and a bound on every
-step's eigenphases are finite, so that no step can overflow.  The chain of
-states through a chunk is a blocked prefix product (Blelloch, CMU-CS-90-190,
-1990), one algorithm for every n (_chain): the N unitaries are cut into
-blocks of at most 8, each block's running products are formed for all
-blocks at once, the state is carried from block to block by the same chain
-over the block products, and one more product over all blocks gives every
-state.  Only the storage and the product depend on n.  Up to _SCAN_MAX_N the
+through numpy.linalg.eigh, in one kernel, _unitaries), or, for full-length
+steps, taken in a rotating frame from one such decomposition (rwa2 and
+static specs) or summed from a phase table built from such decompositions
+(long runs of the other drives).  Step k is exactly dt long and centred at
+t_start + (k + 1/2) dt on every path, so the frame, the table and eigh see
+the same phase and length for it; when the grid does not end on t_end, a
+last step from t_start + K dt to t_end, K the number of full steps, follows
+in the lab frame, diagonalized on its own.  H(t) does not depend on the
+state, so evolve forms the step unitaries of many steps at once, in chunks.
+H(t) is hermitian by construction (see hamiltonian_at), so nothing checks
+that at run time; before any step, evolve checks that the drift and a bound
+on every step's eigenphases are finite, so that no step can overflow.  The
+chain of states through a chunk is a blocked prefix product (Blelloch,
+CMU-CS-90-190, 1990), one algorithm for every n (_chain): the N unitaries
+are cut into blocks of at most 8, each block's running products are formed
+for all blocks at once, the state is carried from block to block by the
+same chain over the block products, and one more product over all blocks
+gives every state.  Only the storage and the product depend on n.  Up to _SCAN_MAX_N the
 blocks are stored block index innermost, so each product is one elementwise
 multiply and sum over all blocks; a BLAS call per 3 x 3 product would cost
 more than its arithmetic.  Above it each product is one batched BLAS call.
@@ -27,6 +28,23 @@ drift shows rounding only, not the discretization error: the resonant
 two-level drive of configs/rabi_two_level.json, run for 5,000 steps of T/100,
 strays up to 1.17e-3 from the closed form sin^2(g t / 2) while its norm
 errors stay below 1.3e-12.
+
+Rotating frame.  The rwa2 drive couples level 1 to level 0 through
+e^{i theta} alone, so with R(theta) = diag(e^{i k theta}), k = 0..n-1,
+H(theta) = R(theta) H(0) R(theta)^dagger; for a static spec (no drive,
+g = 0 or w = 0) every step takes theta = 0 and R = I.  A step starting at
+drive phase a is then R(a) U(w dt / 2) R(a)^dagger, and k steps multiply to
+R(a_k) W^k R(a_0)^dagger, a_k the phase at step edge k and
+W = R(-w dt / 2) U(0) R(-w dt / 2): the frame in which the RWA Hamiltonian
+does not depend on time (Shirley, Phys. Rev. 138, B979, 1965), applied to
+the stepper's own product.  evolve diagonalizes U(0) once, forms
+M = W^sample_every by binary powers, and chains the frame states of the
+sample instants, M^j R(a_0)^dagger psi, one CHUNK_BYTES chunk at a time,
+each chunk in about log2 of its length products (see _power_states).  R is
+diagonal, so the frame states' populations are the lab frame's; only the
+final state is rotated back.  The fewer than sample_every full-length steps
+after the last sample instant are W^r.  No phase table, period or step
+unitary is formed.
 
 Phase table.  H = drift + e^{i theta} A + h.c. depends on t only through the
 drive phase theta = w t, so the unitary U(theta) = exp(-i dt H(theta)) of a
@@ -44,13 +62,16 @@ run, S = (M + n/2) // n, and keeps the table by cyclic diagonals (see
 _phase_table); every full-length step then costs one column of n products
 (n, Q) @ (Q, N), one per diagonal, of the table with the powers
 e^{i (m* + n s) theta}, and a gather back to matrix order.  At
-n >= 2M + 1, and for a static spec, S = 0: one eigh, of U(0), serves every
-full-length step of the run.  The steps that need a unitary are the K of a
-period that reuse repeats (below) and the fresh full-length steps; a last
-step shortened to land on t_end is not one of them.  The table serves them
-all when there are at least Q of them and Q matrices fit in a chunk; other
-runs, such as a one-step run or a period of K < Q steps all reused,
-diagonalize every step.
+n >= 2M + 1, S = 0: one eigh, of U(0), serves every full-length step of the
+run.  The steps that need a unitary are the K of a period that reuse
+repeats (below) and the fresh full-length steps; a last step shortened to
+land on t_end is not one of them.  The table serves them all when there are
+at least Q of them and the table fits: Q matrices fit in a chunk, and so do
+the powers of the Q phase factors that its DFT takes, about n Q^2 entries.
+Other runs, such as a one-step run, a period of K < Q steps all reused or
+dt g / 2 beyond about 20 at n = 2, diagonalize every step.  The powers take
+about n Q rows per step, so a chunk's steps go through in slices whose
+powers fit CHUNK_BYTES.
 
 Period reuse.  The drive e^{i w t} A + h.c. repeats after T = 2 pi / |w|, so
 when K steps of dt make up T the midpoint Hamiltonians repeat every K steps
@@ -59,14 +80,13 @@ phase table or one batched eigh, and _sample_propagators multiplies them
 into the G = lcm(K, sample_every) / sample_every propagators from one sample
 to the next: sample interval j starts at step j sample_every, whose residue
 mod K depends on j mod G alone.  The samples are chained through those
-propagators with the same blocked product.  This applies when K |w| dt
-equals 2 pi within 4 ulps (a static H counts as K = 1) and
+propagators with the same blocked product.  This applies to the generalized
+and cosine2 drives when K |w| dt equals 2 pi within 4 ulps and
 lcm(K, sample_every) steps fit both in one CHUNK_BYTES chunk and in the
 run's full-length steps, and then covers every whole sample interval.  The
 fewer than sample_every full-length steps after the last of them follow as
-fresh steps, and the shortened last step after them, in the same loop: each
-pass chains one stack, reused, fresh or the last step, and records the
-states that end on a multiple of sample_every or on the last step.
+fresh steps, in the same loop: each pass chains one stack, reused or fresh,
+and records the states that end on a multiple of sample_every.
 """
 
 import functools
@@ -303,8 +323,11 @@ def _step_unitaries(
     if table is None:
         span = f"[{float(mids[0])!r}, {float(mids[-1])!r}]"
         return _unitaries(parts, z, dt, f"at some t in {span}")
-    n = spec.n
-    u = table @ _diagonal_powers(z, n, table.shape[-1] // 2)
+    n, width = spec.n, table.shape[-1] // 2
+    # the steps go through in slices whose powers of z fit CHUNK_BYTES
+    size = max(1, CHUNK_BYTES // (16 * _power_rows(n, width)))
+    u = [table @ _diagonal_powers(z[i : i + size], n, width) for i in range(0, len(z), size)]
+    u = u[0] if len(u) == 1 else np.concatenate(u, axis=-1)
     # back from diagonals to entries; the stack is a view, step index last
     to_entries, _ = _diagonal_order(n)
     return np.take(u.reshape(n * n, -1), to_entries, axis=0).T.reshape(len(mids), n, n)
@@ -320,26 +343,41 @@ def _table_width(n: int, order: int) -> int:
     return (order + n // 2) // n
 
 
+def _power_rows(n: int, width: int) -> int:
+    """Rows 2 (n S + n/2) + 1 of the powers of one phase factor (see _diagonal_powers)."""
+    return 2 * (n * width + n // 2) + 1
+
+
 def _table_order(spec: SystemSpec, dt: float, limit: int):
-    """Fourier order M of the step unitary's phase table, or None when Q > limit.
+    """Fourier order M of the step unitary's phase table, or None when it does not fit.
 
     M is the smallest order with 2 x^(M+1) / (M+1)! <= eps for x = dt g / 2,
-    and the table samples Q = 2 S + 1 phases, S from _table_width.  g / 2 is
+    and the table samples Q = 2 S + 1 phases, S from _table_width.  It fits
+    when Q <= limit and the powers of its Q phase factors, which its DFT
+    multiplies by, fit CHUNK_BYTES.  Up to that bound the table is about as
+    fast as eigh or faster (4,096 steps at n = 2 and Q = 83: 7.4 ms against
+    7.2 ms; 1,820 steps at n = 3 and Q = 71: 4.7 against 8.3 ms), beyond it
+    slower (n = 2, Q = 1,121: 62 against 7.2 ms).  g / 2 is
     the spectral norm of drive_coefficient for every drive model (0 for
     "none", a bound then).  The Fourier coefficient of order m of U(theta)
     collects terms of order |m| and above in dt A, so its size falls off like
     x^|m| / |m|! (Shirley, Phys. Rev. 138, B979, 1965): the orders left out
     and those the Q-point transform folds onto the kept ones, |m| > M, stay
-    at about eps.  A static spec takes every step at phase factor 1 (see
-    _phase_factors), where the S = 0 table is exact, so its x is 0.
+    at about eps.
     """
     n = spec.n
-    x = 0.0 if _is_static(spec) else 0.5 * spec.g * dt
+    x = 0.5 * spec.g * dt
+
+    def fits(order):
+        width = _table_width(n, order)
+        phases = 2 * width + 1
+        return phases <= limit and 16 * phases * _power_rows(n, width) <= CHUNK_BYTES
+
     order, term = 0, 2.0 * x  # term = 2 x^(order+1) / (order+1)!
-    while term > _EPS and 2 * _table_width(n, order) + 1 <= limit:
+    while term > _EPS and fits(order):
         order += 1
         term *= x / (order + 1)
-    return order if 2 * _table_width(n, order) + 1 <= limit else None
+    return order if fits(order) else None
 
 
 def _phase_table(parts: tuple, dt: float, order: int) -> np.ndarray:
@@ -472,11 +510,9 @@ def _chain(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def _period_steps(spec: SystemSpec, dt: float):
     """Steps per drive period K when dt divides the period, else None.
 
-    The step-midpoint Hamiltonians then repeat every K steps.  A constant
-    Hamiltonian (no drive, g = 0 or w = 0) repeats every step, K = 1.
+    The step-midpoint Hamiltonians then repeat every K steps.  The spec is
+    driven (w != 0); a static one runs in the rotating frame.
     """
-    if _is_static(spec):
-        return 1
     turn = abs(spec.omega) * dt
     if turn * MAX_STEPS < 2.0 * math.pi:
         return None  # a period longer than any run
@@ -505,21 +541,134 @@ def _sample_propagators(u: np.ndarray, every: int) -> np.ndarray:
     return u[:, 0]
 
 
+def _lab_steps(spec, parts, psi, t_start, dt, whole, every, populations):
+    """Full-length steps 1..whole from eigh, the phase table and period reuse.
+
+    Records the states that end a sample interval in ``populations`` from
+    row 1 on and returns the state after step ``whole`` and the next row.
+    """
+    n = spec.n
+    chunk = max(1, CHUNK_BYTES // (16 * n * n))
+    # period reuse takes every whole sample interval, up to step done, when
+    # lcm(K, every) steps fit a chunk and the run: sample j starts at residue
+    # j every mod K, which repeats with j mod lcm(K, every) / every
+    period = _period_steps(spec, dt)
+    reuse = period is not None and math.lcm(period, every) <= min(chunk, whole)
+    done = whole - whole % every if reuse else 0
+    # the full-length steps that need a unitary, the reused period's K and the
+    # fresh ones (fewer than every under reuse), are summed from a phase table
+    # when it fits a chunk (see _table_order) and its Q phases cost no more
+    # eigh work than those steps; this is decided before any eigh, and the
+    # table is built once, only for such runs
+    order = _table_order(spec, dt, min((period if reuse else 0) + whole - done, chunk))
+    table = None if order is None else _phase_table(parts, dt, order)
+    if reuse:
+        mids = t_start + (np.arange(period) + 0.5) * dt
+        props = _sample_propagators(_step_unitaries(spec, parts, mids, dt, table), every)
+
+    # each pass chains a stack u of unitaries, u[i] ending at step ends[i]:
+    # reused sample propagators up to step done, then fresh full-length steps
+    pos, k = 0, 1
+    while pos < whole:
+        if pos < done:
+            j = np.arange(pos // every, min(pos // every + chunk, done // every))
+            u, ends = props[j % len(props)], (j + 1) * every
+        else:
+            ends = np.arange(pos + 1, min(pos + chunk, whole) + 1)
+            u = _step_unitaries(spec, parts, t_start + (ends - 0.5) * dt, dt, table)
+        chain = _chain(u, psi)
+        psi = chain[-1]
+        sampled = chain[ends % every == 0]
+        populations[k : k + len(sampled)] = sampled.real**2 + sampled.imag**2
+        pos, k = int(ends[-1]), k + len(sampled)
+    return psi, k
+
+
+def _in_frame(spec: SystemSpec) -> bool:
+    """True when H(theta) = R(theta) H(0) R(theta)^dagger, R(theta) = diag(e^{i k theta}).
+
+    So for rwa2, whose drive couples level 1 to level 0 through e^{i theta},
+    and for a static spec, whose steps all take theta = 0 (see
+    _phase_factors), where R = I.
+    """
+    return spec.drive_model == "rwa2" or _is_static(spec)
+
+
+def _frame_steps(spec, parts, psi, t_start, dt, whole, every, populations):
+    """Full-length steps 1..whole in the rotating frame, for a spec that is _in_frame.
+
+    With R(theta) = diag(e^{i k theta}), the step at drive phase
+    theta = a + w dt / 2, a the phase at its start, is
+    R(a) U(w dt / 2) R(a)^dagger, so k steps from t_start multiply to
+    R(a_k) W^k R(a_0)^dagger, a_k the phase at step edge k and
+    W = R(-w dt / 2) U(0) R(-w dt / 2).  One eigh, of U(0), serves the run.
+    The frame states W^(j every) R(a_0)^dagger psi of the sample intervals
+    are chained one chunk at a time from M = W^every (see _power_states);
+    R is diagonal, so their populations are the lab frame's.  Of the drive
+    phases only w t_start, w t at step edge whole and w dt / 2 are formed:
+    the first two lie between the ends' w t, which evolve checks are
+    finite, and dt <= t_end - t_start bounds the third by half their
+    difference, where w dt itself may overflow.  Records the states that
+    end a sample interval in ``populations`` from row 1 on and returns the
+    state after step ``whole``, back in the lab frame, and the next row.
+    """
+    if not whole:
+        return psi, 1
+    n = spec.n
+    levels = np.arange(n)
+    u0 = _unitaries(parts, np.ones(1, dtype=np.complex128), dt,
+                    f"in the rotating frame for dt = {dt!r}")[0]
+    half = _phase_factors(spec, 0.5 * dt).conj() ** levels
+    w = half[:, None] * u0 * half
+    edges = _phase_factors(spec, t_start + np.array([0, whole]) * dt)
+    phi = psi * edges[0].conj() ** levels
+    power = np.linalg.matrix_power(w, every)
+    count, size, k = whole // every, max(1, CHUNK_BYTES // (16 * n)), 1
+    for start in range(0, count, size):
+        states = _power_states(power, phi, min(size, count - start))
+        populations[k : k + len(states)] = states.real**2 + states.imag**2
+        phi, k = states[-1], k + len(states)
+    if whole % every:
+        phi = np.linalg.matrix_power(w, whole % every) @ phi
+    return phi * edges[1] ** levels, k
+
+
+def _power_states(m: np.ndarray, phi: np.ndarray, count: int) -> np.ndarray:
+    """m phi, m^2 phi, ..., m^count phi as the rows of a (count, n) array.
+
+    Each round applies m^p to the p states already formed, as one product
+    (p, n) @ (n, n) with the transpose of m^p, and squares m^p, so count
+    states take about log2(count) products.
+    """
+    states = np.empty((count, len(phi)), dtype=np.complex128)
+    states[0] = m @ phi
+    m, done = m.T, 1
+    while done < count:
+        take = min(done, count - done)
+        states[done : done + take] = states[:take] @ m
+        done += take
+        m = m @ m
+    return states
+
+
 def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     """Propagate the spec's initial value problem over the config's time grid.
 
-    The drive phase is taken at every step midpoint, so it is exact.  Steps
-    are processed in chunks of at most CHUNK_BYTES of matrices.  On a grid
+    The drive phase is taken at every step midpoint, so it is exact.  An
+    rwa2 or static spec takes its full-length steps in the rotating frame,
+    from one eigh of U(0) (see _frame_steps).  The other drives process
+    their steps in chunks of at most CHUNK_BYTES of matrices.  On a grid
     of K steps per drive period only one period's unitaries are formed and
     each whole sample interval costs one propagator in the chain; only the
-    full-length steps after the last whole interval and a shortened last
-    step are fresh.  When the full-length steps that need a unitary, the
-    reused period's and the fresh ones, are at least Q (Q = 2S + 1 phases
-    in [0, 2 pi / n), from M and dt g / 2; see _table_order), their
-    unitaries are summed from a Fourier table over the drive phase that one
-    batched eigh of Q matrices builds once per run; otherwise they are
-    diagonalized in one batched eigh call per chunk.  All kinds of chunk
-    share one loop (see the module docstring).  Raises ValueError when the
+    full-length steps after the last whole interval are fresh.  When the
+    full-length steps that need a unitary, the reused period's and the
+    fresh ones, are at least Q (Q = 2S + 1 phases in [0, 2 pi / n), from M
+    and dt g / 2; see _table_order), their unitaries are summed from a
+    Fourier table over the drive phase that one batched eigh of Q matrices
+    builds once per run; otherwise they are diagonalized in one batched
+    eigh call per chunk.  All kinds of chunk share one loop (see the module
+    docstring).  On every path a last step shortened to land on t_end is
+    diagonalized on its own, in the lab frame.  Raises ValueError when the
     drive phase w t is not finite at t_start or t_end (the time is
     reported), when the drift diag(E - Delta_0) or the bound
     2 (max|drift| + g) dt on a step's eigenphases is too large for float64,
@@ -565,48 +714,19 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     populations = np.empty((n_samples, n), dtype=np.float64)
     populations[0] = psi.real**2 + psi.imag**2
 
-    chunk = max(1, CHUNK_BYTES // (16 * n * n))
-    # a last step shortened to land on t_end is neither the period's nor the
-    # phase table's
+    # a last step shortened to land on t_end is neither the frame's, the
+    # period's nor the phase table's; it runs in the lab frame after the
+    # full-length steps
     whole = n_steps if t_start + n_steps * dt == t_end else n_steps - 1
-    # period reuse takes every whole sample interval, up to step done, when
-    # lcm(K, every) steps fit a chunk and the run: sample j starts at residue
-    # j every mod K, which repeats with j mod lcm(K, every) / every
-    period = _period_steps(spec, dt)
-    reuse = period is not None and math.lcm(period, every) <= min(chunk, whole)
-    done = whole - whole % every if reuse else 0
-    # the full-length steps that need a unitary, the reused period's K and the
-    # fresh ones (fewer than every under reuse), are summed from a phase table
-    # when its Q phases fit a chunk and cost no more eigh work than those
-    # steps; this is decided before any eigh, and the table is built once,
-    # only for such runs
-    order = _table_order(spec, dt, min((period if reuse else 0) + whole - done, chunk))
-    table = None if order is None else _phase_table(parts, dt, order)
-    if reuse:
-        mids = t_start + (np.arange(period) + 0.5) * dt
-        props = _sample_propagators(_step_unitaries(spec, parts, mids, dt, table), every)
-
-    # each pass chains a stack u of unitaries, u[i] ending at step ends[i]:
-    # reused sample propagators up to step done, fresh full-length steps up to
-    # step whole, then a last step shortened to land on t_end
-    pos, k = 0, 1
-    while pos < n_steps:
-        if pos < done:
-            j = np.arange(pos // every, min(pos // every + chunk, done // every))
-            u, ends = props[j % len(props)], (j + 1) * every
-        elif pos < whole:
-            ends = np.arange(pos + 1, min(pos + chunk, whole) + 1)
-            u = _step_unitaries(spec, parts, t_start + (ends - 0.5) * dt, dt, table)
-        else:
-            t0 = t_start + whole * dt
-            mid = np.array([t0 + 0.5 * (t_end - t0)])
-            u = _step_unitaries(spec, parts, mid, t_end - t0)
-            ends = np.array([n_steps])
-        chain = _chain(u, psi)
-        psi = chain[-1]
-        sampled = chain[(ends % every == 0) | (ends == n_steps)]
-        populations[k : k + len(sampled)] = sampled.real**2 + sampled.imag**2
-        pos, k = int(ends[-1]), k + len(sampled)
+    steps = _frame_steps if _in_frame(spec) else _lab_steps
+    psi, k = steps(spec, parts, psi, t_start, dt, whole, every, populations)
+    if whole < n_steps:
+        t0 = t_start + whole * dt
+        mid = np.array([t0 + 0.5 * (t_end - t0)])
+        psi = _step_unitaries(spec, parts, mid, t_end - t0)[0] @ psi
+    # the last sample is the final state, unless it closed a sample interval
+    if k < n_samples:
+        populations[k] = psi.real**2 + psi.imag**2
 
     return Trajectory(
         times=times,

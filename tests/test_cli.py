@@ -421,6 +421,20 @@ class TestEvolveFailureExitCodes:
         assert "drive-phase table" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_solver_failure_in_the_rotating_frame_exits_2(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # the Rabi config's rwa2 drive takes every full-length step from one
+        # eigh, of the step unitary at drive phase 0
+        def fail(a, UPLO="L"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        raw = json.loads((CONFIGS / "rabi_two_level.json").read_text())
+        code, out = self._evolve(tmp_path, raw)
+        assert code == 2
+        assert "rotating frame" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("energies, g, dt, t_end, what", [
         ([1.7e308, -1.7e308, 0.0], 1e308, 0.1, 1.0, "step phase bound"),
         ([1.7e308, 1.7e308, 1.0], 0.25, 0.1, 1.0, "drift"),

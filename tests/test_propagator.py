@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -527,6 +528,16 @@ def load_config(name):
     return config_objects(committed(name))
 
 
+def rabi_cosine():
+    """The Rabi config with its drive as cosine2, which runs in the lab frame.
+
+    The rwa2 drive of the config runs in the rotating frame; cosine2 on the
+    same grid of 100 steps per drive period takes period reuse and the
+    phase table.
+    """
+    return config_objects(dict(committed("rabi_two_level.json"), drive_model="cosine2"))
+
+
 def config_objects(raw):
     """The SystemSpec and EvolutionConfig of a parsed `nlevel evolve` config."""
     spec = SystemSpec(
@@ -541,12 +552,15 @@ def config_objects(raw):
 
 
 def stepwise(spec, config):
-    """Sample times and populations from one exp_step per step on evolve's grid."""
+    """Sample times, populations and the final state from one exp_step per step.
+
+    The steps lie on evolve's grid, and the start is a basis index or
+    amplitudes, normalized as evolve does.
+    """
     n_steps = propagator._step_count(config.t_end - config.t_start, config.dt)
     edges = config.t_start + np.arange(n_steps + 1) * config.dt
     edges[-1] = config.t_end
-    psi = np.zeros(spec.n, dtype=complex)
-    psi[config.initial_state] = 1.0
+    psi = propagator._initial_vector(spec.n, config.initial_state)
     states = [psi]
     for t0, t1 in zip(edges[:-1], edges[1:]):
         psi = exp_step(build_full_hamiltonian(spec, t0 + 0.5 * (t1 - t0)), t1 - t0, psi)
@@ -554,7 +568,7 @@ def stepwise(spec, config):
     taken = list(range(0, n_steps + 1, config.sample_every))
     if taken[-1] != n_steps:
         taken.append(n_steps)
-    return edges[taken], np.abs(np.array(states)[taken]) ** 2
+    return edges[taken], np.abs(np.array(states)[taken]) ** 2, psi
 
 
 def spy_on(monkeypatch, name, record):
@@ -606,20 +620,22 @@ def eigh_phases(monkeypatch):
 
 def assert_matches_stepwise(spec, config):
     traj = evolve(spec, config)
-    times, populations = stepwise(spec, config)
+    times, populations, final_state = stepwise(spec, config)
     assert np.array_equal(traj.times, times)
     assert max_abs(traj.populations - populations) <= 1e-10
+    assert max_abs(traj.final_state - final_state) <= 1e-10
     return traj
 
 
 class TestPeriodReuse:
     # reuse builds one drive period of step unitaries, not one per step; on
-    # the Rabi grid they come from the Q = 5 phase table, not from eigh
+    # the Rabi grid with a cosine2 drive they come from the Q = 5 phase
+    # table, not from eigh
 
     @pytest.mark.parametrize("short", [0.0, 0.4])
     def test_rabi_config_matches_stepwise(self, built_steps, table_builds, short):
         # the config's t_end sits one ulp below 2000 dt; short cuts the last step
-        spec, config = load_config("rabi_two_level.json")
+        spec, config = rabi_cosine()
         config = EvolutionConfig(
             t_start=config.t_start, t_end=config.t_end - short * config.dt,
             dt=config.dt, initial_state=config.initial_state,
@@ -634,7 +650,7 @@ class TestPeriodReuse:
 
     def test_reuse_over_several_chunks(self, built_steps, table_builds, monkeypatch):
         # 100-step chunks: 399 reused samples in four passes, then 4 fresh
-        # full steps and the shortened last step
+        # full steps; the shortened last step is one product, not a chain
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 100 * 16 * 2 * 2)
         chained, depth = [], []
         plain = propagator._chain
@@ -650,14 +666,14 @@ class TestPeriodReuse:
             return states
 
         monkeypatch.setattr(propagator, "_chain", spy)
-        spec, config = load_config("rabi_two_level.json")
+        spec, config = rabi_cosine()
         assert_matches_stepwise(spec, config)
         assert built_steps == [100, 4, 1]
         assert table_builds == [5]
-        assert chained == [100, 100, 100, 99, 4, 1]
+        assert chained == [100, 100, 100, 99, 4]
 
     def test_late_start_matches_stepwise(self, built_steps, table_builds):
-        spec, config = load_config("rabi_two_level.json")
+        spec, config = rabi_cosine()
         config = EvolutionConfig(
             t_start=3.1, t_end=3.1 + 7.5 * 100 * config.dt, dt=config.dt,
             initial_state=0, sample_every=40,
@@ -667,38 +683,36 @@ class TestPeriodReuse:
         assert sum(built_steps) < 750 / 2
         assert table_builds == [5]
 
-    def test_static_hamiltonian_matches_stepwise(self, built_steps):
+    def test_static_hamiltonian_matches_stepwise(self, built_steps, reuse_builds,
+                                                 eigh_phases):
+        # a static H repeats every step, but runs in the rotating frame: one
+        # eigh, of U(0), for every full-length step, and no period reuse
         spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1))
         config = EvolutionConfig(
             t_start=0.7, t_end=4.0, dt=0.01, initial_state=1, sample_every=3
         )
-        assert propagator._period_steps(spec, config.dt) == 1
+        assert propagator._in_frame(spec)
         assert_matches_stepwise(spec, config)
-        assert built_steps[0] == 1
+        assert reuse_builds == []
+        assert eigh_phases[0] == 1
+        assert sum(built_steps) <= 1
 
     def test_period_steps(self):
-        rabi, config = load_config("rabi_two_level.json")
+        rabi, config = rabi_cosine()
         dt = config.dt
         assert propagator._period_steps(rabi, dt) == 100
-        backwards = SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=-1.0,
-                               drive_model="rwa2")
+        backwards = dataclasses.replace(rabi, omega=-1.0)
         assert propagator._period_steps(backwards, dt) == 100
         assert propagator._period_steps(rabi, dt * (1.0 + 1e-9)) is None
         assert propagator._period_steps(rabi, dt * (1.0 - 1e-9)) is None
-        slow = SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1e-300,
-                          drive_model="rwa2")
+        slow = dataclasses.replace(rabi, omega=1e-300)
         assert propagator._period_steps(slow, 1e-300) is None
         driven, config = load_config("driven_three_level.json")
         assert propagator._period_steps(driven, config.dt) is None
-        for model, g, omega in (("none", 0.25, 1.0), ("generalized", 0.0, 1.0),
-                                ("generalized", 0.25, 0.0)):
-            static = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1), g=g, omega=omega,
-                                drive_model=model)
-            assert propagator._period_steps(static, 0.37) == 1
 
     def test_step_longer_than_period_runs_stepwise(self, built_steps):
         # two drive periods per step: no K >= 1 steps make up one period
-        spec, _ = load_config("rabi_two_level.json")
+        spec, _ = rabi_cosine()
         dt = 2.0 * (2.0 * math.pi)
         assert propagator._period_steps(spec, dt) is None
         config = EvolutionConfig(t_start=0.0, t_end=10 * dt, dt=dt, initial_state=1)
@@ -708,7 +722,7 @@ class TestPeriodReuse:
     def test_block_over_a_chunk_runs_stepwise(self, built_steps, monkeypatch):
         # lcm(100, 5) = 100 steps of 2x2 unitaries, over a 50-step chunk
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 50 * 16 * 2 * 2)
-        spec, config = load_config("rabi_two_level.json")
+        spec, config = rabi_cosine()
         assert_matches_stepwise(spec, config)
         assert sum(built_steps) == 2000
         assert max(built_steps) == 50
@@ -738,28 +752,38 @@ def evolve_through_cli(tmp_path, raw):
     return rows[:, 0], rows[:, 1:-1]
 
 
+def cosine(raw):
+    return dict(raw, drive_model="cosine2")
+
+
 @pytest.mark.filterwarnings("error")
 class TestConfigsThroughCli:
-    # the committed configs and two copies through `nlevel evolve`, with
+    # the committed configs and copies through `nlevel evolve`, with
     # warnings as errors: the three-level config takes 6,000 phase-table
     # steps, its copy ending at t = 29.9973 5,999 and then one shortened
-    # step; the Rabi copy with omega detuned off the period grid chains its
-    # 2,000 table steps elementwise at n = 2, which the Rabi config itself
-    # reaches only through period reuse, with its period summed from the table
+    # step; the Rabi config's rwa2 drive runs in the rotating frame, on the
+    # period grid and detuned off it.  Its cosine2 copy detuned off the grid
+    # chains its 2,000 table steps elementwise at n = 2, which the cosine2
+    # copy on the grid reaches only through period reuse, with its period
+    # summed from the table
 
-    @pytest.mark.parametrize("name, changes, reuse", [
-        ("driven_three_level.json", lambda raw: raw, False),
-        ("driven_three_level.json", lambda raw: dict(raw, t_end=29.9973), False),
-        ("rabi_two_level.json", lambda raw: dict(raw, omega=raw["omega"] * 1.0137), False),
-        ("rabi_two_level.json", lambda raw: raw, True),
-    ], ids=["driven", "driven_short", "rabi_detuned", "rabi"])
+    @pytest.mark.parametrize("name, changes, tables, reuse", [
+        ("driven_three_level.json", lambda raw: raw, 1, 0),
+        ("driven_three_level.json", lambda raw: dict(raw, t_end=29.9973), 1, 0),
+        ("rabi_two_level.json",
+         lambda raw: cosine(dict(raw, omega=raw["omega"] * 1.0137)), 1, 0),
+        ("rabi_two_level.json", cosine, 1, 1),
+        ("rabi_two_level.json", lambda raw: raw, 0, 0),
+        ("rabi_two_level.json", lambda raw: dict(raw, omega=raw["omega"] * 1.0137), 0, 0),
+    ], ids=["driven", "driven_short", "rabi_detuned", "rabi", "rabi_frame",
+            "rabi_frame_detuned"])
     def test_matches_stepwise(self, tmp_path, table_builds, reuse_builds, name,
-                              changes, reuse):
+                              changes, tables, reuse):
         raw = changes(committed(name))
         times, populations = evolve_through_cli(tmp_path, raw)
-        assert len(table_builds) == 1
+        assert len(table_builds) == tables
         assert len(reuse_builds) == reuse
-        expected_times, expected = stepwise(*config_objects(raw))
+        expected_times, expected, _ = stepwise(*config_objects(raw))
         assert np.array_equal(times, expected_times)
         assert max_abs(populations - expected) <= 1e-10
 
@@ -973,16 +997,18 @@ class TestPhaseTable:
         assert built_steps == [2]
         assert eigh_phases == [1]
 
-    def test_one_phase_for_a_static_spec(self, table_builds):
+    def test_one_phase_for_a_static_spec(self, table_builds, eigh_phases):
+        # the rotating frame, R = I, in place of a table: one eigh of U(0)
         spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1))
         evolve(spec, EvolutionConfig(t_start=0.0, t_end=20.0, dt=0.01))
-        assert table_builds == [1]
+        assert table_builds == []
+        assert eigh_phases == [1]
 
     def test_built_for_the_reused_period(self, table_builds, built_steps, eigh_phases):
         # ending on exactly 2000 dt, every step is reused and none is fresh:
         # the period's K = 100 unitaries are summed from a Q = 5 table, so
         # eigh sees its 5 phases and no step
-        spec, config = load_config("rabi_two_level.json")
+        spec, config = rabi_cosine()
         exact = EvolutionConfig(
             t_start=config.t_start, t_end=config.t_start + 2000 * config.dt,
             dt=config.dt, initial_state=config.initial_state,
@@ -1008,6 +1034,27 @@ class TestPhaseTable:
         assert_matches_stepwise(spec, config)
         assert table_builds == []
         assert built_steps == [8]
+
+    @pytest.mark.parametrize("g, built", [(40.0, [83]), (800.0, [])])
+    def test_memory_stays_bounded_at_large_dt_g(self, table_builds, g, built):
+        # 4,096 steps at n = 2: dt g / 2 = 20 needs Q = 83 phases, whose
+        # powers, 167 rows per step, go through in slices that fit
+        # CHUNK_BYTES; dt g / 2 = 400 would need Q = 1,121, whose DFT's powers
+        # do not fit, so every step is diagonalized instead
+        spec = SystemSpec(n=2, energies=(0.5, -0.5), g=g, omega=1.0137,
+                          drive_model="generalized")
+        config = EvolutionConfig(t_start=0.0, t_end=4096.0, dt=1.0, sample_every=4096)
+        tracemalloc.start()
+        try:
+            traj = evolve(spec, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table_builds == built
+        assert peak <= 8 * propagator.CHUNK_BYTES
+        _, populations, final_state = stepwise(spec, config)
+        assert max_abs(traj.populations - populations) <= 1e-10
+        assert max_abs(traj.final_state - final_state) <= 1e-10
 
     def test_solver_failure_in_the_table_raises_convergence_error(self, monkeypatch):
         def fail(a, UPLO="L"):
@@ -1051,22 +1098,30 @@ class TestClockSymmetry:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
     @pytest.mark.parametrize("model, omega", [("none", 1.0137), ("generalized", 0.0)])
-    def test_static_spec_takes_one_phase(self, model, omega, n):
-        # g > 0 but no drive phase: every step sits at phase factor 1
+    def test_static_spec_takes_one_phase(self, table_builds, eigh_phases, model, omega,
+                                         n):
+        # g > 0 but no drive phase: every step sits at phase factor 1, so the
+        # rotating frame with R = I takes one eigh, of U(0), for them all
         spec = dataclasses.replace(table_spec("generalized", n, 0.1, 0.125),
                                    drive_model=model, omega=omega)
-        assert propagator._table_order(spec, 0.125, 1) == 0
-        tabled, direct = tabled_and_direct(spec, 0.125)
-        assert max_abs(tabled - direct) <= 1e-13
+        config = EvolutionConfig(t_start=0.25, t_end=0.25 + 40 * 0.125, dt=0.125,
+                                 initial_state=n - 1, sample_every=3)
+        assert propagator._in_frame(spec)
+        assert_matches_stepwise(spec, config)
+        assert table_builds == []
+        assert eigh_phases == [1]
 
     # the benchmark's three workloads at their middle parameters: dense32
     # (n = 32, two steps), driven3_dense (n = 3, 1,500 steps, off the period
-    # grid) and rabi2_floquet (n = 2 rwa2, 100 steps per period, 50 periods)
+    # grid) and rabi2_floquet (n = 2, 100 steps per period, 50 periods) with
+    # its drive as cosine2, so that period reuse and the table serve it; the
+    # workload's own rwa2 drive runs in the rotating frame (see
+    # TestRotatingFrame)
     @pytest.mark.parametrize("spec, dt, steps, every, phases", [
         (SystemSpec(n=32, energies=tuple(np.linspace(-1.0, 1.0, 32)), g=0.25,
                     omega=1.0, drive_model="generalized"), 0.05, 2, 2, 1),
         (THREE_LEVEL, 0.005, 1500, 1, 3),
-        (SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1.0, drive_model="rwa2"),
+        (SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1.0, drive_model="cosine2"),
          2.0 * math.pi / 100, 5000, 100, 5),
     ], ids=["dense32", "driven3_dense", "rabi2_floquet"])
     def test_eigh_work_of_the_benchmark_runs(self, monkeypatch, table_builds, spec, dt,
@@ -1083,9 +1138,141 @@ class TestClockSymmetry:
         traj = evolve(spec, config)
         assert table_builds == [phases]
         assert shapes == [(phases, spec.n, spec.n)]
-        times, populations = stepwise(spec, config)
+        times, populations, _ = stepwise(spec, config)
         assert np.array_equal(traj.times, times)
         assert max_abs(traj.populations - populations) <= 1e-10
+
+
+RABI = SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1.0, drive_model="rwa2")
+RABI_DT = 2.0 * math.pi / 100  # 100 steps per drive period
+
+
+def superposed(n):
+    """A start on every level with distinct phases, normalized by evolve."""
+    return tuple(complex(a) for a in (1.0 + np.arange(n)) * np.exp(1j * np.arange(n)))
+
+
+class TestRotatingFrame:
+    # rwa2 and static specs: H(theta) = R(theta) H(0) R(theta)^dagger with R
+    # diagonal, so every full-length step comes from one eigh, of U(0), and
+    # powers of W = R(-w dt / 2) U(0) R(-w dt / 2).  A superposed start shows
+    # a wrong frame phase in the populations, which a basis start would not
+
+    @pytest.mark.parametrize("model, n, expected", [
+        ("rwa2", 2, True), ("none", 3, True), ("none", 8, True),
+        ("generalized", 3, False), ("cosine2", 2, False),
+    ])
+    def test_frame_follows_the_drive_model(self, model, n, expected):
+        spec = SystemSpec(n=n, energies=tuple(np.sin(np.arange(n) * 1.3)), g=0.3,
+                          omega=1.0137, drive_model=model)
+        assert propagator._in_frame(spec) == expected
+        for static in (dataclasses.replace(spec, g=0.0),
+                       dataclasses.replace(spec, omega=0.0)):
+            assert propagator._in_frame(static)
+
+    @pytest.mark.parametrize("every", [1, 7, 100, 4099])
+    @pytest.mark.parametrize("spec, dt", [
+        (RABI, RABI_DT),
+        (RABI, RABI_DT * 1.0137),
+        (dataclasses.replace(RABI, energies=(-0.5, 0.5), omega=-1.0), RABI_DT),
+        (SystemSpec(n=3, energies=(-1.0, 0.3, 1.1), g=0.25, omega=0.0,
+                    drive_model="generalized"), 0.01),
+        (SystemSpec(n=8, energies=tuple(np.sin(np.arange(8) * 1.3)), g=0.3,
+                    omega=0.0, drive_model="generalized"), 0.01),
+    ], ids=["rwa2", "rwa2_off_grid", "rwa2_backwards", "static3", "static8"])
+    def test_matches_stepwise(self, table_builds, reuse_builds, eigh_phases, spec, dt,
+                              every):
+        # a late start, superposed, and a last step shortened to 0.6 dt
+        config = EvolutionConfig(t_start=3.1, t_end=3.1 + 4150.6 * dt, dt=dt,
+                                 initial_state=superposed(spec.n), sample_every=every)
+        assert_matches_stepwise(spec, config)
+        assert table_builds == reuse_builds == []
+        # U(0), then the shortened last step
+        assert eigh_phases == [1, 1]
+
+    @pytest.mark.parametrize("steps, eighs", [(2000, [1]), (1, [1]), (0.6, [1]),
+                                              (1.6, [1, 1])],
+                             ids=["on_grid", "one_step", "one_short_step",
+                                  "full_and_short"])
+    def test_short_runs_and_runs_on_the_grid(self, eigh_phases, steps, eighs):
+        # a run that ends on a step edge has no shortened last step; a run of
+        # one shortened step forms no frame
+        config = EvolutionConfig(t_start=-0.3, t_end=-0.3 + steps * RABI_DT, dt=RABI_DT,
+                                 initial_state=(0.6, 0.8j), sample_every=5)
+        assert_matches_stepwise(RABI, config)
+        assert eigh_phases == eighs
+
+    def test_benchmark_run_takes_one_eigh(self, monkeypatch, table_builds, built_steps):
+        # rabi2_floquet at its middle parameters: 5,000 steps, 50 samples
+        shapes = []
+        plain = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return plain(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        config = EvolutionConfig(t_start=0.0, t_end=5000 * RABI_DT, dt=RABI_DT,
+                                 initial_state=1, sample_every=100)
+        traj = evolve(RABI, config)
+        assert shapes == [(1, 2, 2)]
+        assert table_builds == built_steps == []
+        times, populations, final_state = stepwise(RABI, config)
+        assert np.array_equal(traj.times, times)
+        assert max_abs(traj.populations - populations) <= 1e-10
+        assert max_abs(traj.final_state - final_state) <= 1e-10
+
+    def test_long_static_run_takes_one_eigh(self, eigh_phases):
+        # 100,000 steps sampled every 2,000, against the exact propagator
+        # V e^{-i w t} V^dagger at every sample instant
+        spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1), g=0.25, omega=0.0,
+                          drive_model="generalized")
+        config = EvolutionConfig(t_start=0.0, t_end=100000 * 0.01, dt=0.01,
+                                 initial_state=superposed(3), sample_every=2000)
+        traj = evolve(spec, config)
+        assert eigh_phases == [1]
+        w, v = np.linalg.eigh(build_full_hamiltonian(spec, 0.0))
+        psi = propagator._initial_vector(3, config.initial_state)
+        exact = (v * np.exp(-1j * np.outer(traj.times, w))[:, None, :]) @ (v.conj().T @ psi)
+        assert max_abs(traj.populations - np.abs(exact) ** 2) <= 1e-10
+        assert max_abs(traj.final_state - exact[-1]) <= 1e-10
+
+    def test_frame_phases_stay_finite(self):
+        # w t is finite at both ends of [-0.85e308, 0.85e308], but w dt is
+        # not; the frame forms w t_start, w dt / 2 and w t at the last edge
+        spec = SystemSpec(n=2, energies=(0.05, -0.05), g=0.01, omega=2.0,
+                          drive_model="rwa2")
+        config = EvolutionConfig(t_start=-0.85e308, t_end=0.85e308, dt=1.7e308,
+                                 initial_state=(0.6, 0.8j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = assert_matches_stepwise(spec, config)
+        assert np.all(np.isfinite(traj.populations))
+
+    @pytest.mark.parametrize("every", [1, 5])
+    def test_chunks_hold_the_sampled_states(self, monkeypatch, every):
+        # 7-state chunks: the frame states of 400 or 2,000 samples in many
+        # passes, against one pass
+        spec, config = load_config("rabi_two_level.json")
+        config = dataclasses.replace(config, initial_state=(0.6, 0.8j),
+                                     sample_every=every)
+        whole = evolve(spec, config)
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", 7 * 16 * 2)
+        chunked = assert_matches_stepwise(spec, config)
+        # the two runs form their powers in another order: rounding of about
+        # eps per sample apart
+        bound = EPS * len(whole.times)
+        assert max_abs(chunked.populations - whole.populations) <= bound
+        assert max_abs(chunked.final_state - whole.final_state) <= bound
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 100])
+    def test_power_states_match_repeated_products(self, count):
+        rng = np.random.default_rng(count)
+        m = random_unitaries(rng, 1, 3)[0]
+        psi = np.exp(1j * rng.normal(size=3)) / math.sqrt(3)
+        states = propagator._power_states(m, psi, count)
+        assert states.shape == (count, 3)
+        assert max_abs(states - plain_chain(np.broadcast_to(m, (count, 3, 3)), psi)) <= 1e-13
 
 
 class TestNormDrift:
@@ -1113,5 +1300,32 @@ class TestNormDrift:
             sample_every=4,
         )
         traj = evolve(driven, config)
+        eps = np.finfo(np.float64).eps
+        assert float(np.max(traj.norm_errors)) <= 16 * eps * self.STEPS
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("h_dt", [1e-3, 1e-1, 10.0])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("model, n", [("rwa2", 2), ("none", 3), ("generalized", 8)])
+    def test_drift_in_the_rotating_frame(self, eigh_phases, model, n, scale, h_dt,
+                                         periodic):
+        # rwa2 and static specs, the static n = 8 one coupled (g > 0, w = 0),
+        # at the bound of the lab frame's runs
+        def spec(omega):
+            return SystemSpec(
+                n=n, energies=tuple(scale * np.sin(np.arange(n) * 1.3)), g=0.25 * scale,
+                omega=0.0 if model == "generalized" else omega, drive_model=model,
+            )
+
+        norm = np.linalg.norm(build_full_hamiltonian(spec(scale), 0.0), 2)
+        dt = h_dt / norm
+        steps_per_period = 16 if periodic else 16.37
+        driven = spec(2.0 * math.pi / (steps_per_period * dt))
+        config = EvolutionConfig(
+            t_start=0.0, t_end=self.STEPS * dt, dt=dt, initial_state=0,
+            sample_every=4,
+        )
+        traj = evolve(driven, config)
+        assert eigh_phases == [1]
         eps = np.finfo(np.float64).eps
         assert float(np.max(traj.norm_errors)) <= 16 * eps * self.STEPS
