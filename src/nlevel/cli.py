@@ -97,12 +97,6 @@ def identity_residuals(n: int):
     ]
 
 
-def _matrix_to_json(m):
-    return [
-        [{"re": float(z.real), "im": float(z.imag)} for z in row] for row in np.asarray(m)
-    ]
-
-
 @contextmanager
 def _atomic_open(path):
     """Text file whose content replaces ``path`` only once the block completes.
@@ -133,14 +127,35 @@ def _atomic_open(path):
         raise
 
 
-def _write_json(payload, out_path):
-    # a non-finite value has no JSON form: raise ValueError, write nothing
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _matrices_json(n):
+    """json.dumps of {"n": n, name: matrix, ...}, indent=2, and a newline, in pieces.
+
+    The matrices are the shift, clock and fourier matrices of n levels.  A
+    matrix is written as its rows of {"re": ..., "im": ...} objects, one
+    row at a time, so that neither the objects nor the text of a whole
+    matrix are ever held.  A non-finite entry has no JSON form: ValueError
+    is raised before the first piece.
+    """
+    matrices = dict(shift=build_shift(n), clock=build_clock(n), fourier=build_fourier(n))
+    if not all(np.isfinite(m).all() for m in matrices.values()):
+        raise ValueError("Out of range float values are not JSON compliant")
+    yield f'{{\n  "n": {n}'
+    for name, m in matrices.items():
+        for j, row in enumerate(m):
+            entries = [{"re": float(z.real), "im": float(z.imag)} for z in row]
+            text = json.dumps(entries, indent=2).replace("\n", "\n    ")
+            yield (",\n    " if j else f',\n  "{name}": [\n    ') + text
+        yield "\n  ]"
+    yield "\n}\n"
+
+
+def _write_json(pieces, out_path):
+    """Write the pieces of a JSON text to ``out_path``, or to stdout when it is None."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with _atomic_open(out_path) as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _csv_blocks(data):
@@ -220,13 +235,7 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_matrices(args) -> int:
-    payload = {
-        "n": args.n,
-        "shift": _matrix_to_json(build_shift(args.n)),
-        "clock": _matrix_to_json(build_clock(args.n)),
-        "fourier": _matrix_to_json(build_fourier(args.n)),
-    }
-    _write_json(payload, args.out)
+    _write_json(_matrices_json(args.n), args.out)
     return 0
 
 
@@ -252,7 +261,9 @@ def _cmd_decompose(args) -> int:
         "hermitian_residual": float(pairing),
         "reconstruction_residual": float(reconstruction),
     }
-    _write_json(payload, args.out if args.out is not None else raw.get("output_path"))
+    # a non-finite value has no JSON form: raise ValueError, write nothing
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    _write_json([text], args.out if args.out is not None else raw.get("output_path"))
     return 0
 
 

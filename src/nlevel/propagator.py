@@ -5,7 +5,8 @@ exponential evaluated through a full hermitian eigendecomposition (LAPACK,
 through numpy.linalg.eigh, in one kernel, _unitaries), or, for full-length
 steps, taken in a rotating frame from one such decomposition (rwa2 and
 static specs) or summed from a phase table built from such decompositions
-(long runs of the other drives).  Step k is exactly dt long and centred at
+(long runs of the other drives), whose products over a sample interval a
+jump table gives.  Step k is exactly dt long and centred at
 t_start + (k + 1/2) dt on every path, so the frame, the table and eigh see
 the same phase and length for it; when the grid does not end on t_end, a
 last step from t_start + K dt to t_end, K the number of full steps, follows
@@ -43,7 +44,7 @@ sample instants, M^j R(a_0)^dagger psi, one CHUNK_BYTES chunk at a time,
 each chunk in about log2 of its length products (see _power_states).  R is
 diagonal, so the frame states' populations are the lab frame's; only the
 final state is rotated back.  The fewer than sample_every full-length steps
-after the last sample instant are W^r.  No phase table, period or step
+after the last sample instant are W^r.  No phase table, jump table or step
 unitary is formed.
 
 Phase table.  H = drift + e^{i theta} A + h.c. depends on t only through the
@@ -63,30 +64,31 @@ _phase_table); every full-length step then costs one column of n products
 (n, Q) @ (Q, N), one per diagonal, of the table with the powers
 e^{i (m* + n s) theta}, and a gather back to matrix order.  At
 n >= 2M + 1, S = 0: one eigh, of U(0), serves every full-length step of the
-run.  The steps that need a unitary are the K of a period that reuse
-repeats (below) and the fresh full-length steps; a last step shortened to
-land on t_end is not one of them.  The table serves them all when there are
-at least Q of them and the table fits: Q matrices fit in a chunk, and so do
-the powers of the Q phase factors that its DFT takes, about n Q^2 entries.
-Other runs, such as a one-step run, a period of K < Q steps all reused or
-dt g / 2 beyond about 20 at n = 2, diagonalize every step.  The powers take
-about n Q rows per step, so a chunk's steps go through in slices whose
-powers fit CHUNK_BYTES.
+run.  The table serves the fresh full-length steps, those no jump covers (a
+last step shortened to land on t_end is not one of them), when there are at
+least Q of them and the table fits: Q matrices fit in a chunk, and so do the
+powers of the Q phase factors that its DFT takes, about n Q^2 entries.
+Other runs, such as a one-step run or dt g / 2 beyond about 20 at n = 2,
+diagonalize every step.  The powers take about n Q rows per step, so a
+chunk's steps go through in slices whose powers fit CHUNK_BYTES.
 
-Period reuse.  The drive e^{i w t} A + h.c. repeats after T = 2 pi / |w|, so
-when K steps of dt make up T the midpoint Hamiltonians repeat every K steps
-(Floquet periodicity).  evolve then forms only those K unitaries, from the
-phase table or one batched eigh, and _sample_propagators multiplies them
-into the G = lcm(K, sample_every) / sample_every propagators from one sample
-to the next: sample interval j starts at step j sample_every, whose residue
-mod K depends on j mod G alone.  The samples are chained through those
-propagators with the same blocked product.  This applies to the generalized
-and cosine2 drives when K |w| dt equals 2 pi within 4 ulps and
-lcm(K, sample_every) steps fit both in one CHUNK_BYTES chunk and in the
-run's full-length steps, and then covers every whole sample interval.  The
-fewer than sample_every full-length steps after the last of them follow as
-fresh steps, in the same loop: each pass chains one stack, reused or fresh,
-and records the states that end on a multiple of sample_every.
+Jump tables.  The product of L = sample_every steps,
+V_L(theta) = U(theta + (L - 1) delta) ... U(theta), delta = w dt and theta
+the drive phase at the first step's midpoint, is a 2 pi-periodic function
+of theta on any grid, with U's clock symmetry and Fourier orders that fall
+off like (L dt g/2)^|m| / |m|! (Shirley, 1965).  So it is kept as a table
+of the step's kind, which _jump_table composes from the phase table by
+binary powers, V_{a+b}(theta) = V_b(theta + a delta) V_a(theta), each
+composition a sum, a product and a DFT over the Q phases of its table.
+Every whole sample interval then costs one table sum at its start phase
+and one link in the chain, as a step does.  evolve composes when the jump
+table fits as the phase table must and when its compositions, each forming
+about 3 Q matrices, form fewer than the steps the jumps replace; so a
+one-step run, sample_every = 1 and a run of two steps at n = 32 take fresh
+steps only.  The fewer than sample_every full-length steps after the last
+whole interval are fresh steps, in the same loop: each pass chains one
+stack, of jumps or of steps, and records the states that end on a multiple
+of sample_every.
 """
 
 import functools
@@ -125,9 +127,9 @@ MAX_STEPS = 10**8
 HERMITIAN_RTOL = 1e-10
 # byte size of one chunk's Hamiltonian stack; evolve holds a few arrays of this
 # size at once (stack, eigenvectors, step unitaries, block products, phase
-# table), whatever the run length.  Measured on the phase-table path at n = 3
-# and n = 8 (20,000 and 4,000 steps of dt = 0.005, off the period grid, every
-# step sampled) on one pinned CPU of a 2-vCPU x86 VM (OpenBLAS): evolve took
+# and jump tables), whatever the run length.  Measured on the phase-table path
+# at n = 3 and n = 8 (20,000 and 4,000 steps of dt = 0.005, off the period
+# grid, every step sampled) on one pinned CPU of a 2-vCPU x86 VM (OpenBLAS): evolve took
 # 0.82, 0.62, 0.50, 0.53 and 0.53 us/step at n = 3 and 3.21, 2.24, 1.99, 2.02
 # and 2.49 us/step at n = 8 for 64 KiB, 128 KiB, 256 KiB, 512 KiB and 1 MiB
 # chunks (median of 3 runs of 9 calls each); a repeat put 512 KiB ahead at
@@ -150,10 +152,6 @@ _SCAN_MAX_N = 4
 _SCAN_BLOCK = 8
 # cap on the sampled times, populations and norm errors a run may hold
 MAX_SAMPLE_BYTES = 2**30
-# K |w| dt may miss 2 pi by this much, relative, for the grid to count as one
-# drive period of K steps; about the rounding of the phase w t that every step
-# takes at its midpoint (see _phase_factors)
-_PERIOD_RTOL = 4 * np.finfo(np.float64).eps
 # truncation error allowed in the phase table's Fourier sum (see _table_order)
 _EPS = np.finfo(np.float64).eps
 
@@ -316,21 +314,39 @@ def _step_unitaries(
     Every step is dt long, and ``parts`` are the run's drift and drive
     coefficient.  With ``table``, the phase table built for steps of that
     length (see _phase_table), the unitaries are summed from its
-    coefficients, one product per cyclic diagonal; without it they come from
-    one batched eigh.
+    coefficients (see _table_sum); without it they come from one batched
+    eigh.  With a jump table (see _jump_table) in its place, they are the
+    propagators over the table's steps whose first step is centred at each
+    midpoint.
     """
     z = _phase_factors(spec, mids)
     if table is None:
         span = f"[{float(mids[0])!r}, {float(mids[-1])!r}]"
         return _unitaries(parts, z, dt, f"at some t in {span}")
-    n, width = spec.n, table.shape[-1] // 2
     # the steps go through in slices whose powers of z fit CHUNK_BYTES
-    size = max(1, CHUNK_BYTES // (16 * _power_rows(n, width)))
-    u = [table @ _diagonal_powers(z[i : i + size], n, width) for i in range(0, len(z), size)]
-    u = u[0] if len(u) == 1 else np.concatenate(u, axis=-1)
-    # back from diagonals to entries; the stack is a view, step index last
-    to_entries, _ = _diagonal_order(n)
-    return np.take(u.reshape(n * n, -1), to_entries, axis=0).T.reshape(len(mids), n, n)
+    rows = _power_rows(spec.n, table.shape[-1] // 2)
+    size = max(1, CHUNK_BYTES // (16 * rows))
+    u = [_table_sum(table, _phase_powers(z[i : i + size], rows // 2))
+         for i in range(0, len(z), size)]
+    return u[0] if len(u) == 1 else np.concatenate(u)
+
+
+def _table_sum(table: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The matrices of a table at N phase factors z, as an (N, n, n) stack.
+
+    ``powers`` holds z^m as rows (see _phase_powers), up to an order of at
+    least n S + n/2.  Entry (a, b) on diagonal r is
+    sum_s T_s[a, b] z^(m* + n s) (see _phase_table), one product
+    (n, Q) @ (Q, N) per diagonal, gathered back to matrix order.  The stack
+    is a view, step index last.
+    """
+    n, width = table.shape[0], table.shape[-1] // 2
+    u = table @ _diagonal_powers(powers, n, width)
+    # powers passed in as a temporary are freed before the gather allocates
+    # as much again: in a fresh process, holding them took about 50 more
+    # minor page faults per 1,500 steps at n = 3
+    del powers
+    return np.take(u.reshape(n * n, -1), _diagonal_order(n)[0], axis=0).T.reshape(-1, n, n)
 
 
 def _table_width(n: int, order: int) -> int:
@@ -365,19 +381,17 @@ def _table_order(spec: SystemSpec, dt: float, limit: int):
     and those the Q-point transform folds onto the kept ones, |m| > M, stay
     at about eps.
     """
-    n = spec.n
-    x = 0.5 * spec.g * dt
-
-    def fits(order):
-        width = _table_width(n, order)
-        phases = 2 * width + 1
-        return phases <= limit and 16 * phases * _power_rows(n, width) <= CHUNK_BYTES
-
-    order, term = 0, 2.0 * x  # term = 2 x^(order+1) / (order+1)!
-    while term > _EPS and fits(order):
+    n, x = spec.n, 0.5 * spec.g * dt
+    # term = 2 x^(order+1) / (order+1)!; from order n on, the Q > 2 order / n
+    # - 1 phases and at least 2 order rows of the powers take more than
+    # 32 order^2 / n entries, so no order beyond fits, which bounds the loop
+    order, term = 0, 2.0 * x
+    while term > _EPS and (order < n or 32 * order**2 <= CHUNK_BYTES * n):
         order += 1
         term *= x / (order + 1)
-    return order if fits(order) else None
+    phases = 2 * _table_width(n, order) + 1
+    fits = phases <= limit and 16 * phases * _power_rows(n, phases // 2) <= CHUNK_BYTES
+    return order if fits else None
 
 
 def _phase_table(parts: tuple, dt: float, order: int) -> np.ndarray:
@@ -400,27 +414,41 @@ def _phase_table(parts: tuple, dt: float, order: int) -> np.ndarray:
     n >= 2M + 1, S = 0 and the table is U(0) itself.
     """
     n = len(parts[0])
-    width = _table_width(n, order)
-    q = 2 * width + 1
+    q = 2 * _table_width(n, order) + 1
     z = root_power(n * q, np.arange(q))
-    u = _unitaries(parts, z, dt, f"on the drive-phase table for dt = {dt!r}").reshape(q, -1)
+    u = _unitaries(parts, z, dt, f"on the drive-phase table for dt = {dt!r}")
+    # at Q = 1 the one phase is theta = 0, where the pattern is 1 and the DFT
+    # the identity
+    powers = _phase_powers(z.conj(), _power_rows(n, q // 2) // 2) if q > 1 else None
+    return _transform(u, powers)
+
+
+def _transform(u: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Table (n, n, Q) of Q samples u, as (Q, n, n), at the phases theta_j = 2 pi j / (n Q).
+
+    The Q-point DFT of the samples with their phase pattern removed, kept by
+    cyclic diagonal: T_s = (1/Q) sum_j u_j e^{-i (m* + n s) theta_j} for
+    s = -S..S, Q = 2 S + 1 (see _phase_table).  ``powers`` holds
+    e^{-i m theta_j} as rows (see _table_sum); None takes the samples as the
+    table, which they are at Q = 1.
+    """
+    q, n = u.shape[0], u.shape[-1]
     _, to_diagonals = _diagonal_order(n)
-    u = np.take(u, to_diagonals, axis=1).reshape(q, n, n).transpose(1, 2, 0)
-    if not width:
-        # the one phase is theta = 0, where the pattern is 1 and the DFT the identity
+    u = np.take(u.reshape(q, -1), to_diagonals, axis=1).reshape(q, n, n).transpose(1, 2, 0)
+    if powers is None:
         return u
-    return u @ _diagonal_powers(z.conj(), n, width).transpose(0, 2, 1) / q
+    return u @ _diagonal_powers(powers, n, q // 2).transpose(0, 2, 1) / q
 
 
-def _diagonal_powers(z: np.ndarray, n: int, width: int) -> np.ndarray:
-    """z^(m* + n s), m* = r - n/2, for every diagonal r and s = -S..S, as (n, Q, len(z)).
+def _diagonal_powers(powers: np.ndarray, n: int, width: int) -> np.ndarray:
+    """z^(m* + n s), m* = r - n/2, for every diagonal r and s = -S..S, as (n, Q, N).
 
-    Row r + n (s + S) of z^m for |m| <= n S + n/2 (see _phase_powers), viewed
-    without a copy.
+    Row r + n (s + S) - n S - n/2 of the rows z^m of _phase_powers, whose
+    order is at least n S + n/2, viewed without a copy.
     """
     q = 2 * width + 1
-    powers = _phase_powers(z, n * width + n // 2)
-    return powers[: n * q].reshape(q, n, len(z)).transpose(1, 0, 2)
+    start = len(powers) // 2 - (n * width + n // 2)
+    return powers[start : start + n * q].reshape(q, n, -1).transpose(1, 0, 2)
 
 
 @functools.lru_cache(maxsize=1)
@@ -507,80 +535,82 @@ def _chain(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return states.reshape(blocks * size, n)[:count]
 
 
-def _period_steps(spec: SystemSpec, dt: float):
-    """Steps per drive period K when dt divides the period, else None.
+def _jump_table(spec: SystemSpec, table: np.ndarray, dt: float, every: int) -> np.ndarray:
+    """Table of V_every, the propagator over every steps, by binary composition.
 
-    The step-midpoint Hamiltonians then repeat every K steps.  The spec is
-    driven (w != 0); a static one runs in the rotating frame.
+    V_L(theta) is the product of L steps, the first at drive phase theta and
+    each next one delta = w dt later, so V_{a+b}(theta) =
+    V_b(theta + a delta) V_a(theta).  V_L has the symmetry of a step,
+    V(theta + 2 pi / n) = Z V(theta) Z^dagger, and its Fourier orders fall
+    off like x^|m| / |m|!, x = L dt g / 2, so it is kept as a table of the
+    step's kind, with the order _table_order gives for steps of L dt.
+    Starting from the step's phase table, it reads the binary digits of
+    every after the leading one: each doubles V_L, and each digit 1 adds one
+    step, so every.bit_length() + every.bit_count() - 2 compositions.  Each
+    sums both factors at the Q phases theta_j = 2 pi j / (n Q) of V_{a+b}'s
+    table, the second with its coefficients of order m times
+    e^{i m a delta}, multiplies them and transforms the products (see
+    _transform).  The shift e^{i a delta} is formed as (e^{i a w dt / 2})^2:
+    a dt is at most the run's span and w t is finite at both of its ends,
+    so w a dt / 2 is finite where w a dt may not be.
     """
-    turn = abs(spec.omega) * dt
-    if turn * MAX_STEPS < 2.0 * math.pi:
-        return None  # a period longer than any run
-    k = round(2.0 * math.pi / turn)
-    if k >= 1 and abs(k * turn - 2.0 * math.pi) <= _PERIOD_RTOL * 2.0 * math.pi:
-        return k
-    return None
+    n = spec.n
 
+    def compose(first, a, second, b):
+        q = 2 * _table_width(n, _table_order(spec, (a + b) * dt, math.inf)) + 1
+        top = _power_rows(n, q // 2) // 2
+        m = np.arange(-top, top + 1)[:, None]
+        # z_j^m at the Q phases, which are roots of unity of order n Q
+        powers = root_power(n * q, np.arange(n * q))[m * np.arange(q) % (n * q)]
+        shift = _phase_factors(spec, 0.5 * (a * dt)) ** 2
+        return _transform(_table_sum(second, powers * shift**m) @ _table_sum(first, powers),
+                          powers.conj())
 
-def _sample_propagators(u: np.ndarray, every: int) -> np.ndarray:
-    """Products of every consecutive step unitaries of a period over lcm(K, every) steps.
-
-    ``u`` holds the K step unitaries of one period of a grid whose steps
-    repeat them.  Entry j of the result maps the state at step j * every to
-    the state at step (j + 1) * every, for j below lcm(K, every) / every.
-    """
-    period, n = len(u), u.shape[-1]
-    block = math.lcm(period, every)
-    u = u[np.arange(block) % period].reshape(block // every, every, n, n)
-    # halve the number of factors per propagator until one is left; the
-    # later step multiplies from the left, an odd last factor waits a round
-    while u.shape[1] > 1:
-        pairs = u.shape[1] // 2
-        paired = u[:, 1 : 2 * pairs : 2] @ u[:, 0 : 2 * pairs : 2]
-        u = np.concatenate((paired, u[:, 2 * pairs :]), axis=1)
-    return u[:, 0]
+    jump, length = table, 1
+    for digit in bin(every)[3:]:
+        jump, length = compose(jump, length, jump, length), 2 * length
+        if digit == "1":
+            jump, length = compose(jump, length, table, 1), length + 1
+    return jump
 
 
 def _lab_steps(spec, parts, psi, t_start, dt, whole, every, populations):
-    """Full-length steps 1..whole from eigh, the phase table and period reuse.
+    """Full-length steps 1..whole from eigh, the phase table and a jump table.
 
     Records the states that end a sample interval in ``populations`` from
     row 1 on and returns the state after step ``whole`` and the next row.
     """
-    n = spec.n
-    chunk = max(1, CHUNK_BYTES // (16 * n * n))
-    # period reuse takes every whole sample interval, up to step done, when
-    # lcm(K, every) steps fit a chunk and the run: sample j starts at residue
-    # j every mod K, which repeats with j mod lcm(K, every) / every
-    period = _period_steps(spec, dt)
-    reuse = period is not None and math.lcm(period, every) <= min(chunk, whole)
-    done = whole - whole % every if reuse else 0
-    # the full-length steps that need a unitary, the reused period's K and the
-    # fresh ones (fewer than every under reuse), are summed from a phase table
-    # when it fits a chunk (see _table_order) and its Q phases cost no more
-    # eigh work than those steps; this is decided before any eigh, and the
-    # table is built once, only for such runs
-    order = _table_order(spec, dt, min((period if reuse else 0) + whole - done, chunk))
+    chunk = max(1, CHUNK_BYTES // (16 * spec.n**2))
+    count = whole // every
+    # each whole sample interval takes one jump when the jump table fits (see
+    # _table_order) and composing it forms fewer matrices than the jumps
+    # save: each composition forms Q samples of both factors and their Q
+    # products (see _jump_table), so 3 Q compositions + count must stay below
+    # count every, which bounds Q
+    compositions = every.bit_length() + every.bit_count() - 2
+    pays = (count * (every - 1) - 1) // (3 * compositions) if compositions else 0
+    done = count * every if _table_order(spec, every * dt, min(chunk, pays)) is not None else 0
+    # the fresh full-length steps are summed from the phase table when it fits
+    # a chunk and they are at least Q (see _table_order), and so is the jump
+    # table's first factor; this is decided before any eigh, and the tables
+    # are built once, only for such runs
+    order = _table_order(spec, dt, chunk if done else min(whole, chunk))
     table = None if order is None else _phase_table(parts, dt, order)
-    if reuse:
-        mids = t_start + (np.arange(period) + 0.5) * dt
-        props = _sample_propagators(_step_unitaries(spec, parts, mids, dt, table), every)
+    jump = _jump_table(spec, table, dt, every) if done else None
 
-    # each pass chains a stack u of unitaries, u[i] ending at step ends[i]:
-    # reused sample propagators up to step done, then fresh full-length steps
-    pos, k = 0, 1
-    while pos < whole:
-        if pos < done:
-            j = np.arange(pos // every, min(pos // every + chunk, done // every))
-            u, ends = props[j % len(props)], (j + 1) * every
-        else:
-            ends = np.arange(pos + 1, min(pos + chunk, whole) + 1)
-            u = _step_unitaries(spec, parts, t_start + (ends - 0.5) * dt, dt, table)
-        chain = _chain(u, psi)
-        psi = chain[-1]
-        sampled = chain[ends % every == 0]
-        populations[k : k + len(sampled)] = sampled.real**2 + sampled.imag**2
-        pos, k = int(ends[-1]), k + len(sampled)
+    # each pass chains a stack of unitaries over unit steps each, from step
+    # start on: jumps up to step done, then fresh full-length steps; the
+    # states that end on a multiple of every are sampled
+    k = 1
+    for begin, stop, unit, tab in ((0, done, every, jump), (done, whole, 1, table)):
+        for start in range(begin, stop, chunk * unit):
+            starts = np.arange(start, min(start + chunk * unit, stop), unit)
+            u = _step_unitaries(spec, parts, t_start + (starts + 0.5) * dt, dt, tab)
+            chain = _chain(u, psi)
+            psi = chain[-1]
+            sampled = chain[-(start + unit) % every // unit :: every // unit]
+            populations[k : k + len(sampled)] = sampled.real**2 + sampled.imag**2
+            k += len(sampled)
     return psi, k
 
 
@@ -657,17 +687,18 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     The drive phase is taken at every step midpoint, so it is exact.  An
     rwa2 or static spec takes its full-length steps in the rotating frame,
     from one eigh of U(0) (see _frame_steps).  The other drives process
-    their steps in chunks of at most CHUNK_BYTES of matrices.  On a grid
-    of K steps per drive period only one period's unitaries are formed and
-    each whole sample interval costs one propagator in the chain; only the
+    their steps in chunks of at most CHUNK_BYTES of matrices.  When a jump
+    table over sample_every steps fits and composing it forms fewer
+    matrices than the steps it replaces, each whole sample interval costs
+    one propagator, summed from that table, in the chain; only the
     full-length steps after the last whole interval are fresh.  When the
-    full-length steps that need a unitary, the reused period's and the
-    fresh ones, are at least Q (Q = 2S + 1 phases in [0, 2 pi / n), from M
-    and dt g / 2; see _table_order), their unitaries are summed from a
-    Fourier table over the drive phase that one batched eigh of Q matrices
-    builds once per run; otherwise they are diagonalized in one batched
-    eigh call per chunk.  All kinds of chunk share one loop (see the module
-    docstring).  On every path a last step shortened to land on t_end is
+    fresh full-length steps are at least Q (Q = 2S + 1 phases in
+    [0, 2 pi / n), from M and dt g / 2; see _table_order), or a jump table
+    is composed, their unitaries are summed from a Fourier table over the
+    drive phase that one batched eigh of Q matrices builds once per run;
+    otherwise they are diagonalized in one batched eigh call per chunk.
+    Jumps and fresh steps share one loop (see the module docstring).  On
+    every path a last step shortened to land on t_end is
     diagonalized on its own, in the lab frame.  Raises ValueError when the
     drive phase w t is not finite at t_start or t_end (the time is
     reported), when the drift diag(E - Delta_0) or the bound
@@ -714,8 +745,8 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     populations = np.empty((n_samples, n), dtype=np.float64)
     populations[0] = psi.real**2 + psi.imag**2
 
-    # a last step shortened to land on t_end is neither the frame's, the
-    # period's nor the phase table's; it runs in the lab frame after the
+    # a last step shortened to land on t_end is neither the frame's, a jump
+    # table's nor the phase table's; it runs in the lab frame after the
     # full-length steps
     whole = n_steps if t_start + n_steps * dt == t_end else n_steps - 1
     steps = _frame_steps if _in_frame(spec) else _lab_steps
@@ -731,6 +762,6 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     return Trajectory(
         times=times,
         populations=populations,
-        norm_errors=np.abs(np.sqrt(populations.sum(axis=1)) - 1.0),
+        norm_errors=np.abs(np.sqrt(populations @ np.ones(n)) - 1.0),
         final_state=psi.copy(),
     )

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,41 @@ class TestMatricesCommand:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert parse_matrix(payload["shift"]).shape == (2, 2)
+
+    def test_text_is_json_dumps_with_indent_2(self, tmp_path):
+        # written a matrix row at a time, byte for byte what json.dumps
+        # writes for the whole payload
+        def entries(m):
+            return [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in m]
+
+        out = tmp_path / "mats.json"
+        for n in range(2, 65):
+            assert cli.main(["matrices", "--n", str(n), "--out", str(out)]) == 0
+            payload = {"n": n, "shift": entries(build_shift(n)),
+                       "clock": entries(build_clock(n)),
+                       "fourier": entries(build_fourier(n))}
+            assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_memory_stays_within_a_few_matrices(self, tmp_path):
+        # at n = 128 one matrix takes 256 KiB; holding the JSON objects of
+        # all three took about 150 matrices' worth
+        out = tmp_path / "mats.json"
+        tracemalloc.start()
+        try:
+            assert cli.main(["matrices", "--n", "128", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * 128 * 128
+
+    def test_non_finite_matrix_exits_1_without_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_clock", lambda n: np.full((n, n), np.nan + 0j))
+        target = tmp_path / "mats.json"
+        assert cli.main(["matrices", "--n", "2", "--out", str(target)]) == 1
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        assert cli.main(["matrices", "--n", "2"]) == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestDecomposeCommand:

@@ -532,8 +532,8 @@ def rabi_cosine():
     """The Rabi config with its drive as cosine2, which runs in the lab frame.
 
     The rwa2 drive of the config runs in the rotating frame; cosine2 on the
-    same grid of 100 steps per drive period takes period reuse and the
-    phase table.
+    same grid of 100 steps per drive period takes a jump table composed
+    from the phase table.
     """
     return config_objects(dict(committed("rabi_two_level.json"), drive_model="cosine2"))
 
@@ -601,9 +601,15 @@ def built_steps(monkeypatch):
 
 
 @pytest.fixture
-def reuse_builds(monkeypatch):
-    """Periods K of every set of sample propagators evolve builds for reuse."""
-    return spy_on(monkeypatch, "_sample_propagators", lambda args, props: len(args["u"]))
+def jump_builds(monkeypatch):
+    """Sample intervals, in steps, of every jump table evolve composes."""
+    return spy_on(monkeypatch, "_jump_table", lambda args, table: args["every"])
+
+
+def on_period_grid(spec, dt):
+    """True when a whole number of steps of dt make up the drive period 2 pi / |w|."""
+    steps = 2.0 * math.pi / (abs(spec.omega) * dt)
+    return round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps
 
 
 @pytest.fixture
@@ -628,12 +634,14 @@ def assert_matches_stepwise(spec, config):
 
 
 class TestPeriodReuse:
-    # reuse builds one drive period of step unitaries, not one per step; on
-    # the Rabi grid with a cosine2 drive they come from the Q = 5 phase
-    # table, not from eigh
+    # grids of K steps per drive period, which period reuse once served:
+    # they take jump tables like any other grid.  On the Rabi grid with a
+    # cosine2 drive the jump table is composed from the Q = 5 phase table,
+    # so eigh sees its 5 phases and no step
 
     @pytest.mark.parametrize("short", [0.0, 0.4])
-    def test_rabi_config_matches_stepwise(self, built_steps, table_builds, short):
+    def test_rabi_config_matches_stepwise(self, built_steps, table_builds, jump_builds,
+                                          short):
         # the config's t_end sits one ulp below 2000 dt; short cuts the last step
         spec, config = rabi_cosine()
         config = EvolutionConfig(
@@ -641,16 +649,18 @@ class TestPeriodReuse:
             dt=config.dt, initial_state=config.initial_state,
             sample_every=config.sample_every,
         )
-        assert propagator._period_steps(spec, config.dt) == 100
+        assert on_period_grid(spec, config.dt)
         assert_matches_stepwise(spec, config)
-        # one period, the 4 full steps after the last whole sample interval
-        # of 5, then the shortened last step
-        assert built_steps == [100, 4, 1]
+        # one jump per whole sample interval of 5, the 4 full steps after the
+        # last of them, then the shortened last step
+        assert built_steps == [399, 4, 1]
         assert table_builds == [5]
+        assert jump_builds == [5]
 
-    def test_reuse_over_several_chunks(self, built_steps, table_builds, monkeypatch):
-        # 100-step chunks: 399 reused samples in four passes, then 4 fresh
-        # full steps; the shortened last step is one product, not a chain
+    def test_reuse_over_several_chunks(self, built_steps, table_builds, jump_builds,
+                                       monkeypatch):
+        # 100-step chunks: 399 jumps in four passes, then 4 fresh full
+        # steps; the shortened last step is one product, not a chain
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 100 * 16 * 2 * 2)
         chained, depth = [], []
         plain = propagator._chain
@@ -668,79 +678,189 @@ class TestPeriodReuse:
         monkeypatch.setattr(propagator, "_chain", spy)
         spec, config = rabi_cosine()
         assert_matches_stepwise(spec, config)
-        assert built_steps == [100, 4, 1]
+        assert built_steps == [100, 100, 100, 99, 4, 1]
         assert table_builds == [5]
+        assert jump_builds == [5]
         assert chained == [100, 100, 100, 99, 4]
 
-    def test_late_start_matches_stepwise(self, built_steps, table_builds):
+    def test_late_start_matches_stepwise(self, built_steps, table_builds, jump_builds):
         spec, config = rabi_cosine()
         config = EvolutionConfig(
             t_start=3.1, t_end=3.1 + 7.5 * 100 * config.dt, dt=config.dt,
             initial_state=0, sample_every=40,
         )
         assert_matches_stepwise(spec, config)
-        assert built_steps[0] == 100
+        # 18 jumps of 40 steps, then the 30 steps after them
+        assert built_steps[0] == 18
         assert sum(built_steps) < 750 / 2
         assert table_builds == [5]
+        assert jump_builds == [40]
 
-    def test_static_hamiltonian_matches_stepwise(self, built_steps, reuse_builds,
+    def test_static_hamiltonian_matches_stepwise(self, built_steps, jump_builds,
                                                  eigh_phases):
         # a static H repeats every step, but runs in the rotating frame: one
-        # eigh, of U(0), for every full-length step, and no period reuse
+        # eigh, of U(0), for every full-length step, and no jump table
         spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1))
         config = EvolutionConfig(
             t_start=0.7, t_end=4.0, dt=0.01, initial_state=1, sample_every=3
         )
         assert propagator._in_frame(spec)
         assert_matches_stepwise(spec, config)
-        assert reuse_builds == []
+        assert jump_builds == []
         assert eigh_phases[0] == 1
         assert sum(built_steps) <= 1
 
-    def test_period_steps(self):
-        rabi, config = rabi_cosine()
-        dt = config.dt
-        assert propagator._period_steps(rabi, dt) == 100
-        backwards = dataclasses.replace(rabi, omega=-1.0)
-        assert propagator._period_steps(backwards, dt) == 100
-        assert propagator._period_steps(rabi, dt * (1.0 + 1e-9)) is None
-        assert propagator._period_steps(rabi, dt * (1.0 - 1e-9)) is None
-        slow = dataclasses.replace(rabi, omega=1e-300)
-        assert propagator._period_steps(slow, 1e-300) is None
-        driven, config = load_config("driven_three_level.json")
-        assert propagator._period_steps(driven, config.dt) is None
-
-    def test_step_longer_than_period_runs_stepwise(self, built_steps):
-        # two drive periods per step: no K >= 1 steps make up one period
+    def test_step_longer_than_period_runs_stepwise(self, built_steps, jump_builds):
+        # two drive periods per step, 10 steps: composing a jump table of 5
+        # steps at dt g / 2 = 0.31 would form more matrices than the run has
         spec, _ = rabi_cosine()
         dt = 2.0 * (2.0 * math.pi)
-        assert propagator._period_steps(spec, dt) is None
+        assert not on_period_grid(spec, dt)
         config = EvolutionConfig(t_start=0.0, t_end=10 * dt, dt=dt, initial_state=1)
         assert_matches_stepwise(spec, config)
         assert sum(built_steps) == 10
+        assert jump_builds == []
 
-    def test_block_over_a_chunk_runs_stepwise(self, built_steps, monkeypatch):
-        # lcm(100, 5) = 100 steps of 2x2 unitaries, over a 50-step chunk
-        monkeypatch.setattr(propagator, "CHUNK_BYTES", 50 * 16 * 2 * 2)
+    def test_block_over_a_chunk_runs_stepwise(self, built_steps, table_builds,
+                                              jump_builds, monkeypatch):
+        # chunks of 880 bytes hold the Q = 5 phase table and its powers, 5 x 11
+        # rows, but not the powers of the Q = 7 jump table, 7 x 15 rows: every
+        # full step is summed from the phase table, 13 2 x 2 unitaries a chunk
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", 16 * 5 * 11)
         spec, config = rabi_cosine()
         assert_matches_stepwise(spec, config)
         assert sum(built_steps) == 2000
-        assert max(built_steps) == 50
+        assert max(built_steps) == 13
+        assert table_builds == [5]
+        assert jump_builds == []
 
     @pytest.mark.parametrize("period, every", [(1, 7), (3, 1), (100, 100), (100, 5),
                                                (100, 7), (16, 40)])
     def test_sample_propagators_match_plain_products(self, period, every):
-        # every below, equal to and above K, coprime pairs and a static K = 1,
-        # against the K steps' unitaries multiplied from the left one by one
-        rng = np.random.default_rng(1000 * period + every)
-        u = random_unitaries(rng, period, 3)
-        props = propagator._sample_propagators(u, every)
-        assert props.shape == (math.lcm(period, every) // every, 3, 3)
-        for j, prop in enumerate(props):
+        # the propagators over one sample interval, summed from the jump
+        # table on a grid of K steps per drive period: every below, equal to
+        # and above K, coprime pairs, K = 1, and every = 1, where the jump
+        # table is the phase table; against the interval's step unitaries
+        # from eigh multiplied from the left one by one, for 5 intervals
+        dt = 0.1
+        spec = dataclasses.replace(table_spec("generalized", 3, 0.05, dt),
+                                   omega=2.0 * math.pi / (period * dt))
+        assert on_period_grid(spec, dt)
+        parts = run_parts(spec)
+        table = propagator._phase_table(parts, dt, propagator._table_order(spec, dt, 10**6))
+        jump = propagator._jump_table(spec, table, dt, every)
+        starts = 0.3 + np.arange(5) * every * dt
+        props = propagator._step_unitaries(spec, parts, starts + 0.5 * dt, dt, jump)
+        for start, prop in zip(starts, props):
             product = np.eye(3)
-            for step in range(j * every, (j + 1) * every):
-                product = u[step % period] @ product
+            mids = start + (np.arange(every) + 0.5) * dt
+            for u in propagator._step_unitaries(spec, parts, mids, dt):
+                product = u @ product
             assert max_abs(prop - product) <= 1e-13
+
+
+def jump_spec(n, model="generalized", g=0.1, omega=1.0137):
+    """A driven spec of n levels whose long sample intervals take jump tables."""
+    return SystemSpec(n=n, energies=tuple(np.sin(np.arange(n) * 1.3)), g=g, omega=omega,
+                      drive_model=model)
+
+
+class TestJumpTable:
+    # every whole sample interval's propagator summed from one table over
+    # its start phase, composed from the phase table, on any grid
+
+    @pytest.mark.parametrize("every", [2, 7, 20, 100, 4099])
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    @pytest.mark.parametrize("grid", ["commensurate", "off_grid"])
+    def test_matches_stepwise(self, jump_builds, grid, n, every):
+        # 100 steps per drive period or 123.97; a late start, superposed,
+        # whole sample intervals enough for the jumps to save more matrices
+        # than composing forms, 150 full steps after them and a last step
+        # shortened to 0.6 dt
+        spec = jump_spec(n)
+        dt = 2.0 * math.pi / (100 * spec.omega) if grid == "commensurate" else 0.05
+        assert on_period_grid(spec, dt) == (grid == "commensurate")
+        steps = (1 if every > 1000 else 5) * every + 150
+        config = EvolutionConfig(t_start=0.7, t_end=0.7 + (steps + 0.6) * dt, dt=dt,
+                                 initial_state=superposed(n), sample_every=every)
+        assert_matches_stepwise(spec, config)
+        assert jump_builds == [every]
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_composed_table_matches_plain_products(self, n):
+        # V_1000 summed at the start phases of 4 sample intervals, against
+        # their 1,000 step unitaries from eigh multiplied one by one, within
+        # TestNormDrift's 16 eps per step
+        spec, dt, every = jump_spec(n, g=0.25), 0.005, 1000
+        parts = run_parts(spec)
+        table = propagator._phase_table(parts, dt, propagator._table_order(spec, dt, 10**6))
+        jump = propagator._jump_table(spec, table, dt, every)
+        starts = 0.3 + np.arange(4) * every * dt
+        props = propagator._step_unitaries(spec, parts, starts + 0.5 * dt, dt, jump)
+        for start, prop in zip(starts, props):
+            product = np.eye(n)
+            for u in propagator._step_unitaries(
+                    spec, parts, start + (np.arange(every) + 0.5) * dt, dt):
+                product = u @ product
+            assert max_abs(prop - product) <= 16 * EPS * every
+
+    @pytest.mark.parametrize("every", [16, 4096])
+    def test_falls_back_when_the_jump_table_does_not_fit(self, table_builds, jump_builds,
+                                                         every):
+        # 4,096 steps at n = 2 and dt g / 2 = 20: the Q = 83 phase table
+        # fits, a jump table over 16 steps (x = 320) does not, so every full
+        # step is summed from the phase table within CHUNK_BYTES
+        spec = jump_spec(2, g=40.0)
+        config = EvolutionConfig(t_start=0.0, t_end=4096.0, dt=1.0, sample_every=every)
+        tracemalloc.start()
+        try:
+            traj = evolve(spec, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table_builds == [83]
+        assert jump_builds == []
+        assert peak <= 8 * propagator.CHUNK_BYTES
+        _, populations, final_state = stepwise(spec, config)
+        assert max_abs(traj.populations - populations) <= 1e-10
+        assert max_abs(traj.final_state - final_state) <= 1e-10
+
+    @pytest.mark.parametrize("steps, every", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_not_built_for_one_or_two_steps_at_n32(self, jump_builds, steps, every):
+        # dense32's shape: a jump over 2 steps would form more matrices than
+        # the steps it saves
+        config = EvolutionConfig(t_start=0.0, t_end=steps * 0.05, dt=0.05,
+                                 sample_every=every)
+        assert_matches_stepwise(jump_spec(32, g=0.25), config)
+        assert jump_builds == []
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_scales_match_stepwise(self, jump_builds, scale):
+        # TestEnergyScale's runs at both ends of the float64 range
+        spec = SystemSpec(n=3, energies=(-1.0 * scale, 0.3 * scale, 1.0 * scale),
+                          g=0.25 * scale, omega=1.0 * scale, drive_model="generalized")
+        config = EvolutionConfig(t_start=0.0, t_end=20.0 / scale, dt=0.01 / scale,
+                                 initial_state=superposed(3), sample_every=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_stepwise(spec, config)
+        assert jump_builds == [50]
+
+    def test_shift_stays_finite(self, jump_builds):
+        # w t is finite at both ends of [-0.4e308, 0.4e308], but w a dt is
+        # not for the shift a = 32 steps that the last composition of a
+        # 33-step jump takes; the drive is too weak for the phases' rounding,
+        # about eps w t, to reach the populations
+        spec = SystemSpec(n=3, energies=(-1e-306, 0.3e-306, 1.1e-306), g=1e-318,
+                          omega=4.0, drive_model="generalized")
+        config = EvolutionConfig(t_start=-0.4e308, t_end=0.4e308, dt=0.02e308,
+                                 initial_state=superposed(3), sample_every=33)
+        assert not math.isfinite(spec.omega * 32 * config.dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = assert_matches_stepwise(spec, config)
+        assert jump_builds == [33]
+        assert np.all(np.isfinite(traj.populations))
 
 
 def evolve_through_cli(tmp_path, raw):
@@ -759,30 +879,29 @@ def cosine(raw):
 @pytest.mark.filterwarnings("error")
 class TestConfigsThroughCli:
     # the committed configs and copies through `nlevel evolve`, with
-    # warnings as errors: the three-level config takes 6,000 phase-table
-    # steps, its copy ending at t = 29.9973 5,999 and then one shortened
-    # step; the Rabi config's rwa2 drive runs in the rotating frame, on the
-    # period grid and detuned off it.  Its cosine2 copy detuned off the grid
-    # chains its 2,000 table steps elementwise at n = 2, which the cosine2
-    # copy on the grid reaches only through period reuse, with its period
-    # summed from the table
+    # warnings as errors: the three-level config jumps over its 300 sample
+    # intervals of 20 steps, its copy ending at t = 29.9973 over 299, then
+    # takes 19 phase-table steps and one shortened step; the Rabi config's
+    # rwa2 drive runs in the rotating frame, on the period grid and detuned
+    # off it.  Its cosine2 copies, on the grid and detuned off it, take a
+    # jump table composed from the phase table alike
 
-    @pytest.mark.parametrize("name, changes, tables, reuse", [
-        ("driven_three_level.json", lambda raw: raw, 1, 0),
-        ("driven_three_level.json", lambda raw: dict(raw, t_end=29.9973), 1, 0),
+    @pytest.mark.parametrize("name, changes, tables, jumps", [
+        ("driven_three_level.json", lambda raw: raw, 1, 1),
+        ("driven_three_level.json", lambda raw: dict(raw, t_end=29.9973), 1, 1),
         ("rabi_two_level.json",
-         lambda raw: cosine(dict(raw, omega=raw["omega"] * 1.0137)), 1, 0),
+         lambda raw: cosine(dict(raw, omega=raw["omega"] * 1.0137)), 1, 1),
         ("rabi_two_level.json", cosine, 1, 1),
         ("rabi_two_level.json", lambda raw: raw, 0, 0),
         ("rabi_two_level.json", lambda raw: dict(raw, omega=raw["omega"] * 1.0137), 0, 0),
     ], ids=["driven", "driven_short", "rabi_detuned", "rabi", "rabi_frame",
             "rabi_frame_detuned"])
-    def test_matches_stepwise(self, tmp_path, table_builds, reuse_builds, name,
-                              changes, tables, reuse):
+    def test_matches_stepwise(self, tmp_path, table_builds, jump_builds, name,
+                              changes, tables, jumps):
         raw = changes(committed(name))
         times, populations = evolve_through_cli(tmp_path, raw)
         assert len(table_builds) == tables
-        assert len(reuse_builds) == reuse
+        assert len(jump_builds) == jumps
         expected_times, expected, _ = stepwise(*config_objects(raw))
         assert np.array_equal(times, expected_times)
         assert max_abs(populations - expected) <= 1e-10
@@ -858,7 +977,8 @@ class TestChain:
     @pytest.mark.parametrize("chunk_bytes", [None, 1])
     @pytest.mark.parametrize("n, steps", [(8, 300), (32, 40)])
     def test_evolve_matches_stepwise(self, monkeypatch, n, steps, chunk_bytes):
-        # off the period grid, over several chunks, last step shortened
+        # off the period grid, over several chunks, last step shortened; the
+        # whole chunks' runs jump over their sample intervals of 3 steps
         if chunk_bytes is not None:
             monkeypatch.setattr(propagator, "CHUNK_BYTES", chunk_bytes)
         spec = SystemSpec(
@@ -870,7 +990,7 @@ class TestChain:
             t_start=0.2, t_end=0.2 + (steps - 0.4) * dt, dt=dt, initial_state=1,
             sample_every=3,
         )
-        assert propagator._period_steps(spec, dt) is None
+        assert not on_period_grid(spec, dt)
         assert_matches_stepwise(spec, config)
 
 
@@ -957,17 +1077,20 @@ class TestPhaseTable:
             assert np.array_equal(run.populations, runs[0].populations)
             assert np.array_equal(run.final_state, runs[0].final_state)
 
-    def test_built_once_over_several_chunks(self, table_builds, built_steps,
+    def test_built_once_over_several_chunks(self, table_builds, built_steps, jump_builds,
                                             monkeypatch):
-        # x = 1.25e-3 needs Q = 3 phases; 16-step chunks hold them
+        # x = 1.25e-3 needs Q = 3 phases; 16-matrix chunks hold them, and
+        # the 66 jumps over sample intervals of 3 steps composed from them,
+        # which the last full step and the shortened one follow
         config = EvolutionConfig(t_start=0.1, t_end=2.1 - 0.004, dt=0.01,
                                  initial_state=1, sample_every=3)
         whole = evolve(THREE_LEVEL, config)
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 16 * 16 * 3 * 3)
-        del table_builds[:], built_steps[:]
+        del table_builds[:], built_steps[:], jump_builds[:]
         chunked = assert_matches_stepwise(THREE_LEVEL, config)
         assert table_builds == [3]
-        assert built_steps == [16] * 12 + [7, 1]
+        assert jump_builds == [3]
+        assert built_steps == [16] * 4 + [2, 1, 1]
         assert max_abs(chunked.populations - whole.populations) <= 1e-14
 
     @pytest.mark.parametrize("steps, built", [(10.0, [3]), (9.6, [3]), (3.0, [3]),
@@ -979,23 +1102,25 @@ class TestPhaseTable:
         assert_matches_stepwise(THREE_LEVEL, config)
         assert table_builds == built
 
-    def test_not_built_for_one_step(self, table_builds):
+    def test_not_built_for_one_step(self, table_builds, jump_builds):
         # the shape of a set-up probe: a driven grid cut to one step
         evolve(THREE_LEVEL, EvolutionConfig(t_start=0.0, t_end=0.005, dt=0.005))
-        assert table_builds == []
+        assert table_builds == jump_builds == []
 
     def test_one_phase_serves_two_steps_at_n32(self, table_builds, built_steps,
-                                               eigh_phases):
+                                               eigh_phases, jump_builds):
         # at n >= 2M + 1 the table is U(0): one eigh of one matrix serves both
-        # steps, where eigh on each step would cost two
+        # steps, where eigh on each step would cost two; composing a jump
+        # over the one sample interval would form more matrices than it saves
         spec = SystemSpec(n=32, energies=tuple(np.linspace(-1.0, 1.0, 32)), g=0.25,
                           omega=1.0137, drive_model="generalized")
         config = EvolutionConfig(t_start=0.0, t_end=0.1, dt=0.05, sample_every=2)
-        assert propagator._period_steps(spec, config.dt) is None
+        assert not on_period_grid(spec, config.dt)
         evolve(spec, config)
         assert table_builds == [1]
         assert built_steps == [2]
         assert eigh_phases == [1]
+        assert jump_builds == []
 
     def test_one_phase_for_a_static_spec(self, table_builds, eigh_phases):
         # the rotating frame, R = I, in place of a table: one eigh of U(0)
@@ -1004,10 +1129,10 @@ class TestPhaseTable:
         assert table_builds == []
         assert eigh_phases == [1]
 
-    def test_built_for_the_reused_period(self, table_builds, built_steps, eigh_phases):
-        # ending on exactly 2000 dt, every step is reused and none is fresh:
-        # the period's K = 100 unitaries are summed from a Q = 5 table, so
-        # eigh sees its 5 phases and no step
+    def test_built_for_the_jump_table(self, table_builds, built_steps, eigh_phases):
+        # ending on exactly 2000 dt, every step lies in a whole sample
+        # interval and none is fresh: the jump table is composed from a
+        # Q = 5 table, so eigh sees its 5 phases and no step
         spec, config = rabi_cosine()
         exact = EvolutionConfig(
             t_start=config.t_start, t_end=config.t_start + 2000 * config.dt,
@@ -1016,27 +1141,30 @@ class TestPhaseTable:
         )
         assert_matches_stepwise(spec, exact)
         assert table_builds == [5]
-        assert built_steps == [100]
+        assert built_steps == [400]
         assert eigh_phases == [5]
 
-    def test_not_built_for_a_period_shorter_than_the_table(self, table_builds,
-                                                           built_steps):
-        # K = 8 steps per period, all reused, at ||H|| dt = 10, where the
-        # table needs more phases (Q = 13) than the period has steps
+    def test_built_on_a_period_shorter_than_the_table(self, table_builds, built_steps,
+                                                      jump_builds):
+        # K = 8 steps per period at ||H|| dt = 10, where the table needs more
+        # phases (Q = 13) than a period has steps, but fewer than the run's
+        # 64; a jump table over 4 steps would form more matrices than it saves
         spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.0), g=0.25, omega=1.0,
                           drive_model="generalized")
         dt = 10.0 / np.linalg.norm(build_full_hamiltonian(spec, 0.0), 2)
         spec = dataclasses.replace(spec, omega=2.0 * math.pi / (8 * dt))
-        assert propagator._period_steps(spec, dt) == 8
+        assert on_period_grid(spec, dt)
+        assert round(2.0 * math.pi / (spec.omega * dt)) == 8
         order = propagator._table_order(spec, dt, 10**6)
-        assert 2 * propagator._table_width(3, order) + 1 > 8
+        assert 2 * propagator._table_width(3, order) + 1 == 13
         config = EvolutionConfig(t_start=0.0, t_end=64 * dt, dt=dt, sample_every=4)
         assert_matches_stepwise(spec, config)
-        assert table_builds == []
-        assert built_steps == [8]
+        assert table_builds == [13]
+        assert built_steps == [64]
+        assert jump_builds == []
 
     @pytest.mark.parametrize("g, built", [(40.0, [83]), (800.0, [])])
-    def test_memory_stays_bounded_at_large_dt_g(self, table_builds, g, built):
+    def test_memory_stays_bounded_at_large_dt_g(self, table_builds, jump_builds, g, built):
         # 4,096 steps at n = 2: dt g / 2 = 20 needs Q = 83 phases, whose
         # powers, 167 rows per step, go through in slices that fit
         # CHUNK_BYTES; dt g / 2 = 400 would need Q = 1,121, whose DFT's powers
@@ -1051,6 +1179,7 @@ class TestPhaseTable:
         finally:
             tracemalloc.stop()
         assert table_builds == built
+        assert jump_builds == []
         assert peak <= 8 * propagator.CHUNK_BYTES
         _, populations, final_state = stepwise(spec, config)
         assert max_abs(traj.populations - populations) <= 1e-10
@@ -1114,9 +1243,9 @@ class TestClockSymmetry:
     # the benchmark's three workloads at their middle parameters: dense32
     # (n = 32, two steps), driven3_dense (n = 3, 1,500 steps, off the period
     # grid) and rabi2_floquet (n = 2, 100 steps per period, 50 periods) with
-    # its drive as cosine2, so that period reuse and the table serve it; the
-    # workload's own rwa2 drive runs in the rotating frame (see
-    # TestRotatingFrame)
+    # its drive as cosine2, so that a jump table composed from the phase
+    # table serves it; the workload's own rwa2 drive runs in the rotating
+    # frame (see TestRotatingFrame)
     @pytest.mark.parametrize("spec, dt, steps, every, phases", [
         (SystemSpec(n=32, energies=tuple(np.linspace(-1.0, 1.0, 32)), g=0.25,
                     omega=1.0, drive_model="generalized"), 0.05, 2, 2, 1),
@@ -1180,13 +1309,13 @@ class TestRotatingFrame:
         (SystemSpec(n=8, energies=tuple(np.sin(np.arange(8) * 1.3)), g=0.3,
                     omega=0.0, drive_model="generalized"), 0.01),
     ], ids=["rwa2", "rwa2_off_grid", "rwa2_backwards", "static3", "static8"])
-    def test_matches_stepwise(self, table_builds, reuse_builds, eigh_phases, spec, dt,
+    def test_matches_stepwise(self, table_builds, jump_builds, eigh_phases, spec, dt,
                               every):
         # a late start, superposed, and a last step shortened to 0.6 dt
         config = EvolutionConfig(t_start=3.1, t_end=3.1 + 4150.6 * dt, dt=dt,
                                  initial_state=superposed(spec.n), sample_every=every)
         assert_matches_stepwise(spec, config)
-        assert table_builds == reuse_builds == []
+        assert table_builds == jump_builds == []
         # U(0), then the shortened last step
         assert eigh_phases == [1, 1]
 
@@ -1294,7 +1423,7 @@ class TestNormDrift:
         dt = h_dt / norm
         steps_per_period = 16 if periodic else 16.37
         driven = spec(2.0 * math.pi / (steps_per_period * dt))
-        assert (propagator._period_steps(driven, dt) is not None) == periodic
+        assert on_period_grid(driven, dt) == periodic
         config = EvolutionConfig(
             t_start=0.0, t_end=self.STEPS * dt, dt=dt, initial_state=0,
             sample_every=4,
