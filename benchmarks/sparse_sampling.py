@@ -62,9 +62,10 @@ def _driven(n, dt, steps, every, period=None, omega=1.0137, model="generalized",
 
 
 def cases():
-    """The timed inputs: the committed configs, off-grid and commensurate sparse runs."""
+    """The timed inputs: the committed configs, sparse lab-frame runs and frame runs."""
     driven = _committed("driven_three_level.json")
     rabi = _committed("rabi_two_level.json")
+    rabi_dt = rabi["dt"]
     return {
         # the committed configs as given, and the driven one sampled more sparsely
         "driven_config": driven,
@@ -83,6 +84,14 @@ def cases():
         # commensurate and sampled every step
         "k100_n3_1500_every1": _driven(3, None, 1500, 1, period=100),
         "k100_n8_1500_every1": _driven(8, None, 1500, 1, period=100),
+        # the rotating frame: rwa2, whose Rabi config ends on a shortened
+        # step, and static specs (w = 0), dense and sparse
+        "frame_rwa2_5k_every100": dict(rabi, t_end=5000 * rabi_dt, sample_every=100),
+        "frame_rwa2_200k_every1": dict(rabi, t_end=200_000 * rabi_dt, sample_every=1),
+        "frame_static_n2_5k_every100": _driven(2, 0.05, 5000, 100, omega=0.0),
+        "frame_static_n3_5k_every100": _driven(3, 0.05, 5000, 100, omega=0.0),
+        "frame_static_n8_5k_every100": _driven(8, 0.05, 5000, 100, omega=0.0),
+        "frame_static_n8_100k_every1": _driven(8, 0.05, 100_000, 1, omega=0.0),
     }
 
 

@@ -109,7 +109,13 @@ def mat_pow(a, k) -> np.ndarray:
         raise ValueError(f"mat_pow expects a square matrix, got shape {a.shape}")
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"power must be a non-negative integer, got {k!r}")
-    return np.linalg.matrix_power(a, int(k))
+    # the binary digits of k from the top: square, then multiply on a 1
+    power = np.eye(a.shape[0], dtype=a.dtype)
+    for digit in bin(int(k))[2:]:
+        power = power @ power
+        if digit == "1":
+            power = power @ a
+    return power
 
 
 def adjoint(a) -> np.ndarray:

@@ -34,6 +34,7 @@ from .algebra import (
 )
 from .hamiltonian import (
     SystemSpec,
+    _as_real,
     _clock_sums,
     build_interaction,
     energies_to_deltas,
@@ -212,7 +213,8 @@ def _initial_state_from_config(value):
                 raise ValueError(
                     "config key 'initial_state' entries must be [re, im] number pairs"
                 )
-            amplitudes.append(complex(item[0], item[1]))
+            re, im = (_as_real(x, "initial_state amplitude") for x in item)
+            amplitudes.append(complex(re, im))
         return amplitudes
     raise ValueError("config key 'initial_state' must be an index or [re, im] pairs")
 

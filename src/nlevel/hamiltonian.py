@@ -48,7 +48,10 @@ def _as_real(value, what: str) -> float:
         raise ValueError(f"{what} must be a real number, got {value!r}")
     if not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{what} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{what} is too large for float64") from exc
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value}")
     return value

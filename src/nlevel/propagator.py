@@ -2,9 +2,9 @@
 
 Each step applies exp(-i dt H(t + dt/2)) to the state, with the matrix
 exponential evaluated through a full hermitian eigendecomposition (LAPACK,
-through numpy.linalg.eigh, in one kernel, _unitaries), or, for full-length
-steps, taken in a rotating frame from one such decomposition (rwa2 and
-static specs) or summed from a phase table built from such decompositions
+through numpy.linalg.eigh, in one kernel, _spectrum), or, for full-length
+steps, taken in a rotating frame as powers of one step (rwa2 and static
+specs) or summed from a phase table built from such decompositions
 (long runs of the other drives), whose products over a sample interval a
 jump table gives.  Step k is exactly dt long and centred at
 t_start + (k + 1/2) dt on every path, so the frame, the table and eigh see
@@ -38,14 +38,19 @@ drive phase a is then R(a) U(w dt / 2) R(a)^dagger, and k steps multiply to
 R(a_k) W^k R(a_0)^dagger, a_k the phase at step edge k and
 W = R(-w dt / 2) U(0) R(-w dt / 2): the frame in which the RWA Hamiltonian
 does not depend on time (Shirley, Phys. Rev. 138, B979, 1965), applied to
-the stepper's own product.  evolve diagonalizes U(0) once, forms
-M = W^sample_every by binary powers, and chains the frame states of the
-sample instants, M^j R(a_0)^dagger psi, one CHUNK_BYTES chunk at a time,
-each chunk in about log2 of its length products (see _power_states).  R is
-diagonal, so the frame states' populations are the lab frame's; only the
-final state is rotated back.  The fewer than sample_every full-length steps
-after the last sample instant are W^r.  No phase table, jump table or step
-unitary is formed.
+the stepper's own product.  At n = 2, which every rwa2 spec has, W is a
+phase times an SU(2) rotation whose entries follow in closed form from the
+three numbers of H(0) (Rabi, Phys. Rev. 51, 652, 1937), and W^k is the
+rotation by k times its angle: scalar arithmetic, no eigh and no other
+numpy.linalg call.  A static spec above n = 2 has W = U(0), and
+W^k = X diag(e^{i k theta_j}) X^dagger from one eigh of H(0) (see
+_frame_powers).  evolve forms M = W^sample_every and chains the frame
+states of the sample instants, M^j R(a_0)^dagger psi, one CHUNK_BYTES chunk
+at a time, each chunk in about log2 of its length products (see
+_power_states).  R is diagonal, so the frame states' populations are the
+lab frame's; only the final state is rotated back.  The fewer than
+sample_every full-length steps after the last sample instant are W^r.  No
+phase table, jump table or step unitary is formed.
 
 Phase table.  H = drift + e^{i theta} A + h.c. depends on t only through the
 drive phase theta = w t, so the unitary U(theta) = exp(-i dt H(theta)) of a
@@ -267,7 +272,10 @@ def _initial_vector(n: int, initial_state) -> np.ndarray:
         psi = np.zeros(n, dtype=np.complex128)
         psi[idx] = 1.0
         return psi
-    arr = np.asarray(initial_state, dtype=np.complex128)
+    try:
+        arr = np.asarray(initial_state, dtype=np.complex128)
+    except OverflowError as exc:
+        raise ValueError("initial state amplitudes are too large for float64") from exc
     if arr.shape != (n,):
         raise ValueError(f"initial state must have {n} amplitudes, got shape {arr.shape}")
     arr = np.ascontiguousarray(arr)
@@ -290,19 +298,24 @@ def _step_count(span: float, dt: float) -> int:
     return max(n_steps, 1)
 
 
-def _unitaries(parts: tuple, z: np.ndarray, dt: float, where: str) -> np.ndarray:
-    """exp(-i dt H) for H = _at_phase(*parts, z) at every phase factor of z, as a stack.
+def _spectrum(parts: tuple, z: np.ndarray, where: str):
+    """Eigenvalues and eigenvectors of H = _at_phase(*parts, z) at every phase factor of z.
 
     ``parts`` are the run's drift and drive coefficient.  The one batched eigh
-    of the propagator's steps; ``where`` names the phases in the
+    of the propagator; ``where`` names the phases in the
     EigenConvergenceError a solver failure raises.
     """
     # eigh reads the lower triangle and the real diagonal, which is all of H,
     # hermitian by construction (see hamiltonian_at)
     try:
-        w, v = np.linalg.eigh(_at_phase(*parts, z))
+        return np.linalg.eigh(_at_phase(*parts, z))
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigensolver failed to converge {where}") from exc
+
+
+def _unitaries(parts: tuple, z: np.ndarray, dt: float, where: str) -> np.ndarray:
+    """exp(-i dt H) for H = _at_phase(*parts, z) at every phase factor of z, as a stack."""
+    w, v = _spectrum(parts, z, where)
     return (v * np.exp(-1j * (w * dt))[..., None, :]) @ _adjoint(v)
 
 
@@ -631,7 +644,8 @@ def _frame_steps(spec, parts, psi, t_start, dt, whole, every, populations):
     theta = a + w dt / 2, a the phase at its start, is
     R(a) U(w dt / 2) R(a)^dagger, so k steps from t_start multiply to
     R(a_k) W^k R(a_0)^dagger, a_k the phase at step edge k and
-    W = R(-w dt / 2) U(0) R(-w dt / 2).  One eigh, of U(0), serves the run.
+    W = R(-w dt / 2) U(0) R(-w dt / 2).  The powers of W come from
+    _frame_powers: in closed form at n = 2, from one eigh of H(0) above.
     The frame states W^(j every) R(a_0)^dagger psi of the sample intervals
     are chained one chunk at a time from M = W^every (see _power_states);
     R is diagonal, so their populations are the lab frame's.  Of the drive
@@ -646,21 +660,60 @@ def _frame_steps(spec, parts, psi, t_start, dt, whole, every, populations):
         return psi, 1
     n = spec.n
     levels = np.arange(n)
-    u0 = _unitaries(parts, np.ones(1, dtype=np.complex128), dt,
-                    f"in the rotating frame for dt = {dt!r}")[0]
-    half = _phase_factors(spec, 0.5 * dt).conj() ** levels
-    w = half[:, None] * u0 * half
+    power = _frame_powers(spec, parts, dt)
     edges = _phase_factors(spec, t_start + np.array([0, whole]) * dt)
     phi = psi * edges[0].conj() ** levels
-    power = np.linalg.matrix_power(w, every)
     count, size, k = whole // every, max(1, CHUNK_BYTES // (16 * n)), 1
+    interval = power(every)
     for start in range(0, count, size):
-        states = _power_states(power, phi, min(size, count - start))
+        states = _power_states(interval, phi, min(size, count - start))
         populations[k : k + len(states)] = states.real**2 + states.imag**2
         phi, k = states[-1], k + len(states)
     if whole % every:
-        phi = np.linalg.matrix_power(w, whole % every) @ phi
+        phi = power(whole % every) @ phi
     return phi * edges[1] ** levels, k
+
+
+def _frame_powers(spec, parts, dt):
+    """k -> W^k, W = R(-w dt / 2) U(0) R(-w dt / 2) the frame's step (see _frame_steps).
+
+    At n = 2, with H(0) = [[p, c*], [c, q]], m = (p + q) / 2,
+    d = (p - q) / 2, r = hypot(d, |c|), x = r dt and s = sin(x) / r (dt at r = 0):
+    U(0) = e^{-i m dt} [[cos x - i s d, -i s c*], [-i s c, cos x + i s d]]
+    (Rabi, Phys. Rev. 51, 652, 1937), so W = e^{-i (m dt + e)} V with
+    e = w dt / 2 and V = [[A, B], [-B*, A*]] in SU(2), A = (cos x - i s d) e^{i e}
+    and B = -i s c*.  V = cos a I + N, N traceless, is a rotation by 2 a, and
+    V^k = cos(k a) I + sin(k a) N / |N|, formed in scalar arithmetic without
+    eigh.  The rest are static (rwa2 is two-level only), so W = U(0), and
+    W^k = X diag(e^{i k theta_j}) X^dagger from one eigh H(0) = X diag(l_j)
+    X^dagger, theta_j the angle of e^{-i l_j dt}.  Every power is formed from
+    angles in (-pi, pi] times k, so it is finite at any step count.
+    """
+    if spec.n > 2:
+        w, v = _spectrum(parts, np.ones(1), f"in the rotating frame for dt = {dt!r}")
+        angles, back = np.angle(np.exp(-1j * (w[0] * dt))), _adjoint(v[0])
+        return lambda k: (v[0] * np.exp(1j * (k * angles))) @ back
+    (p, _), (c, q) = _at_phase(*parts, np.ones(1))[0].tolist()
+    # halves first, as in hermitian_eig: p - q may overflow
+    m, d = 0.5 * p.real + 0.5 * q.real, 0.5 * p.real - 0.5 * q.real
+    x = math.hypot(d, abs(c)) * dt
+    # s = dt sin(x) / x, which stays right where r dt underflows
+    s = math.sin(x) / x * dt if x else dt
+    turn = complex(_phase_factors(spec, 0.5 * dt))
+    a, b = complex(math.cos(x), -s * d) * turn, -1j * s * c.conjugate()
+    norm = math.hypot(a.imag, abs(b))
+    angle = math.atan2(norm, a.real)
+    # the angle of e^{-i (m dt + e)}, each factor reduced exactly by libm
+    unit = complex(math.cos(m * dt), math.sin(m * dt)) * turn
+    phase = -math.atan2(unit.imag, unit.real)
+
+    def power(k):
+        cos, sin = math.cos(k * angle), math.sin(k * angle) / norm if norm else 0.0
+        z = complex(math.cos(k * phase), math.sin(k * phase))
+        return np.array([[z * complex(cos, sin * a.imag), z * sin * b],
+                         [-z * sin * b.conjugate(), z * complex(cos, -sin * a.imag)]])
+
+    return power
 
 
 def _power_states(m: np.ndarray, phi: np.ndarray, count: int) -> np.ndarray:
@@ -686,7 +739,8 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
 
     The drive phase is taken at every step midpoint, so it is exact.  An
     rwa2 or static spec takes its full-length steps in the rotating frame,
-    from one eigh of U(0) (see _frame_steps).  The other drives process
+    as powers of one step, in closed form at n = 2 and from one eigh of
+    H(0) above (see _frame_steps).  The other drives process
     their steps in chunks of at most CHUNK_BYTES of matrices.  When a jump
     table over sample_every steps fits and composing it forms fewer
     matrices than the steps it replaces, each whole sample interval costs
@@ -710,7 +764,9 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     psi = _initial_vector(n, config.initial_state)
     t_start, t_end, dt = config.t_start, config.t_end, config.dt
     n_steps = _step_count(t_end - t_start, dt)
-    every = config.sample_every
+    # any sample_every past the step count samples the ends only; clamped, it
+    # keeps the sample marks within int64
+    every = min(config.sample_every, n_steps + 1)
     # the initial instant, every every-th step, and the last step
     n_samples = n_steps // every + 1 + (n_steps % every != 0)
     need = n_samples * (n + 2) * 8

@@ -459,14 +459,14 @@ class TestEvolveFailureExitCodes:
 
     def test_solver_failure_in_the_rotating_frame_exits_2(self, tmp_path, monkeypatch,
                                                           capsys):
-        # the Rabi config's rwa2 drive takes every full-length step from one
-        # eigh, of the step unitary at drive phase 0
+        # a static three-level spec takes every full-length step from one
+        # eigh, of H(0); at n = 2 the frame makes none
         def fail(a, UPLO="L"):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        raw = json.loads((CONFIGS / "rabi_two_level.json").read_text())
-        code, out = self._evolve(tmp_path, raw)
+        payload = dict(BASE_EVOLVE, n=3, energies=[-1.0, 0.3, 1.1], drive_model="none")
+        code, out = self._evolve(tmp_path, payload)
         assert code == 2
         assert "rotating frame" in capsys.readouterr().err
         assert not out.exists()
@@ -554,6 +554,38 @@ class TestEvolveFailureExitCodes:
             assert len(rows[0]) > 1
             assert np.array_equal(rows[0][:, 0], rows[1][:, 0])
             assert np.max(np.abs(rows[0][:, 1:4] - rows[1][:, 1:4])) <= 1e-9
+
+    # JSON integers have no size limit; one past float64 must be refused like
+    # any bad value, in a fresh interpreter so that a traceback would show
+    @pytest.mark.parametrize("key", ["t_end", "t_start", "dt", "g", "omega", "energies",
+                                     "initial_state"])
+    def test_huge_integer_exits_1(self, tmp_path, key):
+        huge = 10**400
+        value = {"energies": [huge, -0.5], "initial_state": [[huge, 0], [0, 0]]}.get(key, huge)
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nlevel", "evolve",
+             "--config", write_config(tmp_path, dict(BASE_EVOLVE, **{key: value})),
+             "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("nlevel: error: ")
+        assert proc.stderr.endswith(" is too large for float64\n")
+        assert proc.stderr.count("\n") == 1
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_huge_sample_every_samples_the_ends(self, tmp_path):
+        # 40 steps: any sample_every past them writes the rows of 41
+        rows = []
+        for every in (2**70, 41):
+            out = tmp_path / f"every{every}.csv"
+            config = write_config(tmp_path, dict(BASE_EVOLVE, sample_every=every))
+            proc = run_cli("evolve", "--config", config, "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            rows.append(out.read_text())
+        assert rows[0] == rows[1]
+        assert len(rows[0].splitlines()) == 3
 
     def test_oversized_sample_grid_exits_1(self, tmp_path, capsys):
         payload = dict(BASE_EVOLVE, n=64, energies=list(range(64)), t_end=1.0, dt=2e-8)

@@ -153,6 +153,12 @@ class TestEvolutionConfig:
         with pytest.raises(ValueError, match="steps"):
             EvolutionConfig(t_start=0.0, t_end=1.0, dt=1e-12)
 
+    @pytest.mark.parametrize("key", ["t_start", "t_end", "dt"])
+    def test_rejects_integers_past_float64(self, key):
+        fields = dict(dict(t_start=0.0, t_end=1.0, dt=0.1), **{key: 10**400})
+        with pytest.raises(ValueError, match=f"^{key} is too large for float64$"):
+            EvolutionConfig(**fields)
+
 
 THREE_LEVEL = SystemSpec(
     n=3,
@@ -339,6 +345,11 @@ class TestInitialState:
         with pytest.raises(ValueError, match="outside"):
             evolve(THREE_LEVEL, config)
 
+    def test_rejects_integers_past_float64(self):
+        config = EvolutionConfig(initial_state=[10**400, 0, 0], **self.CONFIG)
+        with pytest.raises(ValueError, match="too large for float64"):
+            evolve(THREE_LEVEL, config)
+
     def test_rejects_bool(self):
         config = EvolutionConfig(initial_state=True, **self.CONFIG)
         with pytest.raises(ValueError):
@@ -506,6 +517,20 @@ class TestSampleBudget:
         with pytest.raises(ValueError, match="byte budget"):
             evolve(spec, config)
 
+    @pytest.mark.parametrize("spec", [THREE_LEVEL, SystemSpec(
+        n=2, energies=(0.5, -0.5), g=0.05, omega=1.0, drive_model="rwa2")],
+        ids=["lab", "frame"])
+    @pytest.mark.parametrize("t_end", [1.0, 1.03], ids=["grid", "shortened"])
+    def test_sample_every_past_the_step_count(self, spec, t_end):
+        # 20 or 21 steps: a sample_every past the int64 range samples the
+        # ends, as any past the step count does
+        runs = [evolve(spec, EvolutionConfig(t_start=0.0, t_end=t_end, dt=0.05,
+                                             initial_state=1, sample_every=every))
+                for every in (2**70, 22)]
+        assert len(runs[0].times) == 2
+        for field in ("times", "populations", "norm_errors", "final_state"):
+            assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field))
+
     def test_budget_counts_thinned_samples(self, monkeypatch):
         # 20 steps sampled every 5th: 5 samples of (3 + 2) doubles
         config = EvolutionConfig(t_start=0.0, t_end=1.0, dt=0.05, sample_every=5)
@@ -620,8 +645,8 @@ def table_builds(monkeypatch):
 
 @pytest.fixture
 def eigh_phases(monkeypatch):
-    """Matrix counts of every batched eigh evolve makes, table or steps."""
-    return spy_on(monkeypatch, "_unitaries", lambda args, u: len(args["z"]))
+    """Matrix counts of every batched eigh evolve makes: table, steps or rotating frame."""
+    return spy_on(monkeypatch, "_spectrum", lambda args, wv: len(args["z"]))
 
 
 def assert_matches_stepwise(spec, config):
@@ -1230,7 +1255,8 @@ class TestClockSymmetry:
     def test_static_spec_takes_one_phase(self, table_builds, eigh_phases, model, omega,
                                          n):
         # g > 0 but no drive phase: every step sits at phase factor 1, so the
-        # rotating frame with R = I takes one eigh, of U(0), for them all
+        # rotating frame with R = I takes one eigh, of H(0), for them all, or
+        # none at n = 2, where the frame's step is a rotation in closed form
         spec = dataclasses.replace(table_spec("generalized", n, 0.1, 0.125),
                                    drive_model=model, omega=omega)
         config = EvolutionConfig(t_start=0.25, t_end=0.25 + 40 * 0.125, dt=0.125,
@@ -1238,7 +1264,7 @@ class TestClockSymmetry:
         assert propagator._in_frame(spec)
         assert_matches_stepwise(spec, config)
         assert table_builds == []
-        assert eigh_phases == [1]
+        assert eigh_phases == ([] if n == 2 else [1])
 
     # the benchmark's three workloads at their middle parameters: dense32
     # (n = 32, two steps), driven3_dense (n = 3, 1,500 steps, off the period
@@ -1283,9 +1309,10 @@ def superposed(n):
 
 class TestRotatingFrame:
     # rwa2 and static specs: H(theta) = R(theta) H(0) R(theta)^dagger with R
-    # diagonal, so every full-length step comes from one eigh, of U(0), and
-    # powers of W = R(-w dt / 2) U(0) R(-w dt / 2).  A superposed start shows
-    # a wrong frame phase in the populations, which a basis start would not
+    # diagonal, so every full-length step comes from powers of
+    # W = R(-w dt / 2) U(0) R(-w dt / 2): in closed form at n = 2, from one
+    # eigh, of H(0), above.  A superposed start shows a wrong frame phase in
+    # the populations, which a basis start would not
 
     @pytest.mark.parametrize("model, n, expected", [
         ("rwa2", 2, True), ("none", 3, True), ("none", 8, True),
@@ -1316,35 +1343,60 @@ class TestRotatingFrame:
                                  initial_state=superposed(spec.n), sample_every=every)
         assert_matches_stepwise(spec, config)
         assert table_builds == jump_builds == []
-        # U(0), then the shortened last step
-        assert eigh_phases == [1, 1]
+        # H(0) above n = 2, then the shortened last step
+        assert eigh_phases == ([1] if spec.n == 2 else [1, 1])
 
-    @pytest.mark.parametrize("steps, eighs", [(2000, [1]), (1, [1]), (0.6, [1]),
-                                              (1.6, [1, 1])],
+    @pytest.mark.parametrize("spec, dt", [
+        (RABI, RABI_DT),
+        (dataclasses.replace(RABI, include_delta0=True, energies=(100.5, 99.5)), RABI_DT),
+        (dataclasses.replace(RABI, energies=(1e3, -1e3)), 0.05),
+        (SystemSpec(n=2, energies=(0.3, 0.3)), 0.05),
+        (SystemSpec(n=2, energies=(0.3, 0.3), include_delta0=True), 0.05),
+        (SystemSpec(n=2, energies=(0.5, -0.2), g=0.3), 0.05),
+        (dataclasses.replace(RABI, g=0.0), RABI_DT),
+        (SystemSpec(n=2, energies=(0.5, -0.2), g=0.3, drive_model="generalized"), 0.05),
+        (SystemSpec(n=2, energies=(0.5, -0.2), g=0.3, drive_model="cosine2"), 0.05),
+        (SystemSpec(n=3, energies=(-1.0, 0.3, 1.1), g=0.25, drive_model="generalized",
+                    include_delta0=True), 0.05),
+        (SystemSpec(n=8, energies=tuple(np.sin(np.arange(8) * 1.3) + 2.0)), 0.05),
+    ], ids=["resonant", "delta0", "large_d_dt", "r_zero", "r_zero_delta0", "none",
+            "g_zero", "generalized_w0", "cosine2_w0", "static3_delta0", "static8"])
+    def test_powers_match_stepwise(self, eigh_phases, spec, dt):
+        # 1,000.6 steps from a late, superposed start, sampled every 7th: the
+        # closed form at n = 2 (r = 0 where the energies are equal and
+        # g = 0; |d| dt = 50 for energies +-1e3), the spectral powers above
+        config = EvolutionConfig(t_start=3.1, t_end=3.1 + 1000.6 * dt, dt=dt,
+                                 initial_state=superposed(spec.n), sample_every=7)
+        assert propagator._in_frame(spec)
+        assert_matches_stepwise(spec, config)
+        # H(0) above n = 2, then the shortened last step
+        assert eigh_phases == ([1] if spec.n == 2 else [1, 1])
+
+    @pytest.mark.parametrize("steps, eighs", [(2000, []), (1, []), (0.6, [1]),
+                                              (1.6, [1])],
                              ids=["on_grid", "one_step", "one_short_step",
                                   "full_and_short"])
     def test_short_runs_and_runs_on_the_grid(self, eigh_phases, steps, eighs):
-        # a run that ends on a step edge has no shortened last step; a run of
-        # one shortened step forms no frame
+        # a run that ends on a step edge has no shortened last step, so no
+        # eigh at n = 2; a run of one shortened step forms no frame
         config = EvolutionConfig(t_start=-0.3, t_end=-0.3 + steps * RABI_DT, dt=RABI_DT,
                                  initial_state=(0.6, 0.8j), sample_every=5)
         assert_matches_stepwise(RABI, config)
         assert eigh_phases == eighs
 
-    def test_benchmark_run_takes_one_eigh(self, monkeypatch, table_builds, built_steps):
-        # rabi2_floquet at its middle parameters: 5,000 steps, 50 samples
-        shapes = []
-        plain = np.linalg.eigh
-
-        def spy(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return plain(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+    def test_benchmark_run_calls_no_linalg(self, monkeypatch, table_builds, built_steps):
+        # rabi2_floquet at its middle parameters: 5,000 steps, 50 samples,
+        # ending on a step edge, so no step is diagonalized
+        called = []
         config = EvolutionConfig(t_start=0.0, t_end=5000 * RABI_DT, dt=RABI_DT,
                                  initial_state=1, sample_every=100)
-        traj = evolve(RABI, config)
-        assert shapes == [(1, 2, 2)]
+        with monkeypatch.context() as patch:
+            for name in np.linalg.__all__:
+                if name != "LinAlgError":
+                    patch.setattr(np.linalg, name,
+                                  lambda *args, name=name, **kwargs: called.append(name))
+            traj = evolve(RABI, config)
+        assert called == []
         assert table_builds == built_steps == []
         times, populations, final_state = stepwise(RABI, config)
         assert np.array_equal(traj.times, times)
@@ -1455,6 +1507,6 @@ class TestNormDrift:
             sample_every=4,
         )
         traj = evolve(driven, config)
-        assert eigh_phases == [1]
+        assert eigh_phases == ([] if n == 2 else [1])
         eps = np.finfo(np.float64).eps
         assert float(np.max(traj.norm_errors)) <= 16 * eps * self.STEPS
