@@ -159,15 +159,18 @@ def _write_json(pieces, out_path):
             fh.writelines(pieces)
 
 
-def _csv_blocks(data):
-    """The rows of a 2-d float array as CSV text, every value as %.17g.
+def _csv_blocks(*columns):
+    """The rows of float columns side by side as CSV text, every value as %.17g.
 
-    Yields the text a block of rows at a time; %.17g gives the same digits
-    as format(x, ".17g"), so values round-trip exactly.
+    Each argument is a 1-d array, one column, or a 2-d array of columns,
+    all of one length.  Yields the text a block of rows at a time, and
+    stacks the columns of one block only, so no copy of the whole table is
+    held; %.17g gives the same digits as format(x, ".17g"), so values
+    round-trip exactly.
     """
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    for start in range(0, data.shape[0], _CSV_BLOCK_ROWS):
-        block = data[start : start + _CSV_BLOCK_ROWS]
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
+        row = ",".join(["%.17g"] * block.shape[1]) + "\n"
         yield (row * block.shape[0]) % tuple(block.ravel().tolist())
 
 
@@ -283,9 +286,8 @@ def _cmd_evolve(args) -> int:
     with _atomic_open(out_path) as fh:
         traj = evolve(spec, config)
         header = "t," + ",".join(f"p{i}" for i in range(spec.n)) + ",norm_error"
-        data = np.column_stack((traj.times, traj.populations, traj.norm_errors))
         fh.write(header + "\n")
-        for text in _csv_blocks(data):
+        for text in _csv_blocks(traj.times, traj.populations, traj.norm_errors):
             fh.write(text)
     return 0
 

@@ -2,11 +2,14 @@
 
 The static part is the paper's sum_j Delta_j clock^j over the Fourier
 coefficients of the level energies, which is exactly diag(energies); the
-drift is built in that real closed form.  The drive couples the levels
-cyclically through the shift matrix.  _at_phase alone forms H(t), from the
-drift, the drive coefficient and the drive phase factor e^{i w t}:
-hamiltonian_at passes it the times' factors (see _phase_factors), the
-propagator the factors of its steps and of its phase table.
+drift is built in that real closed form.  One helper, _drift_levels, gives
+its levels E - Delta_0 as Python floats: build_drift puts them on a
+diagonal, and the propagator reads them as they are.  The drive couples
+the levels cyclically through the shift matrix.  _at_phase alone forms
+H(t), from the drift's levels, the drive coefficient and the drive phase
+factor e^{i w t}: hamiltonian_at passes it the times' factors (see
+_phase_factors), the propagator the factors of its steps and of its phase
+table.
 Supported drive models:
 
 * ``"none"``         static Hamiltonian only
@@ -129,11 +132,15 @@ def energies_to_deltas(energies) -> np.ndarray:
     and Delta_0 is the mean energy.  The sum runs on the energies scaled by
     2^-p, p the binary exponent of max|E| (see _clock_sums), so it cannot
     overflow at any finite energies; the result is scaled back by 2^p.
+    Energies that do not fit in float64 raise ValueError.
     """
     arr = np.asarray(energies)
     if np.iscomplexobj(arr):
         raise ValueError("energies must be real")
-    e = arr.astype(np.float64)
+    try:
+        e = arr.astype(np.float64)
+    except OverflowError as exc:
+        raise ValueError("energies are too large for float64") from exc
     if e.ndim != 1 or e.shape[0] < 2:
         raise ValueError("energies must be a 1-d sequence of length >= 2")
     if not np.all(np.isfinite(e)):
@@ -169,15 +176,32 @@ def deltas_to_energies(deltas, imag_tol: float = 1e-10) -> np.ndarray:
     return np.ascontiguousarray(e.real)
 
 
+def _drift_levels(spec: SystemSpec) -> list:
+    """The drift's diagonal as floats: E - Delta_0, or E with include_delta0.
+
+    Delta_0 = fsum(E) / n, from the correctly rounded sum, so the levels do
+    not depend on the order of the energies nor on the Python version.  A
+    sum beyond float64 takes a non-finite mean, so the levels come out
+    non-finite, without a warning, and evolve refuses them.
+    """
+    if spec.include_delta0:
+        return list(spec.energies)
+    try:
+        mean = math.fsum(spec.energies) / spec.n
+    except OverflowError:
+        mean = math.inf
+    return [e - mean for e in spec.energies]
+
+
 def build_drift(spec: SystemSpec) -> np.ndarray:
     """Static Hamiltonian sum_{j>=1} Delta_j clock^j, plus Delta_0 I if kept.
 
     The full sum is diag(energies) and Delta_0 is the mean energy, so this
     is the real matrix diag(E - Delta_0), traceless, or diag(E) with
-    include_delta0.  No root of unity enters, so it is exactly hermitian.
+    include_delta0 (see _drift_levels).  No root of unity enters, so it is
+    exactly hermitian.
     """
-    e = np.asarray(spec.energies)
-    return np.diag(e if spec.include_delta0 else e - e.mean())
+    return np.diag(_drift_levels(spec))
 
 
 def build_interaction(n: int, g, omega, t) -> np.ndarray:
@@ -235,7 +259,7 @@ def hamiltonian_at(spec: SystemSpec, times) -> np.ndarray:
     t = np.asarray(times)
     if t.dtype.kind not in "iuf" or not np.all(np.isfinite(t)):
         raise ValueError("times must be finite real numbers")
-    return _at_phase(build_drift(spec), drive_coefficient(spec), _phase_factors(spec, t))
+    return _at_phase(_drift_levels(spec), drive_coefficient(spec), _phase_factors(spec, t))
 
 
 def _is_static(spec: SystemSpec) -> bool:
@@ -254,13 +278,13 @@ def _phase_factors(spec: SystemSpec, t) -> np.ndarray:
     return np.exp(1j * spec.omega * t)
 
 
-def _at_phase(drift: np.ndarray, a: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """drift + (phase a + h.c.) for every entry of an array of phase factors e^{i theta}.
+def _at_phase(levels, a: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """diag(levels) + (phase a + h.c.) for every entry of an array of phase factors e^{i theta}.
 
-    ``drift`` and ``a`` are build_drift and drive_coefficient of one spec.
+    ``levels`` and ``a`` are _drift_levels and drive_coefficient of one spec.
     """
     m = phase[..., None, None] * a
-    return drift + (m + _adjoint(m))
+    return np.diag(levels) + (m + _adjoint(m))
 
 
 def build_full_hamiltonian(spec: SystemSpec, t) -> np.ndarray:

@@ -13,8 +13,10 @@ last step from t_start + K dt to t_end, K the number of full steps, follows
 in the lab frame, diagonalized on its own.  H(t) does not depend on the
 state, so evolve forms the step unitaries of many steps at once, in chunks.
 H(t) is hermitian by construction (see hamiltonian_at), so nothing checks
-that at run time; before any step, evolve checks that the drift and a bound
-on every step's eigenphases are finite, so that no step can overflow.  The
+that at run time.  Before any step, evolve checks that the drift's levels,
+the Python floats of the one helper build_drift also reads, and a bound on
+every step's eigenphases are finite, so that no step can overflow; the
+n x n drift is formed only inside an assembled H (see _at_phase).  The
 chain of states through a chunk is a blocked prefix product (Blelloch,
 CMU-CS-90-190, 1990), one algorithm for every n (_chain): the N unitaries
 are cut into blocks of at most 8, each block's running products are formed
@@ -40,8 +42,9 @@ W = R(-w dt / 2) U(0) R(-w dt / 2): the frame in which the RWA Hamiltonian
 does not depend on time (Shirley, Phys. Rev. 138, B979, 1965), applied to
 the stepper's own product.  At n = 2, which every rwa2 spec has, W is a
 phase times an SU(2) rotation whose entries follow in closed form from the
-three numbers of H(0) (Rabi, Phys. Rev. 51, 652, 1937), and W^k is the
-rotation by k times its angle: scalar arithmetic, no eigh and no other
+three numbers of H(0) (Rabi, Phys. Rev. 51, 652, 1937), read from the
+drift's levels and the drive coefficient without forming H(0), and W^k is
+the rotation by k times its angle: scalar arithmetic, no eigh and no other
 numpy.linalg call.  A static spec above n = 2 has W = U(0), and
 W^k = X diag(e^{i k theta_j}) X^dagger from one eigh of H(0) (see
 _frame_powers).  evolve forms M = W^sample_every and chains the frame
@@ -108,10 +111,10 @@ from .hamiltonian import (
     _adjoint,
     _as_real,
     _at_phase,
+    _drift_levels,
     _is_static,
     _ldexp,
     _phase_factors,
-    build_drift,
     drive_coefficient,
 )
 
@@ -301,8 +304,8 @@ def _step_count(span: float, dt: float) -> int:
 def _spectrum(parts: tuple, z: np.ndarray, where: str):
     """Eigenvalues and eigenvectors of H = _at_phase(*parts, z) at every phase factor of z.
 
-    ``parts`` are the run's drift and drive coefficient.  The one batched eigh
-    of the propagator; ``where`` names the phases in the
+    ``parts`` are the run's drift levels and drive coefficient.  The one
+    batched eigh of the propagator; ``where`` names the phases in the
     EigenConvergenceError a solver failure raises.
     """
     # eigh reads the lower triangle and the real diagonal, which is all of H,
@@ -324,9 +327,9 @@ def _step_unitaries(
 ) -> np.ndarray:
     """exp(-i dt H(t)) at every step midpoint t of ``mids``, as a stack.
 
-    Every step is dt long, and ``parts`` are the run's drift and drive
-    coefficient.  With ``table``, the phase table built for steps of that
-    length (see _phase_table), the unitaries are summed from its
+    Every step is dt long, and ``parts`` are the run's drift levels and
+    drive coefficient.  With ``table``, the phase table built for steps of
+    that length (see _phase_table), the unitaries are summed from its
     coefficients (see _table_sum); without it they come from one batched
     eigh.  With a jump table (see _jump_table) in its place, they are the
     propagators over the table's steps whose first step is centred at each
@@ -411,7 +414,7 @@ def _phase_table(parts: tuple, dt: float, order: int) -> np.ndarray:
     """Coefficients of the full step's unitary along its cyclic diagonals, as (n, n, Q).
 
     U(theta) = exp(-i dt H(theta)), with H(theta) = drift + e^{i theta} A + h.c.
-    the Hamiltonian at drive phase theta = w t and ``parts`` = (drift, A).
+    the Hamiltonian at drive phase theta = w t and ``parts`` = (levels, A).
     The clock Z obeys Z A Z^dagger = sigma A, sigma = e^{2 pi i / n} (Weyl),
     and commutes with the drift, so U(theta + 2 pi / n) = Z U(theta) Z^dagger:
     entry (a, b) of U carries only the Fourier orders m*(a, b) + n s, m* the
@@ -677,7 +680,8 @@ def _frame_steps(spec, parts, psi, t_start, dt, whole, every, populations):
 def _frame_powers(spec, parts, dt):
     """k -> W^k, W = R(-w dt / 2) U(0) R(-w dt / 2) the frame's step (see _frame_steps).
 
-    At n = 2, with H(0) = [[p, c*], [c, q]], m = (p + q) / 2,
+    At n = 2, with H(0) = [[p, c*], [c, q]], p and q the drift's levels and
+    c = A[1, 0] + A[0, 1]* (A's diagonal is zero), m = (p + q) / 2,
     d = (p - q) / 2, r = hypot(d, |c|), x = r dt and s = sin(x) / r (dt at r = 0):
     U(0) = e^{-i m dt} [[cos x - i s d, -i s c*], [-i s c, cos x + i s d]]
     (Rabi, Phys. Rev. 51, 652, 1937), so W = e^{-i (m dt + e)} V with
@@ -693,9 +697,10 @@ def _frame_powers(spec, parts, dt):
         w, v = _spectrum(parts, np.ones(1), f"in the rotating frame for dt = {dt!r}")
         angles, back = np.angle(np.exp(-1j * (w[0] * dt))), _adjoint(v[0])
         return lambda k: (v[0] * np.exp(1j * (k * angles))) @ back
-    (p, _), (c, q) = _at_phase(*parts, np.ones(1))[0].tolist()
+    (p, q), ((_, up), (down, _)) = parts[0], parts[1].tolist()
+    c = down + up.conjugate()
     # halves first, as in hermitian_eig: p - q may overflow
-    m, d = 0.5 * p.real + 0.5 * q.real, 0.5 * p.real - 0.5 * q.real
+    m, d = 0.5 * p + 0.5 * q, 0.5 * p - 0.5 * q
     x = math.hypot(d, abs(c)) * dt
     # s = dt sin(x) / x, which stays right where r dt underflows
     s = math.sin(x) / x * dt if x else dt
@@ -753,7 +758,9 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     otherwise they are diagonalized in one batched eigh call per chunk.
     Jumps and fresh steps share one loop (see the module docstring).  On
     every path a last step shortened to land on t_end is
-    diagonalized on its own, in the lab frame.  Raises ValueError when the
+    diagonalized on its own, in the lab frame.  The drift's levels are the
+    floats of _drift_levels, which build_drift puts on a diagonal; only an
+    assembled H holds them as a matrix.  Raises ValueError when the
     drive phase w t is not finite at t_start or t_end (the time is
     reported), when the drift diag(E - Delta_0) or the bound
     2 (max|drift| + g) dt on a step's eigenphases is too large for float64,
@@ -784,19 +791,19 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     # _table_order), so every eigenphase of a step stays below that bound
     # times dt; the factor 2 leaves room for rounding and for a last step
     # slightly longer than dt (see _step_count)
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = build_drift(spec)
-    levels = drift.diagonal().tolist()
+    levels = _drift_levels(spec)
     if not all(map(math.isfinite, levels)):
         raise ValueError("drift diag(E - Delta_0) is too large for float64")
     if not math.isfinite(2.0 * ((max(map(abs, levels)) + spec.g) * dt)):
         raise ValueError("step phase bound 2 (max|drift| + g) dt is too large for float64")
-    # every H of the run is assembled from this drift and one drive coefficient
-    parts = drift, drive_coefficient(spec)
-    # sample k follows step min(k every, n_steps); the ends are set as given,
-    # since t_start + 0 dt would turn a t_start of -0.0 into 0.0
-    marks = np.minimum(np.arange(n_samples) * every, n_steps)
-    times = t_start + marks * dt
+    # every H of the run is assembled from these levels and one drive coefficient
+    parts = levels, drive_coefficient(spec)
+    # sample k follows step k every, the last one step n_steps: the multiple
+    # of every past n_steps is never scaled by dt, where it could overflow.
+    # The ends are set as given, since t_start + 0 dt would turn a t_start of
+    # -0.0 into 0.0
+    times = np.empty(n_samples)
+    times[:-1] = t_start + np.arange(0, n_steps, every) * dt
     times[0], times[-1] = t_start, t_end
     populations = np.empty((n_samples, n), dtype=np.float64)
     populations[0] = psi.real**2 + psi.imag**2
@@ -815,9 +822,11 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     if k < n_samples:
         populations[k] = psi.real**2 + psi.imag**2
 
+    # ** 0.5, - and abs() on a temporary reuse its memory (numpy elides the
+    # copies), so the norm errors take one array, not two
     return Trajectory(
         times=times,
         populations=populations,
-        norm_errors=np.abs(np.sqrt(populations @ np.ones(n)) - 1.0),
+        norm_errors=abs((populations @ np.ones(n)) ** 0.5 - 1.0),
         final_state=psi.copy(),
     )

@@ -23,7 +23,7 @@ from nlevel import (
     mat_pow,
 )
 from nlevel.algebra import root_power
-from nlevel.hamiltonian import _at_phase
+from nlevel.hamiltonian import _at_phase, _drift_levels
 
 
 def max_abs(m):
@@ -105,6 +105,11 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             energies_to_deltas([1.0, math.inf])
 
+    def test_rejects_energies_beyond_float64(self):
+        # an int past the float64 range, as SystemSpec refuses it
+        with pytest.raises(ValueError, match="too large for float64"):
+            energies_to_deltas([10**400, 0])
+
     def test_reconstruction_rejects_unpaired_deltas(self):
         # breaking the conjugate pairing makes the energies complex
         with pytest.raises(ValueError, match="not real"):
@@ -171,6 +176,20 @@ class TestDrift:
         spec = SystemSpec(n=4, energies=(1.0, 2.0, 3.0, 4.0))
         h = build_drift(spec)
         assert max_abs(h - np.diag(np.diag(h))) == 0.0
+
+    @pytest.mark.parametrize("energies", [
+        (1e16, 1.0, -1e16),  # numpy's pairwise mean reads 0 or 1/3 by order
+        tuple(np.random.default_rng(301).uniform(-5, 5, size=12) + 1e9),
+    ], ids=["cancelling", "offset"])
+    def test_permuting_energies_permutes_the_diagonal(self, energies):
+        # the mean energy is correctly rounded, so it does not depend on the
+        # order of the energies, and neither does any level, to the bit
+        levels = np.diag(build_drift(SystemSpec(n=len(energies), energies=energies)))
+        rng = np.random.default_rng(302)
+        for _ in range(20):
+            order = rng.permutation(len(energies))
+            spec = SystemSpec(n=len(energies), energies=tuple(np.array(energies)[order]))
+            assert np.array_equal(np.diag(build_drift(spec)), levels[order])
 
 
 class TestInteraction:
@@ -302,7 +321,7 @@ class TestFullHamiltonian:
                     build_full_hamiltonian(scaled, t / scale)[None],
                     hamiltonian_at(scaled, (t + np.linspace(0.0, 20.0, 7)) / scale),
                 ]
-                parts = build_drift(scaled), drive_coefficient(scaled)
+                parts = _drift_levels(scaled), drive_coefficient(scaled)
                 stacks += [_at_phase(*parts, root_power(p, np.arange(p))) for p in (2, 12, 18)]
                 for h in stacks:
                     assert np.array_equal(h, np.swapaxes(h.conj(), -1, -2))

@@ -424,6 +424,16 @@ class TestFailureMapping:
         assert traj.times[-1] == t_end
         assert np.allclose(traj.populations, [0.5, 0.5, 0.0], rtol=0.0, atol=1e-12)
 
+    def test_grid_near_float64_limit_does_not_warn(self):
+        # the last sample is t_end, set as given: the multiple of sample_every
+        # past the step count that would mark it, 20 dt = 2e308, is never formed
+        spec = SystemSpec(n=2, energies=(0.0, 0.0))
+        config = EvolutionConfig(t_start=0.0, t_end=1.5e308, dt=1e307, sample_every=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(spec, config)
+        assert traj.times.tolist() == [0.0, 10 * 1e307, 1.5e308]
+
     def test_solver_failure_raises_convergence_error(self, monkeypatch):
         def fail(a, UPLO="L"):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -495,6 +505,30 @@ class TestEnergyScale:
         )
         traj = evolve(spec, EvolutionConfig(t_start=0.0, t_end=1e-5, dt=1e-8))
         assert np.allclose(traj.populations.sum(axis=1), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("include_delta0", [False, True])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_steps_take_the_drift_of_build_drift(self, monkeypatch, n, offset,
+                                                 include_delta0):
+        # evolve reads the levels from the helper build_drift puts on its
+        # diagonal; every H it diagonalizes, here of a full step and a
+        # shortened last step, must hold that diagonal to the bit, the
+        # drive's being zero
+        energies = np.random.default_rng(400 + n).uniform(-5, 5, size=n) + offset
+        spec = SystemSpec(n=n, energies=tuple(energies), g=0.25, omega=1.0,
+                          drive_model="generalized", include_delta0=include_delta0)
+        diagonals, plain = [], np.linalg.eigh
+
+        def spy(h, *args, **kwargs):
+            diagonals.extend(np.diagonal(h, axis1=-2, axis2=-1))
+            return plain(h, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        evolve(spec, EvolutionConfig(t_start=0.0, t_end=1.5e-3, dt=1e-3))
+        assert diagonals
+        for diagonal in diagonals:
+            assert np.array_equal(diagonal, np.diag(hamiltonian.build_drift(spec)))
 
     def test_eig_accepts_large_scale_residue(self):
         h = np.diag([1e6, -1e6]).astype(complex)
@@ -1031,8 +1065,8 @@ def table_spec(model, n, x, dt, offset=0.0):
 
 
 def run_parts(spec):
-    """The drift and drive coefficient evolve assembles every H of a run from."""
-    return hamiltonian.build_drift(spec), hamiltonian.drive_coefficient(spec)
+    """The drift levels and drive coefficient evolve assembles every H of a run from."""
+    return hamiltonian._drift_levels(spec), hamiltonian.drive_coefficient(spec)
 
 
 def tabled_and_direct(spec, dt, steps=300, t0=0.25):
@@ -1395,6 +1429,11 @@ class TestRotatingFrame:
                 if name != "LinAlgError":
                     patch.setattr(np.linalg, name,
                                   lambda *args, name=name, **kwargs: called.append(name))
+            # nor is a drift matrix or an H formed: the closed form reads
+            # H(0)'s three numbers from the drift levels and drive coefficient
+            for owner, name in ((np, "diag"), (propagator, "_at_phase")):
+                patch.setattr(owner, name,
+                              lambda *args, name=name, **kwargs: called.append(name))
             traj = evolve(RABI, config)
         assert called == []
         assert table_builds == built_steps == []
