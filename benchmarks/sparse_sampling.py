@@ -15,11 +15,14 @@ runs of each label's per-case median time, first label over second.
 A run pins the process to one CPU (``--cpu``), then makes ``--calls`` timed
 calls per case, interleaved: call i of every case is made before call i + 1
 of any.  One warm-up call per case comes first.  Each case records the median
-and quartiles of its calls, the max |dp| of its populations against a
-stepwise loop of exp(-i dt H(t_mid)) by eigh, one matrix-vector product per
-step (exp_step's formula, with the Hamiltonians and eigh batched), and its
-largest norm error.  ``--check`` runs only that comparison and exits 1 when
-a case exceeds its bound.
+and quartiles of its calls, the max |dp| of its populations against
+``stepwise``, and its largest norm error.  ``--check`` runs only that
+comparison and exits 1 when a case exceeds its bound.
+
+``stepwise`` is the one reference of the repository: the path tests in
+``tests/test_propagator.py`` import it, with ``config_objects`` and
+``committed``.  It steps exp(-i h H(t_mid)) on evolve's grid, one batched
+eigh per block of steps and one matrix-vector product per step.
 """
 
 import argparse
@@ -44,7 +47,8 @@ EPS_PER_STEP = 16 * np.finfo(np.float64).eps
 _REFERENCE_CHUNK = 4096
 
 
-def _committed(name):
+def committed(name):
+    """A committed `nlevel evolve` config, parsed."""
     return json.loads((ROOT / "configs" / name).read_text())
 
 
@@ -63,8 +67,8 @@ def _driven(n, dt, steps, every, period=None, omega=1.0137, model="generalized",
 
 def cases():
     """The timed inputs: the committed configs, sparse lab-frame runs and frame runs."""
-    driven = _committed("driven_three_level.json")
-    rabi = _committed("rabi_two_level.json")
+    driven = committed("driven_three_level.json")
+    rabi = committed("rabi_two_level.json")
     rabi_dt = rabi["dt"]
     return {
         # the committed configs as given, and the driven one sampled more sparsely
@@ -95,50 +99,56 @@ def cases():
     }
 
 
-def _objects(nlevel, raw):
-    spec = nlevel.SystemSpec(n=raw["n"], energies=tuple(raw["energies"]), g=raw["g"],
-                             omega=raw["omega"], drive_model=raw["drive_model"])
-    config = nlevel.EvolutionConfig(t_start=raw["t_start"], t_end=raw["t_end"],
-                                    dt=raw["dt"], initial_state=raw["initial_state"],
-                                    sample_every=raw["sample_every"])
+def config_objects(raw):
+    """The SystemSpec and EvolutionConfig of a parsed `nlevel evolve` config."""
+    from nlevel import EvolutionConfig, SystemSpec
+
+    spec = SystemSpec(n=raw["n"], energies=tuple(raw["energies"]), g=raw["g"],
+                      omega=raw["omega"], drive_model=raw["drive_model"])
+    config = EvolutionConfig(t_start=raw["t_start"], t_end=raw["t_end"], dt=raw["dt"],
+                             initial_state=raw["initial_state"],
+                             sample_every=raw["sample_every"])
     return spec, config
 
 
-def _reference(nlevel, spec, config):
-    """Populations at the sample instants from one eigh step per step, on evolve's grid."""
+def stepwise(spec, config):
+    """Sample times, populations and the final state from one eigh step per step.
+
+    The steps lie on evolve's grid, edges t_start + k dt and the last at
+    t_end, and start from the initial state as evolve normalizes it, a basis
+    index or amplitudes.  Each step applies exp(-i h H(t_mid)) as v (v^dagger psi)
+    e^{-i w h}, exp_step's formula, with H and eigh batched per block of
+    _REFERENCE_CHUNK steps.
+    """
     from nlevel.hamiltonian import hamiltonian_at
+    from nlevel.propagator import _initial_vector, _step_count
 
-    dt, steps = config.dt, _steps(config)
-    psi = np.zeros(spec.n, dtype=complex)
-    psi[config.initial_state] = 1.0
-    rows = [np.abs(psi) ** 2]
+    steps = _step_count(config.t_end - config.t_start, config.dt)
+    edges = config.t_start + np.arange(steps + 1) * config.dt
+    edges[-1] = config.t_end
+    psi = _initial_vector(spec.n, config.initial_state)
+    taken, states = [0], [psi]
     for start in range(0, steps, _REFERENCE_CHUNK):
-        k = np.arange(start, min(start + _REFERENCE_CHUNK, steps))
-        t0 = config.t_start + k * dt
-        t1 = np.where(k + 1 == steps, config.t_end, config.t_start + (k + 1) * dt)
-        w, v = np.linalg.eigh(hamiltonian_at(spec, t0 + 0.5 * (t1 - t0)))
-        phases = np.exp(-1j * w * (t1 - t0)[:, None])
-        for j, step in enumerate(k):
+        block = edges[start : start + _REFERENCE_CHUNK + 1]
+        t0, h = block[:-1], np.diff(block)
+        w, v = np.linalg.eigh(hamiltonian_at(spec, t0 + 0.5 * h))
+        phases = np.exp(-1j * w * h[:, None])
+        for j, k in enumerate(range(start + 1, start + len(h) + 1)):
             psi = v[j] @ ((v[j].conj().T @ psi) * phases[j])
-            if (step + 1) % config.sample_every == 0 or step + 1 == steps:
-                rows.append(np.abs(psi) ** 2)
-    return np.array(rows)
-
-
-def _steps(config):
-    """evolve's step count on the config's grid."""
-    span = config.t_end - config.t_start
-    return max(int(math.ceil((span / config.dt) * (1.0 - 1e-12))), 1)
+            if k % config.sample_every == 0 or k == steps:
+                taken.append(k)
+                states.append(psi)
+    return edges[taken], np.abs(np.array(states)) ** 2, psi
 
 
 def check(nlevel, raws):
     """Max |dp| against the stepwise loop, largest norm error and both bounds, per case."""
     results = {}
     for name, raw in raws.items():
-        spec, config = _objects(nlevel, raw)
+        spec, config = config_objects(raw)
         traj = nlevel.evolve(spec, config)
-        dp = float(np.max(np.abs(traj.populations - _reference(nlevel, spec, config))))
-        steps = _steps(config)
+        dp = float(np.max(np.abs(traj.populations - stepwise(spec, config)[1])))
+        steps = nlevel.propagator._step_count(config.t_end - config.t_start, config.dt)
         results[name] = {
             "max_dp": dp, "max_dp_bound": max(MAX_DP, EPS_PER_STEP * steps),
             "norm_error": float(np.max(traj.norm_errors)),
@@ -149,7 +159,7 @@ def check(nlevel, raws):
 
 def time_calls(nlevel, raws, calls):
     """Median and quartiles in ms of interleaved in-process evolve calls, per case."""
-    runs = {name: _objects(nlevel, raw) for name, raw in raws.items()}
+    runs = {name: config_objects(raw) for name, raw in raws.items()}
     times = {name: [] for name in runs}
     for name, args in runs.items():
         nlevel.evolve(*args)

@@ -254,11 +254,17 @@ def hamiltonian_at(spec: SystemSpec, times) -> np.ndarray:
     The drift is real and diagonal and the bracket is hermitian to the bit,
     so H(t) is exactly hermitian at every t, which the propagator relies on
     without a check.  A static spec (no drive, g = 0 or w = 0) takes the
-    phase factor 1, so its H(t) is finite at any t.
+    phase factor 1, so its H(t) is finite at any t; a driven spec whose
+    drive phase w t is not finite raises ValueError naming the time.
     """
     t = np.asarray(times)
     if t.dtype.kind not in "iuf" or not np.all(np.isfinite(t)):
         raise ValueError("times must be finite real numbers")
+    if not _is_static(spec):
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(spec.omega * t)
+        if not finite.all():
+            raise ValueError(f"drive phase w t is not finite at t = {float(t[~finite][0])!r}")
     return _at_phase(_drift_levels(spec), drive_coefficient(spec), _phase_factors(spec, t))
 
 

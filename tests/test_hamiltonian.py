@@ -350,6 +350,20 @@ class TestHamiltonianAt:
         stack = hamiltonian_at(spec, [0.0, 1e9])
         assert np.array_equal(stack, np.broadcast_to(build_drift(spec), (2, 3, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_drive_phase_past_float64(self):
+        # w t overflows at t = 1e300 and evolve rejects it so; a static spec
+        # at the same t keeps its finite H
+        spec = SystemSpec(n=2, energies=(0.0, 1.0), g=1.0, omega=1e300,
+                          drive_model="generalized")
+        for build in (lambda t: hamiltonian_at(spec, [0.0, t]),
+                      lambda t: build_full_hamiltonian(spec, t),
+                      lambda t: build_interaction(2, 1.0, 1e300, t)):
+            with pytest.raises(ValueError, match=r"w t is not finite at t = 1e\+300"):
+                build(1e300)
+        static = dataclasses.replace(spec, g=0.0)
+        assert np.array_equal(hamiltonian_at(static, 1e300), build_drift(static))
+
     @pytest.mark.parametrize("times", [[0.0, math.inf], [math.nan], [1j]])
     def test_rejects_non_finite_or_complex_times(self, times):
         with pytest.raises(ValueError, match="finite real"):

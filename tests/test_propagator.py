@@ -1,7 +1,7 @@
 import dataclasses
 import inspect
-import json
 import math
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -24,6 +24,10 @@ from nlevel import (
     hermitian_eig,
 )
 from test_cli import write_config
+
+# the path tests share the stepwise reference of the sparse-sampling check
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from sparse_sampling import committed, config_objects, stepwise  # noqa: E402
 
 
 def max_abs(m):
@@ -132,6 +136,23 @@ class TestExpStep:
     def test_rejects_mismatched_state(self):
         with pytest.raises(ValueError, match="does not match"):
             exp_step(np.eye(3), 0.1, np.ones(2, dtype=complex))
+
+    def test_loop_matches_the_stepwise_reference(self):
+        # the path tests' batched reference against one exp_step per step: a
+        # driven n = 3 run from amplitudes, 40 full steps and one of 0.4 dt
+        spec = jump_spec(3, g=0.25)
+        config = EvolutionConfig(t_start=0.7, t_end=0.7 + 40.4 * 0.05, dt=0.05,
+                                 initial_state=superposed(3), sample_every=7)
+        edges = np.append(0.7 + np.arange(41) * 0.05, config.t_end)
+        states = [propagator._initial_vector(3, config.initial_state)]
+        for t0, t1 in zip(edges[:-1], edges[1:]):
+            h = build_full_hamiltonian(spec, t0 + 0.5 * (t1 - t0))
+            states.append(exp_step(h, t1 - t0, states[-1]))
+        taken = [0, 7, 14, 21, 28, 35, 41]
+        times, populations, final_state = stepwise(spec, config)
+        assert np.array_equal(times, edges[taken])
+        assert max_abs(populations - np.abs(np.array(states)[taken]) ** 2) <= 1e-14
+        assert max_abs(final_state - states[-1]) <= 1e-14
 
 
 class TestEvolutionConfig:
@@ -575,18 +596,6 @@ class TestSampleBudget:
             evolve(THREE_LEVEL, config)
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
-def committed(name):
-    """A committed `nlevel evolve` config, parsed."""
-    return json.loads((CONFIGS / name).read_text())
-
-
-def load_config(name):
-    return config_objects(committed(name))
-
-
 def rabi_cosine():
     """The Rabi config with its drive as cosine2, which runs in the lab frame.
 
@@ -595,39 +604,6 @@ def rabi_cosine():
     from the phase table.
     """
     return config_objects(dict(committed("rabi_two_level.json"), drive_model="cosine2"))
-
-
-def config_objects(raw):
-    """The SystemSpec and EvolutionConfig of a parsed `nlevel evolve` config."""
-    spec = SystemSpec(
-        n=raw["n"], energies=tuple(raw["energies"]), g=raw["g"],
-        omega=raw["omega"], drive_model=raw["drive_model"],
-    )
-    config = EvolutionConfig(
-        t_start=raw["t_start"], t_end=raw["t_end"], dt=raw["dt"],
-        initial_state=raw["initial_state"], sample_every=raw["sample_every"],
-    )
-    return spec, config
-
-
-def stepwise(spec, config):
-    """Sample times, populations and the final state from one exp_step per step.
-
-    The steps lie on evolve's grid, and the start is a basis index or
-    amplitudes, normalized as evolve does.
-    """
-    n_steps = propagator._step_count(config.t_end - config.t_start, config.dt)
-    edges = config.t_start + np.arange(n_steps + 1) * config.dt
-    edges[-1] = config.t_end
-    psi = propagator._initial_vector(spec.n, config.initial_state)
-    states = [psi]
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        psi = exp_step(build_full_hamiltonian(spec, t0 + 0.5 * (t1 - t0)), t1 - t0, psi)
-        states.append(psi)
-    taken = list(range(0, n_steps + 1, config.sample_every))
-    if taken[-1] != n_steps:
-        taken.append(n_steps)
-    return edges[taken], np.abs(np.array(states)[taken]) ** 2, psi
 
 
 def spy_on(monkeypatch, name, record):
@@ -683,8 +659,9 @@ def eigh_phases(monkeypatch):
     return spy_on(monkeypatch, "_spectrum", lambda args, wv: len(args["z"]))
 
 
-def assert_matches_stepwise(spec, config):
-    traj = evolve(spec, config)
+def assert_matches_stepwise(spec, config, traj=None):
+    """Check evolve's run, or a trajectory it returned, against stepwise."""
+    traj = evolve(spec, config) if traj is None else traj
     times, populations, final_state = stepwise(spec, config)
     assert np.array_equal(traj.times, times)
     assert max_abs(traj.populations - populations) <= 1e-10
@@ -692,11 +669,11 @@ def assert_matches_stepwise(spec, config):
     return traj
 
 
-class TestPeriodReuse:
-    # grids of K steps per drive period, which period reuse once served:
-    # they take jump tables like any other grid.  On the Rabi grid with a
-    # cosine2 drive the jump table is composed from the Q = 5 phase table,
-    # so eigh sees its 5 phases and no step
+class TestCommensurateGrids:
+    # grids of K steps per drive period take jump tables like any other
+    # grid.  On the Rabi grid with a cosine2 drive the jump table is
+    # composed from the Q = 5 phase table, so eigh sees its 5 phases and no
+    # step
 
     @pytest.mark.parametrize("short", [0.0, 0.4])
     def test_rabi_config_matches_stepwise(self, built_steps, table_builds, jump_builds,
@@ -716,7 +693,7 @@ class TestPeriodReuse:
         assert table_builds == [5]
         assert jump_builds == [5]
 
-    def test_reuse_over_several_chunks(self, built_steps, table_builds, jump_builds,
+    def test_jumps_over_several_chunks(self, built_steps, table_builds, jump_builds,
                                        monkeypatch):
         # 100-step chunks: 399 jumps in four passes, then 4 fresh full
         # steps; the shortened last step is one product, not a chain
@@ -795,7 +772,7 @@ class TestPeriodReuse:
 
     @pytest.mark.parametrize("period, every", [(1, 7), (3, 1), (100, 100), (100, 5),
                                                (100, 7), (16, 40)])
-    def test_sample_propagators_match_plain_products(self, period, every):
+    def test_jump_table_matches_plain_products(self, period, every):
         # the propagators over one sample interval, summed from the jump
         # table on a grid of K steps per drive period: every below, equal to
         # and above K, coprime pairs, K = 1, and every = 1, where the jump
@@ -880,9 +857,7 @@ class TestJumpTable:
         assert table_builds == [83]
         assert jump_builds == []
         assert peak <= 8 * propagator.CHUNK_BYTES
-        _, populations, final_state = stepwise(spec, config)
-        assert max_abs(traj.populations - populations) <= 1e-10
-        assert max_abs(traj.final_state - final_state) <= 1e-10
+        assert_matches_stepwise(spec, config, traj)
 
     @pytest.mark.parametrize("steps, every", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_not_built_for_one_or_two_steps_at_n32(self, jump_builds, steps, every):
@@ -1240,9 +1215,7 @@ class TestPhaseTable:
         assert table_builds == built
         assert jump_builds == []
         assert peak <= 8 * propagator.CHUNK_BYTES
-        _, populations, final_state = stepwise(spec, config)
-        assert max_abs(traj.populations - populations) <= 1e-10
-        assert max_abs(traj.final_state - final_state) <= 1e-10
+        assert_matches_stepwise(spec, config, traj)
 
     def test_solver_failure_in_the_table_raises_convergence_error(self, monkeypatch):
         def fail(a, UPLO="L"):
@@ -1327,9 +1300,7 @@ class TestClockSymmetry:
         traj = evolve(spec, config)
         assert table_builds == [phases]
         assert shapes == [(phases, spec.n, spec.n)]
-        times, populations, _ = stepwise(spec, config)
-        assert np.array_equal(traj.times, times)
-        assert max_abs(traj.populations - populations) <= 1e-10
+        assert_matches_stepwise(spec, config, traj)
 
 
 RABI = SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1.0, drive_model="rwa2")
@@ -1437,10 +1408,7 @@ class TestRotatingFrame:
             traj = evolve(RABI, config)
         assert called == []
         assert table_builds == built_steps == []
-        times, populations, final_state = stepwise(RABI, config)
-        assert np.array_equal(traj.times, times)
-        assert max_abs(traj.populations - populations) <= 1e-10
-        assert max_abs(traj.final_state - final_state) <= 1e-10
+        assert_matches_stepwise(RABI, config, traj)
 
     def test_long_static_run_takes_one_eigh(self, eigh_phases):
         # 100,000 steps sampled every 2,000, against the exact propagator
@@ -1473,7 +1441,7 @@ class TestRotatingFrame:
     def test_chunks_hold_the_sampled_states(self, monkeypatch, every):
         # 7-state chunks: the frame states of 400 or 2,000 samples in many
         # passes, against one pass
-        spec, config = load_config("rabi_two_level.json")
+        spec, config = config_objects(committed("rabi_two_level.json"))
         config = dataclasses.replace(config, initial_state=(0.6, 0.8j),
                                      sample_every=every)
         whole = evolve(spec, config)
