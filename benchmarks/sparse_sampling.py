@@ -1,35 +1,39 @@
-"""Time in-process `evolve` on sparsely sampled runs and check it against a stepwise loop.
+"""Check in-process `evolve` against a stepwise loop, and time two checkouts in one paired run.
 
 Usage:
 
-    python benchmarks/sparse_sampling.py SRC --label NAME [--calls 21] [--cpu 0]
-                                          [--out BENCH_sparse.json]
+    python benchmarks/sparse_sampling.py PARENT_SRC CHANGE_SRC [--calls 101]
+                                          [--out BENCH_pairs.json]
     python benchmarks/sparse_sampling.py SRC --check
 
-SRC is the ``src`` directory of the nlevel checkout to time, so the same
-script times two commits: run it on each in turn, alternating, with one
-``--label`` per commit.  Each run appends its record to the JSON file under
-``runs`` and recomputes ``ratios``: for every pair of labels, the median over
-runs of each label's per-case median time, first label over second.
-
-A run pins the process to one CPU (``--cpu``), then makes ``--calls`` timed
-calls per case, interleaved: call i of every case is made before call i + 1
-of any.  One warm-up call per case comes first.  Each case records the median
-and quartiles of its calls, the max |dp| of its populations against
-``stepwise``, and its largest norm error.  ``--check`` runs only that
-comparison and exits 1 when a case exceeds its bound.
+Each SRC is the ``src`` directory of an nlevel checkout.  A paired run
+imports both into one process, PARENT_SRC as ``nlevel`` and CHANGE_SRC as
+``nlevel_change`` (the package imports itself only relatively), and pins
+the process to the first CPU of its affinity set.  After one warm-up pair
+per case, each of ``--calls`` call indices runs every case once on each
+side, and the side that goes first alternates from one index to the next.
+Per case the record holds each side's median and quartiles in ms, the
+change's wins (calls faster than the parent's call of the same index) over
+its pairs, and each side's max |dp| against ``stepwise`` and largest norm
+error.  The record, with its command, CPU and versions, replaces ``--out``.
+``--check`` runs only that comparison, on SRC.  Both exit 1 when a case
+exceeds its bound.  The reference runs on the tree imported as ``nlevel``.
 
 ``stepwise`` is the one reference of the repository: the path tests in
 ``tests/test_propagator.py`` import it, with ``config_objects`` and
-``committed``.  It steps exp(-i h H(t_mid)) on evolve's grid, one batched
-eigh per block of steps and one matrix-vector product per step.
+``committed``, which read a config through the nlevel CLI's own helpers as
+`nlevel evolve` does.  It steps exp(-i h H(t_mid)) on evolve's grid, one
+batched eigh per block of steps and one matrix-vector product per step.
 """
 
 import argparse
+import importlib
+import importlib.util
 import json
 import math
 import os
 import platform
+import shlex
 import statistics
 import sys
 import time
@@ -47,9 +51,20 @@ EPS_PER_STEP = 16 * np.finfo(np.float64).eps
 _REFERENCE_CHUNK = 4096
 
 
+def load(src, name="nlevel"):
+    """Import the nlevel package under the directory ``src`` as module ``name``."""
+    package = Path(src).resolve() / "nlevel"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def committed(name):
-    """A committed `nlevel evolve` config, parsed."""
-    return json.loads((ROOT / "configs" / name).read_text())
+    """A committed `nlevel evolve` config, read as the CLI reads it."""
+    return importlib.import_module("nlevel.cli")._load_config(ROOT / "configs" / name)
 
 
 def _driven(n, dt, steps, every, period=None, omega=1.0137, model="generalized",
@@ -99,16 +114,14 @@ def cases():
     }
 
 
-def config_objects(raw):
-    """The SystemSpec and EvolutionConfig of a parsed `nlevel evolve` config."""
-    from nlevel import EvolutionConfig, SystemSpec
-
-    spec = SystemSpec(n=raw["n"], energies=tuple(raw["energies"]), g=raw["g"],
-                      omega=raw["omega"], drive_model=raw["drive_model"])
-    config = EvolutionConfig(t_start=raw["t_start"], t_end=raw["t_end"], dt=raw["dt"],
-                             initial_state=raw["initial_state"],
-                             sample_every=raw["sample_every"])
-    return spec, config
+def config_objects(raw, tree="nlevel"):
+    """The SystemSpec and EvolutionConfig that `nlevel evolve` of package ``tree`` builds."""
+    cli = importlib.import_module(f"{tree}.cli")
+    spec = cli.SystemSpec(**cli._config_fields(raw, cli.SystemSpec, ("n", "energies")))
+    required = ("t_start", "t_end", "dt", "initial_state")
+    fields = cli._config_fields(raw, cli.EvolutionConfig, required)
+    fields["initial_state"] = cli._initial_state_from_config(fields["initial_state"])
+    return spec, cli.EvolutionConfig(**fields)
 
 
 def stepwise(spec, config):
@@ -141,111 +154,95 @@ def stepwise(spec, config):
     return edges[taken], np.abs(np.array(states)) ** 2, psi
 
 
-def check(nlevel, raws):
-    """Max |dp| against the stepwise loop, largest norm error and both bounds, per case."""
+def check(tree, raws, references):
+    """Max |dp| against the references, largest norm error and both bounds, per case."""
     results = {}
     for name, raw in raws.items():
-        spec, config = config_objects(raw)
-        traj = nlevel.evolve(spec, config)
-        dp = float(np.max(np.abs(traj.populations - stepwise(spec, config)[1])))
-        steps = nlevel.propagator._step_count(config.t_end - config.t_start, config.dt)
+        spec, config = config_objects(raw, tree.__name__)
+        traj = tree.evolve(spec, config)
+        steps = tree.propagator._step_count(config.t_end - config.t_start, config.dt)
         results[name] = {
-            "max_dp": dp, "max_dp_bound": max(MAX_DP, EPS_PER_STEP * steps),
+            "max_dp": float(np.max(np.abs(traj.populations - references[name]))),
+            "max_dp_bound": max(MAX_DP, EPS_PER_STEP * steps),
             "norm_error": float(np.max(traj.norm_errors)),
             "norm_error_bound": EPS_PER_STEP * steps,
         }
     return results
 
 
-def time_calls(nlevel, raws, calls):
-    """Median and quartiles in ms of interleaved in-process evolve calls, per case."""
-    runs = {name: config_objects(raw) for name, raw in raws.items()}
-    times = {name: [] for name in runs}
-    for name, args in runs.items():
-        nlevel.evolve(*args)
-    for _ in range(calls):
-        for name, args in runs.items():
-            t0 = time.perf_counter()
-            nlevel.evolve(*args)
-            times[name].append(1e3 * (time.perf_counter() - t0))
-    out = {}
-    for name, ms in times.items():
-        q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
-        out[name] = {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "calls": len(ms)}
-    return out
+def time_pairs(trees, raws, calls):
+    """Per side and case, the ms of ``calls`` evolve calls made in pairs after a warm-up pair."""
+    runs = [{name: config_objects(raw, tree.__name__) for name, raw in raws.items()}
+            for tree in trees]
+    times = [{name: [] for name in raws} for _ in trees]
+    for i in range(calls + 1):
+        for name in raws:
+            for side in (1, 0) if i % 2 else (0, 1):
+                t0 = time.perf_counter()
+                trees[side].evolve(*runs[side][name])
+                times[side][name].append(1e3 * (time.perf_counter() - t0))
+    return [{name: ms[1:] for name, ms in side.items()} for side in times]
 
 
-def _ratios(runs):
-    """Per case, for each pair of labels, median of the first's medians over the second's."""
-    medians = {}
-    for run in runs:
-        for name, result in run["results"].items():
-            if "median_ms" in result:
-                medians.setdefault(run["label"], {}).setdefault(name, []).append(
-                    result["median_ms"])
-    labels = list(medians)
-    ratios = {}
-    for i, first in enumerate(labels):
-        for second in labels[i + 1 :]:
-            ratios[f"{first}/{second}"] = {
-                name: statistics.median(medians[first][name])
-                / statistics.median(medians[second][name])
-                for name in medians[first] if name in medians[second]
-            }
-    return ratios
+def _timed(result, ms):
+    """A case's check result with the median and quartiles of its call times."""
+    q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+    return dict(result, median_ms=median, q1_ms=q1, q3_ms=q3)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("src", help="the src directory of the nlevel checkout to time")
-    parser.add_argument("--label", help="name of this checkout in the JSON file")
-    parser.add_argument("--calls", type=int, default=21)
-    parser.add_argument("--cpu", type=int, default=0, help="CPU to pin the process to")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_sparse.json"))
+    parser.add_argument("src", help="the src directory of the checkout to check, "
+                                    "or of the parent in a paired run")
+    parser.add_argument("change", nargs="?", help="the src directory of the change")
+    parser.add_argument("--calls", type=int, default=101)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_pairs.json"))
     parser.add_argument("--check", action="store_true",
-                        help="only compare against the stepwise loop")
+                        help="only compare SRC against the stepwise loop")
     args = parser.parse_args(argv)
-    if not args.check and (args.label is None or args.calls < 21):
-        parser.error("a timed run needs --label and at least 21 --calls")
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    import nlevel
+    if (args.change is None) != args.check or args.calls < 21:
+        parser.error("give SRC --check, or PARENT_SRC CHANGE_SRC and at least 21 --calls")
+    trees = [load(args.src)] + ([] if args.check else [load(args.change, "nlevel_change")])
 
     raws = cases()
-    results = check(nlevel, raws)
-    bad = {name: r for name, r in results.items()
-           if not (r["max_dp"] <= r["max_dp_bound"]
-                   and r["norm_error"] <= r["norm_error_bound"])}
-    for name, r in results.items():
-        print(f"{name:30s} max|dp| {r['max_dp']:.2e}  norm error {r['norm_error']:.2e}")
+    references = {name: stepwise(*config_objects(raw))[1] for name, raw in raws.items()}
+    checks = [check(tree, raws, references) for tree in trees]
+    bad = sorted({name for results in checks for name, r in results.items()
+                  if not (r["max_dp"] <= r["max_dp_bound"]
+                          and r["norm_error"] <= r["norm_error_bound"])})
+    for name in raws:
+        print(f"{name:30s}", "  ".join(f"max|dp| {results[name]['max_dp']:.2e}  norm error "
+                                       f"{results[name]['norm_error']:.2e}"
+                                       for results in checks))
+    if bad:
+        print(f"over the bounds: {bad}", file=sys.stderr)
     if args.check:
-        if bad:
-            print(f"over the bounds: {sorted(bad)}", file=sys.stderr)
         return 1 if bad else 0
 
-    os.sched_setaffinity(0, {args.cpu})
-    for name, timing in time_calls(nlevel, raws, args.calls).items():
-        results[name].update(timing)
-        print(f"{name:30s} {timing['median_ms']:9.3f} ms "
-              f"[{timing['q1_ms']:.3f}, {timing['q3_ms']:.3f}]")
-    path = Path(args.out)
-    record = json.loads(path.read_text()) if path.exists() else {
-        "script": "benchmarks/sparse_sampling.py",
-        "what": "in-process nlevel.evolve, ms per call; max_dp against a stepwise "
-                "eigh loop; ratios are medians over runs of the per-run medians",
-        "cases": raws,
-        "runs": [],
-    }
-    record["runs"].append({
-        "label": args.label,
-        "pinned_cpu": args.cpu,
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    times = time_pairs(trees, raws, args.calls)
+    results = {}
+    for name in raws:
+        parent, change = (_timed(c[name], t[name]) for c, t in zip(checks, times))
+        wins = sum(c < p for p, c in zip(times[0][name], times[1][name]))
+        results[name] = {"parent": parent, "change": change, "change_wins": wins,
+                         "pairs": args.calls}
+        print(f"{name:30s} {parent['median_ms']:9.3f} ms -> {change['median_ms']:9.3f} ms,"
+              f" change won {wins}/{args.calls}")
+    Path(args.out).write_text(json.dumps({
+        "command": shlex.join(["python", "benchmarks/sparse_sampling.py",
+                               *(sys.argv[1:] if argv is None else argv)]),
+        "what": "in-process nlevel.evolve, ms per call, both trees in one process; "
+                "change_wins: pairs the change was faster; max_dp against stepwise",
+        "pinned_cpu": cpu,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "finished": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "cases": raws,
         "results": results,
-    })
-    record["ratios"] = _ratios(record["runs"])
-    path.write_text(json.dumps(record, indent=2) + "\n")
+    }, indent=2) + "\n")
     return 1 if bad else 0
 
 

@@ -32,19 +32,25 @@ __all__ = [
 _MAX_MATRIX_BYTES = 2**22
 
 
+def _as_int(value, what, least) -> int:
+    """value as an int, when it is an integer, not a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return int(value)
+
+
 def _check_dim(n) -> int:
     """n as an int, when it is at least 2 and one n x n matrix fits the byte budget."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
-    need = 16 * int(n) ** 2
+    n = _as_int(n, "dimension", 2)
+    need = 16 * n**2
     if need > _MAX_MATRIX_BYTES:
         raise ValueError(
             f"dimension {n} needs {need} bytes per n x n matrix, over the "
             f"{_MAX_MATRIX_BYTES}-byte budget"
         )
-    return int(n)
+    return n
 
 
 def root_power(n: int, k) -> np.ndarray:

@@ -105,7 +105,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import root_power
+from .algebra import _as_int, root_power
 from .hamiltonian import (
     SystemSpec,
     _adjoint,
@@ -233,13 +233,7 @@ class EvolutionConfig:
             raise ValueError(
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
             )
-        if isinstance(self.sample_every, bool) or not isinstance(
-            self.sample_every, (int, np.integer)
-        ):
-            raise ValueError(f"sample_every must be an integer, got {self.sample_every!r}")
-        if self.sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
-        object.__setattr__(self, "sample_every", int(self.sample_every))
+        object.__setattr__(self, "sample_every", _as_int(self.sample_every, "sample_every", 1))
         if (self.t_end - self.t_start) / self.dt > MAX_STEPS:
             raise ValueError(
                 f"time grid exceeds {MAX_STEPS} steps; increase dt or shorten the span"

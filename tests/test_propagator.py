@@ -340,12 +340,10 @@ class TestInitialState:
         # the amplitudes are scaled by a power of two before their norm is
         # taken, so neither its square overflows nor does it underflow to 0
         raw = committed("rabi_two_level.json")
-        expected = evolve(*config_objects(dict(raw, initial_state=[1.0, 1.0])))
-        spec, config = config_objects(dict(raw, initial_state=[scale, scale]))
-        traj = evolve(spec, config)
-        _, populations = evolve_through_cli(
-            tmp_path, dict(raw, initial_state=[[scale, 0.0], [scale, 0.0]])
-        )
+        expected = evolve(*config_objects(dict(raw, initial_state=[[1.0, 0.0]] * 2)))
+        scaled = dict(raw, initial_state=[[scale, 0.0]] * 2)
+        traj = evolve(*config_objects(scaled))
+        _, populations = evolve_through_cli(tmp_path, scaled)
         for got in (traj.populations, populations):
             assert max_abs(got - expected.populations) <= 1e-14
         assert float(np.max(traj.norm_errors)) <= 1e-12

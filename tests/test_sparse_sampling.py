@@ -1,0 +1,79 @@
+"""The sparse-sampling script's config reading and its paired run's premise."""
+
+import dataclasses
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nlevel
+import nlevel.cli as cli
+from test_cli import write_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from sparse_sampling import committed, config_objects, load  # noqa: E402
+
+CONFIGS = ["driven_three_level.json", "rabi_two_level.json"]
+
+
+def without(raw, key):
+    return {k: v for k, v in raw.items() if k != key}
+
+
+class TestConfigObjects:
+    # what `nlevel evolve` reads from a config and what the script's
+    # reference and the path tests read must be the same objects
+    @pytest.mark.parametrize("name, changes", [
+        ("driven_three_level.json", lambda raw: raw),
+        ("rabi_two_level.json", lambda raw: raw),
+        ("driven_three_level.json", lambda raw: dict(raw, include_delta0=True)),
+        ("rabi_two_level.json", lambda raw: without(raw, "sample_every")),
+        ("rabi_two_level.json",
+         lambda raw: dict(raw, initial_state=[[0.6, 0.0], [0.0, -0.8]])),
+    ], ids=["driven", "rabi", "include_delta0", "no_sample_every", "amplitude_pairs"])
+    def test_match_what_evolve_builds(self, tmp_path, monkeypatch, name, changes):
+        raw = changes(committed(name))
+        built = []
+
+        def spy(spec, config):
+            built.append((spec, config))
+            return nlevel.evolve(spec, config)
+
+        monkeypatch.setattr(cli, "evolve", spy)
+        assert cli.main(["evolve", "--config", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out.csv")]) == 0
+        assert built == [config_objects(raw)]
+
+
+@pytest.fixture(scope="module")
+def second_tree():
+    """The nlevel package the tests import, loaded again under another name."""
+    name = "nlevel_second"
+    tree = load(Path(nlevel.__file__).resolve().parent.parent, name)
+    yield tree
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+
+
+class TestSecondTree:
+    def test_modules_are_distinct(self, second_tree):
+        assert second_tree is not nlevel
+        for part in ("algebra", "hamiltonian", "propagator", "cli"):
+            first = importlib.import_module(f"nlevel.{part}")
+            second = importlib.import_module(f"nlevel_second.{part}")
+            assert second is not first
+            assert second.__name__ == f"nlevel_second.{part}"
+        assert second_tree.evolve is not nlevel.evolve
+        assert second_tree.SystemSpec is not nlevel.SystemSpec
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_evolve_is_bit_identical(self, second_tree, name):
+        raw = committed(name)
+        expected = nlevel.evolve(*config_objects(raw))
+        spec, config = config_objects(raw, "nlevel_second")
+        assert type(spec) is second_tree.SystemSpec
+        traj = second_tree.evolve(spec, config)
+        for field in dataclasses.fields(expected):
+            assert np.array_equal(getattr(traj, field.name), getattr(expected, field.name))
