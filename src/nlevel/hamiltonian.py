@@ -47,9 +47,7 @@ _TWO_LEVEL_MODELS = ("cosine2", "rwa2")
 
 
 def _as_real(value, what: str) -> float:
-    if isinstance(value, bool) or isinstance(value, (complex, np.complexfloating)):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-    if not isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     try:
         value = float(value)

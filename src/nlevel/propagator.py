@@ -59,24 +59,24 @@ Phase table.  H = drift + e^{i theta} A + h.c. depends on t only through the
 drive phase theta = w t, so the unitary U(theta) = exp(-i dt H(theta)) of a
 step of length dt is a smooth 2 pi-periodic function of one angle.  Its
 Fourier coefficients fall off like (dt g/2)^|m| / |m|! (Shirley, Phys. Rev.
-138, B979, 1965), so the orders |m| <= M (see _table_order) give U to about
+138, B979, 1965), so the orders |m| <= M (see _table_phases) give U to about
 eps.  The paper's clock Z and shift S obey Z S Z^dagger = sigma S, sigma =
 e^{2 pi i / n} (Weyl), every drive model's A obeys Z A Z^dagger = sigma A, and
 the drift is diagonal, so U(theta + 2 pi / n) = Z U(theta) Z^dagger: entry
 (a, b) of U carries only the orders m = a - b mod n.  So U(theta) is a fixed
 phase pattern e^{i m*(a, b) theta}, m* the representative of a - b nearest 0,
 times a function of period 2 pi / n, and the phases in [0, 2 pi / n) fix it.
-evolve diagonalizes U at Q = 2S + 1 such phases in one batched eigh, once per
-run, S = (M + n/2) // n, and keeps the table by cyclic diagonals (see
+evolve diagonalizes U at Q such phases (see _table_phases) in one batched
+eigh, once per run, and keeps the table by cyclic diagonals (see
 _phase_table); every full-length step then costs one column of n products
 (n, Q) @ (Q, N), one per diagonal, of the table with the powers
 e^{i (m* + n s) theta}, and a gather back to matrix order.  At
-n >= 2M + 1, S = 0: one eigh, of U(0), serves every full-length step of the
+n >= 2M + 1, Q = 1: one eigh, of U(0), serves every full-length step of the
 run.  The table serves the fresh full-length steps, those no jump covers (a
 last step shortened to land on t_end is not one of them), when there are at
 least Q of them and the table fits: Q matrices fit in a chunk, and so do the
 powers of the Q phase factors that its DFT takes, about n Q^2 entries.
-Other runs, such as a one-step run or dt g / 2 beyond about 20 at n = 2,
+Other runs, such as a one-step run or dt g / 2 beyond about 22.4 at n = 2,
 diagonalize every step.  The powers take about n Q rows per step, so a
 chunk's steps go through in slices whose powers fit CHUNK_BYTES.
 
@@ -160,7 +160,7 @@ _SCAN_MAX_N = 4
 _SCAN_BLOCK = 8
 # cap on the sampled times, populations and norm errors a run may hold
 MAX_SAMPLE_BYTES = 2**30
-# truncation error allowed in the phase table's Fourier sum (see _table_order)
+# truncation error allowed in the phase table's Fourier sum (see _table_phases)
 _EPS = np.finfo(np.float64).eps
 
 
@@ -334,7 +334,7 @@ def _step_unitaries(
         span = f"[{float(mids[0])!r}, {float(mids[-1])!r}]"
         return _unitaries(parts, z, dt, f"at some t in {span}")
     # the steps go through in slices whose powers of z fit CHUNK_BYTES
-    rows = _power_rows(spec.n, table.shape[-1] // 2)
+    rows = _power_rows(spec.n, table.shape[-1])
     size = max(1, CHUNK_BYTES // (16 * rows))
     u = [_table_sum(table, _phase_powers(z[i : i + size], rows // 2))
          for i in range(0, len(z), size)]
@@ -350,8 +350,8 @@ def _table_sum(table: np.ndarray, powers: np.ndarray) -> np.ndarray:
     (n, Q) @ (Q, N) per diagonal, gathered back to matrix order.  The stack
     is a view, step index last.
     """
-    n, width = table.shape[0], table.shape[-1] // 2
-    u = table @ _diagonal_powers(powers, n, width)
+    n, q = table.shape[0], table.shape[-1]
+    u = table @ _diagonal_powers(powers, n, q)
     # powers passed in as a temporary are freed before the gather allocates
     # as much again: in a fresh process, holding them took about 50 more
     # minor page faults per 1,500 steps at n = 3
@@ -359,37 +359,29 @@ def _table_sum(table: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return np.take(u.reshape(n * n, -1), _diagonal_order(n)[0], axis=0).T.reshape(-1, n, n)
 
 
-def _table_width(n: int, order: int) -> int:
-    """S = (M + n/2) // n, n/2 rounded down: Q = 2 S + 1 phases resolve orders up to M.
-
-    Entry (a, b) of a step unitary carries the Fourier orders m* + n s (see
-    _phase_table), m* in [-n/2, n - 1 - n/2]; |s| <= S holds every such
-    order up to M, and the first left out, |s| = S + 1, lies beyond M.
-    """
-    return (order + n // 2) // n
+def _power_rows(n: int, q: int) -> int:
+    """Rows 2 (n S + n/2) + 1, S = Q // 2, of one phase factor's powers (see _diagonal_powers)."""
+    return 2 * (n * (q // 2) + n // 2) + 1
 
 
-def _power_rows(n: int, width: int) -> int:
-    """Rows 2 (n S + n/2) + 1 of the powers of one phase factor (see _diagonal_powers)."""
-    return 2 * (n * width + n // 2) + 1
+def _table_phases(spec: SystemSpec, dt: float):
+    """Phases Q of the table of a step of length dt, or None when the table does not fit.
 
-
-def _table_order(spec: SystemSpec, dt: float, limit: int):
-    """Fourier order M of the step unitary's phase table, or None when it does not fit.
-
-    M is the smallest order with 2 x^(M+1) / (M+1)! <= eps for x = dt g / 2,
-    and the table samples Q = 2 S + 1 phases, S from _table_width.  It fits
-    when Q <= limit and the powers of its Q phase factors, which its DFT
-    multiplies by, fit CHUNK_BYTES.  Up to that bound the table is about as
-    fast as eigh or faster (4,096 steps at n = 2 and Q = 83: 7.4 ms against
-    7.2 ms; 1,820 steps at n = 3 and Q = 71: 4.7 against 8.3 ms), beyond it
-    slower (n = 2, Q = 1,121: 62 against 7.2 ms).  g / 2 is
-    the spectral norm of drive_coefficient for every drive model (0 for
-    "none", a bound then).  The Fourier coefficient of order m of U(theta)
-    collects terms of order |m| and above in dt A, so its size falls off like
+    M is the smallest Fourier order with 2 x^(M+1) / (M+1)! <= eps for
+    x = dt g / 2, g / 2 the spectral norm of drive_coefficient for every
+    drive model.  The Fourier coefficient of order m of U(theta) collects
+    terms of order |m| and above in dt A, so its size falls off like
     x^|m| / |m|! (Shirley, Phys. Rev. 138, B979, 1965): the orders left out
     and those the Q-point transform folds onto the kept ones, |m| > M, stay
-    at about eps.
+    at about eps.  Entry (a, b) of U carries the orders m* + n s (see
+    _phase_table), m* in [-n/2, n - 1 - n/2], so with S = (M + n/2) // n,
+    n/2 rounded down, |s| <= S holds every such order up to M, and the first
+    left out, |s| = S + 1, lies beyond M: the table samples Q = 2 S + 1
+    phases.  It fits when Q matrices fit a chunk of CHUNK_BYTES and so do the
+    powers of its Q phase factors, which its DFT multiplies by.  Up to that
+    bound the table is about as fast as eigh or faster (4,096 steps at n = 2
+    and Q = 83: 7.4 ms against 7.2 ms; 1,820 steps at n = 3 and Q = 71: 4.7
+    against 8.3 ms), beyond it slower (n = 2, Q = 1,121: 62 against 7.2 ms).
     """
     n, x = spec.n, 0.5 * spec.g * dt
     # term = 2 x^(order+1) / (order+1)!; from order n on, the Q > 2 order / n
@@ -399,12 +391,13 @@ def _table_order(spec: SystemSpec, dt: float, limit: int):
     while term > _EPS and (order < n or 32 * order**2 <= CHUNK_BYTES * n):
         order += 1
         term *= x / (order + 1)
-    phases = 2 * _table_width(n, order) + 1
-    fits = phases <= limit and 16 * phases * _power_rows(n, phases // 2) <= CHUNK_BYTES
-    return order if fits else None
+    q = 2 * ((order + n // 2) // n) + 1
+    # Q matrices fit a chunk, which holds at least one (see _lab_steps)
+    fits = q <= max(1, CHUNK_BYTES // (16 * n * n))
+    return q if fits and 16 * q * _power_rows(n, q) <= CHUNK_BYTES else None
 
 
-def _phase_table(parts: tuple, dt: float, order: int) -> np.ndarray:
+def _phase_table(parts: tuple, dt: float, q: int) -> np.ndarray:
     """Coefficients of the full step's unitary along its cyclic diagonals, as (n, n, Q).
 
     U(theta) = exp(-i dt H(theta)), with H(theta) = drift + e^{i theta} A + h.c.
@@ -416,20 +409,19 @@ def _phase_table(parts: tuple, dt: float, order: int) -> np.ndarray:
     each cyclic diagonal (see _diagonal_order).  So
     U(theta)[a, b] = sum_s T_s[a, b] e^{i (m*(a, b) + n s) theta}, a phase
     pattern e^{i m* theta} times a function of period 2 pi / n, and |s| <= S
-    holds every order up to M (see _table_width).  U is diagonalized at the
+    holds every order up to M (see _table_phases).  U is diagonalized at the
     Q = 2 S + 1 phases theta_j = 2 pi j / (n Q) in one batched eigh, and
     T_s = (1/Q) sum_j U(theta_j) e^{-i (m* + n s) theta_j}, the Q-point DFT
-    of U with its phase pattern removed, so that U is exact to about eps (see
-    _table_order).  Entry [r, a, S + s] holds T_s at row a of diagonal r.  At
-    n >= 2M + 1, S = 0 and the table is U(0) itself.
+    of U with its phase pattern removed, so that U is exact to about eps.
+    Entry [r, a, S + s] holds T_s at row a of diagonal r.  At n >= 2M + 1,
+    Q = 1 and the table is U(0) itself.
     """
     n = len(parts[0])
-    q = 2 * _table_width(n, order) + 1
     z = root_power(n * q, np.arange(q))
     u = _unitaries(parts, z, dt, f"on the drive-phase table for dt = {dt!r}")
     # at Q = 1 the one phase is theta = 0, where the pattern is 1 and the DFT
     # the identity
-    powers = _phase_powers(z.conj(), _power_rows(n, q // 2) // 2) if q > 1 else None
+    powers = _phase_powers(z.conj(), _power_rows(n, q) // 2) if q > 1 else None
     return _transform(u, powers)
 
 
@@ -447,17 +439,16 @@ def _transform(u: np.ndarray, powers: np.ndarray) -> np.ndarray:
     u = np.take(u.reshape(q, -1), to_diagonals, axis=1).reshape(q, n, n).transpose(1, 2, 0)
     if powers is None:
         return u
-    return u @ _diagonal_powers(powers, n, q // 2).transpose(0, 2, 1) / q
+    return u @ _diagonal_powers(powers, n, q).transpose(0, 2, 1) / q
 
 
-def _diagonal_powers(powers: np.ndarray, n: int, width: int) -> np.ndarray:
+def _diagonal_powers(powers: np.ndarray, n: int, q: int) -> np.ndarray:
     """z^(m* + n s), m* = r - n/2, for every diagonal r and s = -S..S, as (n, Q, N).
 
     Row r + n (s + S) - n S - n/2 of the rows z^m of _phase_powers, whose
-    order is at least n S + n/2, viewed without a copy.
+    order is at least n S + n/2, S = Q // 2, viewed without a copy.
     """
-    q = 2 * width + 1
-    start = len(powers) // 2 - (n * width + n // 2)
+    start = len(powers) // 2 - _power_rows(n, q) // 2
     return powers[start : start + n * q].reshape(q, n, -1).transpose(1, 0, 2)
 
 
@@ -553,7 +544,7 @@ def _jump_table(spec: SystemSpec, table: np.ndarray, dt: float, every: int) -> n
     V_b(theta + a delta) V_a(theta).  V_L has the symmetry of a step,
     V(theta + 2 pi / n) = Z V(theta) Z^dagger, and its Fourier orders fall
     off like x^|m| / |m|!, x = L dt g / 2, so it is kept as a table of the
-    step's kind, with the order _table_order gives for steps of L dt.
+    step's kind, with the Q that _table_phases gives for steps of L dt.
     Starting from the step's phase table, it reads the binary digits of
     every after the leading one: each doubles V_L, and each digit 1 adds one
     step, so every.bit_length() + every.bit_count() - 2 compositions.  Each
@@ -567,8 +558,8 @@ def _jump_table(spec: SystemSpec, table: np.ndarray, dt: float, every: int) -> n
     n = spec.n
 
     def compose(first, a, second, b):
-        q = 2 * _table_width(n, _table_order(spec, (a + b) * dt, math.inf)) + 1
-        top = _power_rows(n, q // 2) // 2
+        q = _table_phases(spec, (a + b) * dt)
+        top = _power_rows(n, q) // 2
         m = np.arange(-top, top + 1)[:, None]
         # z_j^m at the Q phases, which are roots of unity of order n Q
         powers = root_power(n * q, np.arange(n * q))[m * np.arange(q) % (n * q)]
@@ -592,20 +583,20 @@ def _lab_steps(spec, parts, psi, t_start, dt, whole, every, populations):
     """
     chunk = max(1, CHUNK_BYTES // (16 * spec.n**2))
     count = whole // every
-    # each whole sample interval takes one jump when the jump table fits (see
-    # _table_order) and composing it forms fewer matrices than the jumps
-    # save: each composition forms Q samples of both factors and their Q
-    # products (see _jump_table), so 3 Q compositions + count must stay below
-    # count every, which bounds Q
+    # each whole sample interval takes one jump when the jump table fits (its
+    # Q, at least 1, is true, and None is not; see _table_phases) and
+    # composing it forms fewer matrices than the jumps save: each composition
+    # forms Q samples of both factors and their Q products (see _jump_table),
+    # so 3 Q compositions + count must stay below count every
     compositions = every.bit_length() + every.bit_count() - 2
-    pays = (count * (every - 1) - 1) // (3 * compositions) if compositions else 0
-    done = count * every if _table_order(spec, every * dt, min(chunk, pays)) is not None else 0
+    jump_q = _table_phases(spec, every * dt)
+    done = count * every if jump_q and 3 * jump_q * compositions < count * (every - 1) else 0
     # the fresh full-length steps are summed from the phase table when it fits
-    # a chunk and they are at least Q (see _table_order), and so is the jump
-    # table's first factor; this is decided before any eigh, and the tables
-    # are built once, only for such runs
-    order = _table_order(spec, dt, chunk if done else min(whole, chunk))
-    table = None if order is None else _phase_table(parts, dt, order)
+    # and they are at least Q, and so is the jump table's first factor; this
+    # is decided before any eigh, and the tables are built once, only for
+    # such runs
+    step_q = _table_phases(spec, dt)
+    table = _phase_table(parts, dt, step_q) if step_q and (done or step_q <= whole) else None
     jump = _jump_table(spec, table, dt, every) if done else None
 
     # each pass chains a stack of unitaries over unit steps each, from step
@@ -745,11 +736,11 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     matrices than the steps it replaces, each whole sample interval costs
     one propagator, summed from that table, in the chain; only the
     full-length steps after the last whole interval are fresh.  When the
-    fresh full-length steps are at least Q (Q = 2S + 1 phases in
-    [0, 2 pi / n), from M and dt g / 2; see _table_order), or a jump table
-    is composed, their unitaries are summed from a Fourier table over the
-    drive phase that one batched eigh of Q matrices builds once per run;
-    otherwise they are diagonalized in one batched eigh call per chunk.
+    fresh full-length steps are at least Q (Q phases in [0, 2 pi / n), from
+    dt g / 2; see _table_phases), or a jump table is composed, their
+    unitaries are summed from a Fourier table over the drive phase that one
+    batched eigh of Q matrices builds once per run; otherwise they are
+    diagonalized in one batched eigh call per chunk.
     Jumps and fresh steps share one loop (see the module docstring).  On
     every path a last step shortened to land on t_end is
     diagonalized on its own, in the lab frame.  The drift's levels are the
@@ -782,7 +773,7 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
         if not (_is_static(spec) or math.isfinite(spec.omega * t)):
             raise ValueError(f"drive phase w t is not finite at t = {t!r}")
     # ||H(t)|| <= max|drift| + g, since the drive's A has norm g / 2 (see
-    # _table_order), so every eigenphase of a step stays below that bound
+    # _table_phases), so every eigenphase of a step stays below that bound
     # times dt; the factor 2 leaves room for rounding and for a last step
     # slightly longer than dt (see _step_count)
     levels = _drift_levels(spec)

@@ -8,6 +8,7 @@ import pytest
 
 from nlevel import (
     DRIVE_MODELS,
+    EvolutionConfig,
     SystemSpec,
     build_clock,
     build_drift,
@@ -376,8 +377,18 @@ class TestSystemSpecValidation:
             SystemSpec(n=3, energies=(1.0, 2.0))
 
     def test_rejects_complex_energy(self):
-        with pytest.raises(ValueError):
-            SystemSpec(n=2, energies=(1.0, 1.0j))
+        # Python and numpy complex numbers, even with a zero imaginary part,
+        # at the energies and the other real inputs _as_real reads
+        for build in (
+            lambda: SystemSpec(n=2, energies=(1.0, 1.0j)),
+            lambda: SystemSpec(n=2, energies=(1.0, np.complex128(1.0))),
+            lambda: SystemSpec(n=2, energies=(0.0, 1.0), g=0.1 + 0j),
+            lambda: SystemSpec(n=2, energies=(0.0, 1.0), omega=np.complex128(1.0)),
+            lambda: EvolutionConfig(t_start=0.0, t_end=1.0, dt=np.complex128(0.1)),
+            lambda: build_full_hamiltonian(SystemSpec(n=2, energies=(0.0, 1.0)), 1j),
+        ):
+            with pytest.raises(ValueError, match="must be a real number, got"):
+                build()
 
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError, match="g"):

@@ -381,19 +381,20 @@ class TestFailureMapping:
     # the numerical contract, checked before any eigh: the drift and the
     # bound 2 (max|drift| + g) dt on a step's eigenphases must be finite.
     # Each spec overflows somewhere else; none may warn or write NaN.  The
-    # last three would otherwise step by a phase table of order 6, by eigh
-    # and by a phase table of order 8
-    @pytest.mark.parametrize("energies, g, dt, t_end, order, what", [
+    # last three would otherwise step by a phase table of Q = 5, by eigh
+    # and by a phase table of Q = 7
+    @pytest.mark.parametrize("energies, g, dt, t_end, phases, what", [
         ((1.7e308, -1.7e308, 0.0), 1e308, 0.1, 1.0, None, "step phase bound"),
-        ((1.7e308, 1.7e308, 1.0), 0.25, 0.1, 1.0, 6, "drift"),
+        ((1.7e308, 1.7e308, 1.0), 0.25, 0.1, 1.0, 5, "drift"),
         ((1e300, -1e300, 0.0), 0.25, 1e9, 1e10, None, "step phase bound"),
-        ((1e300, -1e300, 0.0), 1e-10, 1e9, 1e11, 8, "step phase bound"),
+        ((1e300, -1e300, 0.0), 1e-10, 1e9, 1e11, 7, "step phase bound"),
     ], ids=["drift_plus_g", "mean_energy", "eigh", "table"])
-    def test_too_large_for_float64(self, monkeypatch, energies, g, dt, t_end, order,
+    def test_too_large_for_float64(self, monkeypatch, energies, g, dt, t_end, phases,
                                    what):
         spec = dataclasses.replace(THREE_LEVEL, energies=energies, g=g)
         config = EvolutionConfig(t_start=0.0, t_end=t_end, dt=dt)
-        assert propagator._table_order(spec, dt, propagator._step_count(t_end, dt)) == order
+        assert propagator._table_phases(spec, dt) == phases
+        assert phases is None or phases <= propagator._step_count(t_end, dt)
 
         def never(*args, **kwargs):
             pytest.fail("eigh ran before the contract was checked")
@@ -781,7 +782,7 @@ class TestCommensurateGrids:
                                    omega=2.0 * math.pi / (period * dt))
         assert on_period_grid(spec, dt)
         parts = run_parts(spec)
-        table = propagator._phase_table(parts, dt, propagator._table_order(spec, dt, 10**6))
+        table = propagator._phase_table(parts, dt, propagator._table_phases(spec, dt))
         jump = propagator._jump_table(spec, table, dt, every)
         starts = 0.3 + np.arange(5) * every * dt
         props = propagator._step_unitaries(spec, parts, starts + 0.5 * dt, dt, jump)
@@ -827,7 +828,7 @@ class TestJumpTable:
         # TestNormDrift's 16 eps per step
         spec, dt, every = jump_spec(n, g=0.25), 0.005, 1000
         parts = run_parts(spec)
-        table = propagator._phase_table(parts, dt, propagator._table_order(spec, dt, 10**6))
+        table = propagator._phase_table(parts, dt, propagator._table_phases(spec, dt))
         jump = propagator._jump_table(spec, table, dt, every)
         starts = 0.3 + np.arange(4) * every * dt
         props = propagator._step_unitaries(spec, parts, starts + 0.5 * dt, dt, jump)
@@ -856,6 +857,20 @@ class TestJumpTable:
         assert jump_builds == []
         assert peak <= 8 * propagator.CHUNK_BYTES
         assert_matches_stepwise(spec, config, traj)
+
+    @pytest.mark.parametrize("extra, built", [(0, []), (1, [4])])
+    def test_composed_only_when_the_jumps_save_more(self, jump_builds, extra, built):
+        # intervals of 4 steps take 2 compositions of 3 Q matrices each; over
+        # 2 Q intervals the jumps save 2 Q (4 - 1) steps, no more than the
+        # compositions form, so every step is fresh; one more interval and
+        # the jumps save more
+        spec, dt, every = jump_spec(3), 0.05, 4
+        assert propagator._table_phases(spec, every * dt) == 5
+        steps = (2 * 5 + extra) * every
+        config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt,
+                                 initial_state=superposed(3), sample_every=every)
+        assert_matches_stepwise(spec, config)
+        assert jump_builds == built
 
     @pytest.mark.parametrize("steps, every", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_not_built_for_one_or_two_steps_at_n32(self, jump_builds, steps, every):
@@ -1046,7 +1061,7 @@ def tabled_and_direct(spec, dt, steps=300, t0=0.25):
     """The step unitaries of one grid from the phase table and from eigh."""
     mids = t0 + (np.arange(steps) + 0.5) * dt
     parts = run_parts(spec)
-    table = propagator._phase_table(parts, dt, propagator._table_order(spec, dt, 10**6))
+    table = propagator._phase_table(parts, dt, propagator._table_phases(spec, dt))
     return (propagator._step_unitaries(spec, parts, mids, dt, table),
             propagator._step_unitaries(spec, parts, mids, dt))
 
@@ -1076,18 +1091,33 @@ class TestPhaseTable:
 
     @pytest.mark.parametrize("x", [0.0, 6.25e-4, 1e-3, 0.1, 5.0])
     def test_order_is_the_smallest_within_eps(self, x):
-        spec = table_spec("generalized", 3, x, 0.125)
-        order = propagator._table_order(spec, 0.125, 10**6)
+        # at n = 3, Q = 2 S + 1 phases hold every Fourier order up to 3 S + 1
+        # and leave out 3 S + 2: what they leave out is within eps, and what
+        # Q - 2 phases would leave out is not
+        width = propagator._table_phases(table_spec("generalized", 3, x, 0.125), 0.125) // 2
 
         def tail(m):
             return 2.0 * x ** (m + 1) / math.factorial(m + 1)
 
-        assert tail(order) <= EPS
-        assert order == 0 or tail(order - 1) > EPS
-        # Q = 2 S + 1 phases, S = (M + 1) // 3 at n = 3, must fit the limit
-        phases = 2 * ((order + 1) // 3) + 1
-        assert propagator._table_order(spec, 0.125, phases) == order
-        assert propagator._table_order(spec, 0.125, phases - 1) is None
+        assert tail(3 * width + 1) <= EPS
+        assert width == 0 or tail(3 * width - 2) > EPS
+
+    @pytest.mark.parametrize("n, quoted, largest, last", [
+        (2, (5, 11, 37), 89, 22.45),
+        (3, (3, 7, 25), 73, 29.85),
+        (32, (1, 1, 3), 15, 76.92),
+    ])
+    def test_phases_quoted_in_the_readme(self, n, quoted, largest, last):
+        # Q at dt g / 2 = 6.25e-4, 0.1 and 5, and the largest Q whose table
+        # fits, at the last dt g / 2 on a grid of 0.01 where one does: its
+        # powers stop it at n = 2 and 3, and its Q matrices at n = 32, where
+        # a chunk holds 16.  Q grows with dt g / 2, so none fits beyond
+        def phases(x):
+            return propagator._table_phases(table_spec("generalized", n, x, 1.0), 1.0)
+
+        assert tuple(phases(x) for x in (6.25e-4, 0.1, 5.0)) == quoted
+        assert phases(last) == largest
+        assert phases(last + 0.01) is None
 
     @pytest.mark.parametrize("model, n", [("none", 3), ("generalized", 2),
                                           ("generalized", 3), ("generalized", 32),
@@ -1187,8 +1217,7 @@ class TestPhaseTable:
         spec = dataclasses.replace(spec, omega=2.0 * math.pi / (8 * dt))
         assert on_period_grid(spec, dt)
         assert round(2.0 * math.pi / (spec.omega * dt)) == 8
-        order = propagator._table_order(spec, dt, 10**6)
-        assert 2 * propagator._table_width(3, order) + 1 == 13
+        assert propagator._table_phases(spec, dt) == 13
         config = EvolutionConfig(t_start=0.0, t_end=64 * dt, dt=dt, sample_every=4)
         assert_matches_stepwise(spec, config)
         assert table_builds == [13]
@@ -1250,8 +1279,7 @@ class TestClockSymmetry:
     def test_one_phase_matches_eigh(self, model, n, x):
         # S = 0 at n >= 2M + 1: every step is U(0) times its phase pattern
         spec = table_spec(model, n, x, 0.125)
-        order = propagator._table_order(spec, 0.125, 10**6)
-        assert propagator._table_width(n, order) == 0
+        assert propagator._table_phases(spec, 0.125) == 1
         tabled, direct = tabled_and_direct(spec, 0.125)
         assert max_abs(tabled - direct) <= 1e-13
 
