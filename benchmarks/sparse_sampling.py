@@ -104,12 +104,14 @@ def cases():
         "k100_n3_1500_every1": _driven(3, None, 1500, 1, period=100),
         "k100_n8_1500_every1": _driven(8, None, 1500, 1, period=100),
         # the rotating frame: rwa2, whose Rabi config ends on a shortened
-        # step, and static specs (w = 0), dense and sparse
+        # step, and static specs (w = 0), dense and sparse, on the grid and
+        # with a last step of 0.6 dt
         "frame_rwa2_5k_every100": dict(rabi, t_end=5000 * rabi_dt, sample_every=100),
         "frame_rwa2_200k_every1": dict(rabi, t_end=200_000 * rabi_dt, sample_every=1),
         "frame_static_n2_5k_every100": _driven(2, 0.05, 5000, 100, omega=0.0),
         "frame_static_n3_5k_every100": _driven(3, 0.05, 5000, 100, omega=0.0),
         "frame_static_n8_5k_every100": _driven(8, 0.05, 5000, 100, omega=0.0),
+        "frame_static_n8_5k_every100_offgrid": _driven(8, 0.05, 5000.6, 100, omega=0.0),
         "frame_static_n8_100k_every1": _driven(8, 0.05, 100_000, 1, omega=0.0),
     }
 
@@ -211,7 +213,7 @@ def main(argv=None):
                   if not (r["max_dp"] <= r["max_dp_bound"]
                           and r["norm_error"] <= r["norm_error_bound"])})
     for name in raws:
-        print(f"{name:30s}", "  ".join(f"max|dp| {results[name]['max_dp']:.2e}  norm error "
+        print(f"{name:36s}", "  ".join(f"max|dp| {results[name]['max_dp']:.2e}  norm error "
                                        f"{results[name]['norm_error']:.2e}"
                                        for results in checks))
     if bad:
@@ -228,7 +230,7 @@ def main(argv=None):
         wins = sum(c < p for p, c in zip(times[0][name], times[1][name]))
         results[name] = {"parent": parent, "change": change, "change_wins": wins,
                          "pairs": args.calls}
-        print(f"{name:30s} {parent['median_ms']:9.3f} ms -> {change['median_ms']:9.3f} ms,"
+        print(f"{name:36s} {parent['median_ms']:9.3f} ms -> {change['median_ms']:9.3f} ms,"
               f" change won {wins}/{args.calls}")
     Path(args.out).write_text(json.dumps({
         "command": shlex.join(["python", "benchmarks/sparse_sampling.py",

@@ -218,12 +218,17 @@ def interaction_diagonal(n: int, omega, t) -> np.ndarray:
     """Drive in the Fourier frame: diag(cos(w t + 2 pi k / n)), k = 0..n-1.
 
     Satisfies (1/2)(e^{i w t} S + e^{-i w t} S^dagger) = W @ D @ W^dagger.
+    Each entry is formed as Re(e^{i w t} sigma^k), sigma = e^{2 pi i / n}, so
+    the offsets 2 pi k / n are not lost to rounding at a large w t.  Raises
+    ValueError naming t when w t is not finite, as build_interaction does.
     """
     n = _check_dim(n)
     omega = _as_real(omega, "omega")
     t = _as_real(t, "t")
-    k = np.arange(n)
-    return np.diag(np.cos(omega * t + 2.0 * np.pi * k / n)).astype(np.complex128)
+    if not math.isfinite(omega * t):
+        raise ValueError(f"drive phase w t is not finite at t = {t!r}")
+    d = (np.exp(1j * (omega * t)) * root_power(n, np.arange(n))).real
+    return np.diag(d).astype(np.complex128)
 
 
 def drive_coefficient(spec: SystemSpec) -> np.ndarray:

@@ -2,16 +2,18 @@
 
 Each step applies exp(-i dt H(t + dt/2)) to the state, with the matrix
 exponential evaluated through a full hermitian eigendecomposition (LAPACK,
-through numpy.linalg.eigh, in one kernel, _spectrum), or, for full-length
-steps, taken in a rotating frame as powers of one step (rwa2 and static
-specs) or summed from a phase table built from such decompositions
-(long runs of the other drives), whose products over a sample interval a
-jump table gives.  Step k is exactly dt long and centred at
+through numpy.linalg.eigh, in one kernel, _spectrum), or taken in a
+rotating frame as powers of one step (rwa2 and static specs), or, for
+full-length steps of the other drives, summed from a phase table built
+from such decompositions (long runs), whose products over a sample
+interval a jump table gives.  Step k is exactly dt long and centred at
 t_start + (k + 1/2) dt on every path, so the frame, the table and eigh see
 the same phase and length for it; when the grid does not end on t_end, a
-last step from t_start + K dt to t_end, K the number of full steps, follows
-in the lab frame, diagonalized on its own.  H(t) does not depend on the
-state, so evolve forms the step unitaries of many steps at once, in chunks.
+last step from t_start + K dt to t_end, K the number of full steps,
+follows on the same path: in the frame, or diagonalized on its own.  Each
+path takes every step of its run, and evolve only dispatches.  H(t) does
+not depend on the state, so evolve forms the step unitaries of many steps
+at once, in chunks.
 H(t) is hermitian by construction (see hamiltonian_at), so nothing checks
 that at run time.  Before any step, evolve checks that the drift's levels,
 the Python floats of the one helper build_drift also reads, and a bound on
@@ -47,13 +49,15 @@ drift's levels and the drive coefficient without forming H(0), and W^k is
 the rotation by k times its angle: scalar arithmetic, no eigh and no other
 numpy.linalg call.  A static spec above n = 2 has W = U(0), and
 W^k = X diag(e^{i k theta_j}) X^dagger from one eigh of H(0) (see
-_frame_powers).  evolve forms M = W^sample_every and chains the frame
+_frame_powers).  The frame forms M = W^sample_every and chains the frame
 states of the sample instants, M^j R(a_0)^dagger psi, one CHUNK_BYTES chunk
 at a time, each chunk in about log2 of its length products (see
 _power_states).  R is diagonal, so the frame states' populations are the
 lab frame's; only the final state is rotated back.  The fewer than
-sample_every full-length steps after the last sample instant are W^r.  No
-phase table, jump table or step unitary is formed.
+sample_every full-length steps after the last sample instant are W^r, and
+a last step of length h is the frame's step at that length, W_h, from the
+same closed form or the same eigh.  No phase table, jump table or step
+unitary is formed.
 
 Phase table.  H = drift + e^{i theta} A + h.c. depends on t only through the
 drive phase theta = w t, so the unitary U(theta) = exp(-i dt H(theta)) of a
@@ -270,12 +274,11 @@ def _initial_vector(n: int, initial_state) -> np.ndarray:
         psi[idx] = 1.0
         return psi
     try:
-        arr = np.asarray(initial_state, dtype=np.complex128)
+        arr = np.ascontiguousarray(initial_state, dtype=np.complex128)
     except OverflowError as exc:
         raise ValueError("initial state amplitudes are too large for float64") from exc
     if arr.shape != (n,):
         raise ValueError(f"initial state must have {n} amplitudes, got shape {arr.shape}")
-    arr = np.ascontiguousarray(arr)
     values = arr.view(np.float64).tolist()
     if not all(map(math.isfinite, values)):
         raise ValueError("initial state amplitudes must be finite")
@@ -575,11 +578,13 @@ def _jump_table(spec: SystemSpec, table: np.ndarray, dt: float, every: int) -> n
     return jump
 
 
-def _lab_steps(spec, parts, psi, t_start, dt, whole, every, populations):
-    """Full-length steps 1..whole from eigh, the phase table and a jump table.
+def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, populations):
+    """Every step of the run: steps 1..whole from eigh, the phase table and a jump table.
 
-    Records the states that end a sample interval in ``populations`` from
-    row 1 on and returns the state after step ``whole`` and the next row.
+    A last step shortened to land on t_end, when steps 1..whole do not, is
+    diagonalized on its own.  Records the states that end a sample interval
+    in ``populations`` from row 1 on and returns the state at t_end and the
+    next row.
     """
     chunk = max(1, CHUNK_BYTES // (16 * spec.n**2))
     count = whole // every
@@ -612,6 +617,10 @@ def _lab_steps(spec, parts, psi, t_start, dt, whole, every, populations):
             sampled = chain[-(start + unit) % every // unit :: every // unit]
             populations[k : k + len(sampled)] = sampled.real**2 + sampled.imag**2
             k += len(sampled)
+    if whole < n_steps:
+        t0 = t_start + whole * dt
+        mid = np.array([t0 + 0.5 * (t_end - t0)])
+        psi = _step_unitaries(spec, parts, mid, t_end - t0)[0] @ psi
     return psi, k
 
 
@@ -625,79 +634,85 @@ def _in_frame(spec: SystemSpec) -> bool:
     return spec.drive_model == "rwa2" or _is_static(spec)
 
 
-def _frame_steps(spec, parts, psi, t_start, dt, whole, every, populations):
-    """Full-length steps 1..whole in the rotating frame, for a spec that is _in_frame.
+def _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, populations):
+    """Every step of the run in the rotating frame, for a spec that is _in_frame.
 
-    With R(theta) = diag(e^{i k theta}), the step at drive phase
-    theta = a + w dt / 2, a the phase at its start, is
-    R(a) U(w dt / 2) R(a)^dagger, so k steps from t_start multiply to
-    R(a_k) W^k R(a_0)^dagger, a_k the phase at step edge k and
-    W = R(-w dt / 2) U(0) R(-w dt / 2).  The powers of W come from
-    _frame_powers: in closed form at n = 2, from one eigh of H(0) above.
+    With R(theta) = diag(e^{i k theta}), a step of length h at drive phase
+    theta = a + w h / 2, a the phase at its start, is
+    R(a) U_h(w h / 2) R(a)^dagger, so k steps of dt from t_start and a last
+    one of h multiply to R(w t_end) W_h W^k R(a_0)^dagger, a_0 = w t_start and
+    W_h = R(-w h / 2) U_h(0) R(-w h / 2), W = W_dt.  The powers of W_h come
+    from _frame_powers: in closed form at n = 2, from one eigh of H(0) above.
     The frame states W^(j every) R(a_0)^dagger psi of the sample intervals
     are chained one chunk at a time from M = W^every (see _power_states);
-    R is diagonal, so their populations are the lab frame's.  Of the drive
-    phases only w t_start, w t at step edge whole and w dt / 2 are formed:
-    the first two lie between the ends' w t, which evolve checks are
-    finite, and dt <= t_end - t_start bounds the third by half their
+    R is diagonal, so their populations are the lab frame's.  The last step,
+    when steps 1..whole do not end on t_end, is W_h with
+    h = t_end - (t_start + whole dt).  Of the drive phases only w t_start,
+    w t_end, w dt / 2 and w h / 2 are formed: the first two are the ends'
+    w t, which evolve checks are finite, and dt (when whole > 0) and h are
+    at most t_end - t_start, which bounds the others by half their
     difference, where w dt itself may overflow.  Records the states that
     end a sample interval in ``populations`` from row 1 on and returns the
-    state after step ``whole``, back in the lab frame, and the next row.
+    state at t_end, back in the lab frame, and the next row.
     """
-    if not whole:
-        return psi, 1
     n = spec.n
     levels = np.arange(n)
     power = _frame_powers(spec, parts, dt)
-    edges = _phase_factors(spec, t_start + np.array([0, whole]) * dt)
+    edges = _phase_factors(spec, np.array([t_start, t_end]))
     phi = psi * edges[0].conj() ** levels
     count, size, k = whole // every, max(1, CHUNK_BYTES // (16 * n)), 1
-    interval = power(every)
+    # no power of W is formed when no full-length step runs: dt may then
+    # exceed the span, and w dt / 2 overflow
+    interval = power(every) if count else None
     for start in range(0, count, size):
         states = _power_states(interval, phi, min(size, count - start))
         populations[k : k + len(states)] = states.real**2 + states.imag**2
         phi, k = states[-1], k + len(states)
     if whole % every:
         phi = power(whole % every) @ phi
+    if whole < n_steps:
+        phi = power(1, t_end - (t_start + whole * dt)) @ phi
     return phi * edges[1] ** levels, k
 
 
 def _frame_powers(spec, parts, dt):
-    """k -> W^k, W = R(-w dt / 2) U(0) R(-w dt / 2) the frame's step (see _frame_steps).
+    """(k, h) -> W_h^k, W_h = R(-w h / 2) U_h(0) R(-w h / 2) the frame's step of length h.
 
-    At n = 2, with H(0) = [[p, c*], [c, q]], p and q the drift's levels and
+    h is dt unless given (see _frame_steps).  At n = 2, with
+    H(0) = [[p, c*], [c, q]], p and q the drift's levels and
     c = A[1, 0] + A[0, 1]* (A's diagonal is zero), m = (p + q) / 2,
-    d = (p - q) / 2, r = hypot(d, |c|), x = r dt and s = sin(x) / r (dt at r = 0):
-    U(0) = e^{-i m dt} [[cos x - i s d, -i s c*], [-i s c, cos x + i s d]]
-    (Rabi, Phys. Rev. 51, 652, 1937), so W = e^{-i (m dt + e)} V with
-    e = w dt / 2 and V = [[A, B], [-B*, A*]] in SU(2), A = (cos x - i s d) e^{i e}
+    d = (p - q) / 2, r = hypot(d, |c|), x = r h and s = sin(x) / r (h at r = 0):
+    U_h(0) = e^{-i m h} [[cos x - i s d, -i s c*], [-i s c, cos x + i s d]]
+    (Rabi, Phys. Rev. 51, 652, 1937), so W_h = e^{-i (m h + e)} V with
+    e = w h / 2 and V = [[A, B], [-B*, A*]] in SU(2), A = (cos x - i s d) e^{i e}
     and B = -i s c*.  V = cos a I + N, N traceless, is a rotation by 2 a, and
     V^k = cos(k a) I + sin(k a) N / |N|, formed in scalar arithmetic without
-    eigh.  The rest are static (rwa2 is two-level only), so W = U(0), and
-    W^k = X diag(e^{i k theta_j}) X^dagger from one eigh H(0) = X diag(l_j)
-    X^dagger, theta_j the angle of e^{-i l_j dt}.  Every power is formed from
-    angles in (-pi, pi] times k, so it is finite at any step count.
+    eigh.  The rest are static (rwa2 is two-level only), so W_h = U_h(0), and
+    W_h^k = X diag(e^{i k theta_j}) X^dagger from the one eigh
+    H(0) = X diag(l_j) X^dagger, theta_j the angle of e^{-i l_j h}.  Every
+    power is formed from angles in (-pi, pi] times k, so it is finite at any
+    step count.
     """
     if spec.n > 2:
-        w, v = _spectrum(parts, np.ones(1), f"in the rotating frame for dt = {dt!r}")
-        angles, back = np.angle(np.exp(-1j * (w[0] * dt))), _adjoint(v[0])
-        return lambda k: (v[0] * np.exp(1j * (k * angles))) @ back
+        (w,), (v,) = _spectrum(parts, np.ones(1), f"in the rotating frame for dt = {dt!r}")
+        back = _adjoint(v)
+        return lambda k, h=dt: (v * np.exp(1j * k * np.angle(np.exp(-1j * (w * h))))) @ back
     (p, q), ((_, up), (down, _)) = parts[0], parts[1].tolist()
     c = down + up.conjugate()
     # halves first, as in hermitian_eig: p - q may overflow
     m, d = 0.5 * p + 0.5 * q, 0.5 * p - 0.5 * q
-    x = math.hypot(d, abs(c)) * dt
-    # s = dt sin(x) / x, which stays right where r dt underflows
-    s = math.sin(x) / x * dt if x else dt
-    turn = complex(_phase_factors(spec, 0.5 * dt))
-    a, b = complex(math.cos(x), -s * d) * turn, -1j * s * c.conjugate()
-    norm = math.hypot(a.imag, abs(b))
-    angle = math.atan2(norm, a.real)
-    # the angle of e^{-i (m dt + e)}, each factor reduced exactly by libm
-    unit = complex(math.cos(m * dt), math.sin(m * dt)) * turn
-    phase = -math.atan2(unit.imag, unit.real)
 
-    def power(k):
+    def power(k, h=dt):
+        x = math.hypot(d, abs(c)) * h
+        # s = h sin(x) / x, which stays right where r h underflows
+        s = math.sin(x) / x * h if x else h
+        turn = complex(_phase_factors(spec, 0.5 * h))
+        a, b = complex(math.cos(x), -s * d) * turn, -1j * s * c.conjugate()
+        norm = math.hypot(a.imag, abs(b))
+        angle = math.atan2(norm, a.real)
+        # the angle of e^{-i (m h + e)}, each factor reduced exactly by libm
+        unit = complex(math.cos(m * h), math.sin(m * h)) * turn
+        phase = -math.atan2(unit.imag, unit.real)
         cos, sin = math.cos(k * angle), math.sin(k * angle) / norm if norm else 0.0
         z = complex(math.cos(k * phase), math.sin(k * phase))
         return np.array([[z * complex(cos, sin * a.imag), z * sin * b],
@@ -727,30 +742,31 @@ def _power_states(m: np.ndarray, phi: np.ndarray, count: int) -> np.ndarray:
 def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     """Propagate the spec's initial value problem over the config's time grid.
 
-    The drive phase is taken at every step midpoint, so it is exact.  An
-    rwa2 or static spec takes its full-length steps in the rotating frame,
-    as powers of one step, in closed form at n = 2 and from one eigh of
-    H(0) above (see _frame_steps).  The other drives process
-    their steps in chunks of at most CHUNK_BYTES of matrices.  When a jump
-    table over sample_every steps fits and composing it forms fewer
-    matrices than the steps it replaces, each whole sample interval costs
-    one propagator, summed from that table, in the chain; only the
-    full-length steps after the last whole interval are fresh.  When the
-    fresh full-length steps are at least Q (Q phases in [0, 2 pi / n), from
-    dt g / 2; see _table_phases), or a jump table is composed, their
-    unitaries are summed from a Fourier table over the drive phase that one
-    batched eigh of Q matrices builds once per run; otherwise they are
-    diagonalized in one batched eigh call per chunk.
-    Jumps and fresh steps share one loop (see the module docstring).  On
-    every path a last step shortened to land on t_end is
-    diagonalized on its own, in the lab frame.  The drift's levels are the
-    floats of _drift_levels, which build_drift puts on a diagonal; only an
-    assembled H holds them as a matrix.  Raises ValueError when the
-    drive phase w t is not finite at t_start or t_end (the time is
-    reported), when the drift diag(E - Delta_0) or the bound
-    2 (max|drift| + g) dt on a step's eigenphases is too large for float64,
-    or when the samples would need more than MAX_SAMPLE_BYTES, and
-    EigenConvergenceError when the eigensolver fails.
+    evolve validates the inputs, lays out the samples and dispatches to
+    _frame_steps or _lab_steps, which take every step of the run.  The
+    drive phase is taken at every step midpoint, so it is exact.  An rwa2
+    or static spec takes every step in the rotating frame, as powers of one
+    step, in closed form at n = 2 and from one eigh of H(0) above (see
+    _frame_steps).  The other drives process their steps in chunks of at
+    most CHUNK_BYTES of matrices.  When a jump table over sample_every
+    steps fits and composing it forms fewer matrices than the steps it
+    replaces, each whole sample interval costs one propagator, summed from
+    that table, in the chain; only the full-length steps after the last
+    whole interval are fresh.  When the fresh full-length steps are at
+    least Q (Q phases in [0, 2 pi / n), from dt g / 2; see _table_phases),
+    or a jump table is composed, their unitaries are summed from a Fourier
+    table over the drive phase that one batched eigh of Q matrices builds
+    once per run; otherwise they are diagonalized in one batched eigh call
+    per chunk.  Jumps and fresh steps share one loop (see the module
+    docstring), and a last step shortened to land on t_end is diagonalized
+    on its own.  The drift's levels are the floats of _drift_levels, which
+    build_drift puts on a diagonal; only an assembled H holds them as a
+    matrix.  Raises ValueError when the drive phase w t is not finite at
+    t_start or t_end (the time is reported), when the drift
+    diag(E - Delta_0) or the bound 2 (max|drift| + g) dt on a step's
+    eigenphases is too large for float64, or when the samples would need
+    more than MAX_SAMPLE_BYTES, and EigenConvergenceError when the
+    eigensolver fails.
     """
     n = spec.n
     psi = _initial_vector(n, config.initial_state)
@@ -793,16 +809,11 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     populations = np.empty((n_samples, n), dtype=np.float64)
     populations[0] = psi.real**2 + psi.imag**2
 
-    # a last step shortened to land on t_end is neither the frame's, a jump
-    # table's nor the phase table's; it runs in the lab frame after the
-    # full-length steps
+    # steps 1..whole are dt long; a last step shortened to land on t_end
+    # follows them when they do not end on it
     whole = n_steps if t_start + n_steps * dt == t_end else n_steps - 1
     steps = _frame_steps if _in_frame(spec) else _lab_steps
-    psi, k = steps(spec, parts, psi, t_start, dt, whole, every, populations)
-    if whole < n_steps:
-        t0 = t_start + whole * dt
-        mid = np.array([t0 + 0.5 * (t_end - t0)])
-        psi = _step_unitaries(spec, parts, mid, t_end - t0)[0] @ psi
+    psi, k = steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, populations)
     # the last sample is the final state, unless it closed a sample interval
     if k < n_samples:
         populations[k] = psi.real**2 + psi.imag**2

@@ -215,12 +215,21 @@ class TestInteraction:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_diagonalized_by_fourier_frame(self, n):
         # the shift-built drive must equal W D W^dagger with the cosine
-        # diagonal, for every phase angle
+        # diagonal, for every phase angle, also at phases so large that
+        # w t + 2 pi k / n would round the offsets away
         w = build_fourier(n)
-        for theta in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
+        for theta in [*np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False),
+                      3e16, 1e20, 1e300, 1.7e308]:
             lhs = build_interaction(n, 1.0, 1.0, theta)
             rhs = w @ interaction_diagonal(n, 1.0, theta) @ w.conj().T
             assert max_abs(lhs - rhs) <= 1e-12
+
+    def test_diagonal_rejects_an_overflowing_phase(self):
+        # w t = 1e300 * 1e300 is inf, where build_interaction raises as well
+        with pytest.raises(ValueError, match=r"not finite at t = 1e\+300"):
+            interaction_diagonal(3, 1e300, 1e300)
+        with pytest.raises(ValueError, match=r"not finite at t = 1e\+300"):
+            build_interaction(3, 1.0, 1e300, 1e300)
 
     def test_diagonal_entries_are_shifted_cosines(self):
         n, omega, t = 5, 1.3, 0.9

@@ -1341,9 +1341,10 @@ def superposed(n):
 class TestRotatingFrame:
     # rwa2 and static specs: H(theta) = R(theta) H(0) R(theta)^dagger with R
     # diagonal, so every full-length step comes from powers of
-    # W = R(-w dt / 2) U(0) R(-w dt / 2): in closed form at n = 2, from one
-    # eigh, of H(0), above.  A superposed start shows a wrong frame phase in
-    # the populations, which a basis start would not
+    # W = R(-w dt / 2) U(0) R(-w dt / 2), and a last step shortened to h is
+    # the same step at length h: in closed form at n = 2, from one eigh, of
+    # H(0), above.  A superposed start shows a wrong frame phase in the
+    # populations, which a basis start would not
 
     @pytest.mark.parametrize("model, n, expected", [
         ("rwa2", 2, True), ("none", 3, True), ("none", 8, True),
@@ -1374,8 +1375,8 @@ class TestRotatingFrame:
                                  initial_state=superposed(spec.n), sample_every=every)
         assert_matches_stepwise(spec, config)
         assert table_builds == jump_builds == []
-        # H(0) above n = 2, then the shortened last step
-        assert eigh_phases == ([1] if spec.n == 2 else [1, 1])
+        # H(0) above n = 2, whose spectrum also serves the shortened last step
+        assert eigh_phases == ([] if spec.n == 2 else [1])
 
     @pytest.mark.parametrize("spec, dt", [
         (RABI, RABI_DT),
@@ -1400,48 +1401,55 @@ class TestRotatingFrame:
                                  initial_state=superposed(spec.n), sample_every=7)
         assert propagator._in_frame(spec)
         assert_matches_stepwise(spec, config)
-        # H(0) above n = 2, then the shortened last step
-        assert eigh_phases == ([1] if spec.n == 2 else [1, 1])
+        # H(0) above n = 2, whose spectrum also serves the shortened last step
+        assert eigh_phases == ([] if spec.n == 2 else [1])
 
-    @pytest.mark.parametrize("steps, eighs", [(2000, []), (1, []), (0.6, [1]),
-                                              (1.6, [1])],
+    @pytest.mark.parametrize("steps", [2000, 1, 0.6, 1.6],
                              ids=["on_grid", "one_step", "one_short_step",
                                   "full_and_short"])
-    def test_short_runs_and_runs_on_the_grid(self, eigh_phases, steps, eighs):
-        # a run that ends on a step edge has no shortened last step, so no
-        # eigh at n = 2; a run of one shortened step forms no frame
+    def test_short_runs_and_runs_on_the_grid(self, eigh_phases, steps):
+        # at n = 2 no step is diagonalized, on the grid or off it: a shortened
+        # last step, alone or after full ones, is the closed form at its length
         config = EvolutionConfig(t_start=-0.3, t_end=-0.3 + steps * RABI_DT, dt=RABI_DT,
                                  initial_state=(0.6, 0.8j), sample_every=5)
         assert_matches_stepwise(RABI, config)
-        assert eigh_phases == eighs
+        assert eigh_phases == []
 
     def test_benchmark_run_calls_no_linalg(self, monkeypatch, table_builds, built_steps):
-        # rabi2_floquet at its middle parameters: 5,000 steps, 50 samples,
-        # ending on a step edge, so no step is diagonalized
-        called = []
-        config = EvolutionConfig(t_start=0.0, t_end=5000 * RABI_DT, dt=RABI_DT,
-                                 initial_state=1, sample_every=100)
-        with monkeypatch.context() as patch:
-            for name in np.linalg.__all__:
-                if name != "LinAlgError":
-                    patch.setattr(np.linalg, name,
+        # rabi2_floquet at its middle parameters (5,000 steps, 50 samples,
+        # ending on a step edge) and the committed Rabi config, whose last
+        # step is shortened to land on t_end: no step is diagonalized.  One
+        # loop, not a parametrization, keeps the test's id
+        runs = [(RABI, EvolutionConfig(t_start=0.0, t_end=5000 * RABI_DT, dt=RABI_DT,
+                                       initial_state=1, sample_every=100)),
+                config_objects(committed("rabi_two_level.json"))]
+        for spec, config in runs:
+            called = []
+            with monkeypatch.context() as patch:
+                for name in np.linalg.__all__:
+                    if name != "LinAlgError":
+                        patch.setattr(np.linalg, name,
+                                      lambda *args, name=name, **kwargs: called.append(name))
+                # nor is a drift matrix or an H formed: the closed form reads
+                # H(0)'s three numbers from the drift levels and drive coefficient
+                for owner, name in ((np, "diag"), (propagator, "_at_phase")):
+                    patch.setattr(owner, name,
                                   lambda *args, name=name, **kwargs: called.append(name))
-            # nor is a drift matrix or an H formed: the closed form reads
-            # H(0)'s three numbers from the drift levels and drive coefficient
-            for owner, name in ((np, "diag"), (propagator, "_at_phase")):
-                patch.setattr(owner, name,
-                              lambda *args, name=name, **kwargs: called.append(name))
-            traj = evolve(RABI, config)
-        assert called == []
-        assert table_builds == built_steps == []
-        assert_matches_stepwise(RABI, config, traj)
+                traj = evolve(spec, config)
+            assert called == []
+            assert table_builds == built_steps == []
+            assert_matches_stepwise(spec, config, traj)
+        # the config's 2,000 steps of dt end a rounding error away from t_end
+        config = runs[1][1]
+        assert config.t_start + 2000 * config.dt != config.t_end
+        assert propagator._step_count(config.t_end - config.t_start, config.dt) == 2000
 
     def test_long_static_run_takes_one_eigh(self, eigh_phases):
-        # 100,000 steps sampled every 2,000, against the exact propagator
-        # V e^{-i w t} V^dagger at every sample instant
+        # 100,000 steps sampled every 2,000 and a last one of 0.6 dt, against
+        # the exact propagator V e^{-i w t} V^dagger at every sample instant
         spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1), g=0.25, omega=0.0,
                           drive_model="generalized")
-        config = EvolutionConfig(t_start=0.0, t_end=100000 * 0.01, dt=0.01,
+        config = EvolutionConfig(t_start=0.0, t_end=100000.6 * 0.01, dt=0.01,
                                  initial_state=superposed(3), sample_every=2000)
         traj = evolve(spec, config)
         assert eigh_phases == [1]
@@ -1453,7 +1461,7 @@ class TestRotatingFrame:
 
     def test_frame_phases_stay_finite(self):
         # w t is finite at both ends of [-0.85e308, 0.85e308], but w dt is
-        # not; the frame forms w t_start, w dt / 2 and w t at the last edge
+        # not; the frame forms w t_start, w dt / 2 and w t_end
         spec = SystemSpec(n=2, energies=(0.05, -0.05), g=0.01, omega=2.0,
                           drive_model="rwa2")
         config = EvolutionConfig(t_start=-0.85e308, t_end=0.85e308, dt=1.7e308,
@@ -1462,6 +1470,27 @@ class TestRotatingFrame:
             warnings.simplefilter("error")
             traj = assert_matches_stepwise(spec, config)
         assert np.all(np.isfinite(traj.populations))
+
+    @pytest.mark.parametrize("t_start, t_end, dt, omega, scale", [
+        (0.0, 1.0, 1e308, 4.0, 1.0),
+        (-7.5 * 2.0**1020, 7.5 * 2.0**1020, 7.75 * 2.0**1020, 1.0, 2.0**-1016),
+    ], ids=["dt_over_span", "off_grid_near_the_float64_limit"])
+    def test_last_step_phases_stay_finite(self, t_start, t_end, dt, omega, scale):
+        # one step shorter than dt, where w dt / 2 is inf, forms no power of
+        # the full step; a full step and a shortened one at w t = +-0.84e308
+        # form w h / 2 and w t_end.  Multiples of 2^1020 keep every edge,
+        # midpoint and length exact, and levels and coupling scaled by
+        # 2^-1016 keep each step's eigenphases near 6, so that the stepwise
+        # loop resolves them
+        spec = SystemSpec(n=2, energies=(0.05 * scale, -0.05 * scale), g=0.01 * scale,
+                          omega=omega, drive_model="rwa2")
+        config = EvolutionConfig(t_start=t_start, t_end=t_end, dt=dt,
+                                 initial_state=(0.6, 0.8j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = assert_matches_stepwise(spec, config)
+        assert len(traj.times) == (2 if dt > t_end - t_start else 3)
+        assert np.all(np.isfinite(traj.final_state))
 
     @pytest.mark.parametrize("every", [1, 5])
     def test_chunks_hold_the_sampled_states(self, monkeypatch, every):
