@@ -1,0 +1,127 @@
+"""Apply each listed fault to a copy of the tree and report whether the checks catch it.
+
+Usage: python benchmarks/mutants.py
+
+Each mutant is one (file, old text, new text, reason) edit; the old text
+must occur exactly once in the file.  For each, the tree is copied to a
+temporary directory and the edit applied there.  The tier-1 tests then run
+on the copy with ``-x -W error``; only when they pass does
+``benchmarks/sparse_sampling.py`` check the copy's ``src`` against the
+stepwise reference.  A mutant that fails either is killed; one that passes
+both survived.  A survivor must be marked: as a known gap, naming the
+ROADMAP item that owns it, or as equivalent, with the reason it cannot
+change a result.  The script exits 1 when an unmarked mutant survives.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    reason: str
+    mark: Optional[str] = None
+
+
+PROPAGATOR = "src/nlevel/propagator.py"
+MUTANTS = [
+    Mutant(PROPAGATOR,
+           "3 * jump_q * compositions < count * (every - 1)",
+           "3 * jump_q * compositions <= count * (every - 1)",
+           "_lab_steps composes a jump table where it saves no matrices"),
+    Mutant(PROPAGATOR,
+           "while term > _EPS and",
+           "while term > 1e3 * _EPS and",
+           "_table_phases truncates the Fourier table at 1e3 eps"),
+    Mutant("src/nlevel/hamiltonian.py",
+           "mean = math.fsum(spec.energies) / spec.n",
+           "mean = sum(spec.energies) / spec.n",
+           "_drift_levels takes Delta_0 from a rounded sum"),
+    Mutant(PROPAGATOR,
+           "angle = math.atan2(norm, a.real)",
+           "angle = math.atan2(norm, a.real) * (1 + 4e-16)",
+           "the two-level frame's rotation angle is 2 ulp off",
+           "known gap: ROADMAP items 3 (a reference closer than the frame runs) and 9"),
+    Mutant(PROPAGATOR,
+           "angle = math.atan2(norm, a.real)",
+           "angle = math.atan2(norm, a.real) * (1 + 1e-13)",
+           "the two-level frame's rotation angle is 1e-13 off",
+           "known gap: ROADMAP items 3 (a reference closer than the frame runs) and 9"),
+    Mutant(PROPAGATOR,
+           "sampled = chain[-(start + unit) % every // unit :: every // unit]",
+           "sampled = chain[-(start + unit) % every // unit + 1 :: every // unit]",
+           "_lab_steps samples the state one past each sample instant"),
+    Mutant(PROPAGATOR,
+           "return phi * edges[1] ** levels, k",
+           "return phi, k",
+           "_frame_steps leaves the final state in the rotating frame (drops R(w t_end))"),
+    # np.empty may hold any bits; NaN, which spreads through every product
+    # it enters, stands for the worst of them
+    Mutant(PROPAGATOR,
+           "grouped[-1, rest:] = 0.0",
+           "grouped[-1, rest:] = np.nan",
+           "_chain leaves the padding of its last block unzeroed (NaN in its place)",
+           "equivalent: the running products of each block stay within it, the states"
+           " carried to the block starts read only the other blocks' last products,"
+           " and the padded positions are cut off by [:count]; with NaN there, no"
+           " test or case sees a NaN"),
+    Mutant(PROPAGATOR,
+           "n_steps = int(math.ceil((span / dt) * (1.0 - 1e-12)))",
+           "n_steps = int(math.ceil(span / dt))",
+           "_step_count adds a step where span / dt rounds just above an integer"),
+]
+
+
+def _passes(command, cwd):
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"))
+    return subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode == 0
+
+
+def run(mutant):
+    """'killed by tier-1', 'killed by sparse_sampling.py' or 'survived'."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".perfbench", ".benchmarks"))
+        path = tree / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.file}: {mutant.old!r} occurs "
+                             f"{text.count(mutant.old)} times, not once")
+        path.write_text(text.replace(mutant.old, mutant.new))
+        if not _passes([sys.executable, "-m", "pytest", "-q", "-x", "-W", "error",
+                        "-p", "no:cacheprovider", "--continue-on-collection-errors"], tree):
+            return "killed by tier-1"
+        if not _passes([sys.executable, "-W", "error", "benchmarks/sparse_sampling.py",
+                        "src"], tree):
+            return "killed by sparse_sampling.py"
+        return "survived"
+
+
+def main():
+    start, unmarked = time.perf_counter(), 0
+    for mutant in MUTANTS:
+        t0 = time.perf_counter()
+        outcome = run(mutant)
+        note = f" [{mutant.mark}]" if outcome == "survived" and mutant.mark else ""
+        unmarked += outcome == "survived" and not mutant.mark
+        print(f"{outcome:29s} {time.perf_counter() - t0:5.0f} s  {mutant.reason}{note}",
+              flush=True)
+    print(f"{len(MUTANTS)} mutants, {unmarked} unmarked survivors, "
+          f"{time.perf_counter() - start:.0f} s")
+    return 1 if unmarked else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,7 @@ Usage:
 
     python benchmarks/sparse_sampling.py PARENT_SRC CHANGE_SRC [--calls 101]
                                           [--out BENCH_pairs.json]
-    python benchmarks/sparse_sampling.py SRC --check
+    python benchmarks/sparse_sampling.py SRC
 
 Each SRC is the ``src`` directory of an nlevel checkout.  A paired run
 imports both into one process, PARENT_SRC as ``nlevel`` and CHANGE_SRC as
@@ -16,13 +16,14 @@ Per case the record holds each side's median and quartiles in ms, the
 change's wins (calls faster than the parent's call of the same index) over
 its pairs, and each side's max |dp| against ``stepwise`` and largest norm
 error.  The record, with its command, CPU and versions, replaces ``--out``.
-``--check`` runs only that comparison, on SRC.  Both exit 1 when a case
-exceeds its bound.  The reference runs on the tree imported as ``nlevel``.
+Given one SRC, the script runs only that comparison, on SRC.  Both exit 1
+when a case exceeds its bound.  The reference runs on the tree imported as
+``nlevel``.
 
 ``stepwise`` is the one reference of the repository: the path tests in
 ``tests/test_propagator.py`` import it, with ``config_objects`` and
-``committed``, which read a config through the nlevel CLI's own helpers as
-`nlevel evolve` does.  It steps exp(-i h H(t_mid)) on evolve's grid, one
+``committed``, which read a config through the nlevel CLI's own reader, the
+one `nlevel evolve` runs.  It steps exp(-i h H(t_mid)) on evolve's grid, one
 batched eigh per block of steps and one matrix-vector product per step.
 """
 
@@ -118,12 +119,7 @@ def cases():
 
 def config_objects(raw, tree="nlevel"):
     """The SystemSpec and EvolutionConfig that `nlevel evolve` of package ``tree`` builds."""
-    cli = importlib.import_module(f"{tree}.cli")
-    spec = cli.SystemSpec(**cli._config_fields(raw, cli.SystemSpec, ("n", "energies")))
-    required = ("t_start", "t_end", "dt", "initial_state")
-    fields = cli._config_fields(raw, cli.EvolutionConfig, required)
-    fields["initial_state"] = cli._initial_state_from_config(fields["initial_state"])
-    return spec, cli.EvolutionConfig(**fields)
+    return importlib.import_module(f"{tree}.cli")._run_inputs(raw)
 
 
 def stepwise(spec, config):
@@ -199,12 +195,11 @@ def main(argv=None):
     parser.add_argument("change", nargs="?", help="the src directory of the change")
     parser.add_argument("--calls", type=int, default=101)
     parser.add_argument("--out", default=str(ROOT / "BENCH_pairs.json"))
-    parser.add_argument("--check", action="store_true",
-                        help="only compare SRC against the stepwise loop")
     args = parser.parse_args(argv)
-    if (args.change is None) != args.check or args.calls < 21:
-        parser.error("give SRC --check, or PARENT_SRC CHANGE_SRC and at least 21 --calls")
-    trees = [load(args.src)] + ([] if args.check else [load(args.change, "nlevel_change")])
+    if args.calls < 21:
+        parser.error("--calls must be at least 21")
+    trees = [load(args.src)] + (
+        [] if args.change is None else [load(args.change, "nlevel_change")])
 
     raws = cases()
     references = {name: stepwise(*config_objects(raw))[1] for name, raw in raws.items()}
@@ -218,7 +213,7 @@ def main(argv=None):
                                        for results in checks))
     if bad:
         print(f"over the bounds: {bad}", file=sys.stderr)
-    if args.check:
+    if args.change is None:
         return 1 if bad else 0
 
     cpu = min(os.sched_getaffinity(0))

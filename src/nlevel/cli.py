@@ -195,31 +195,30 @@ def _config_fields(raw, cls, required):
     """The config values of ``cls``'s fields; an absent one takes the field default."""
     missing = [k for k in required if k not in raw]
     if missing:
-        names = ", ".join(repr(k) for k in missing)
-        raise ValueError(f"missing config key(s): {names}")
+        raise ValueError("missing config key(s): " + ", ".join(map(repr, missing)))
     return {f.name: raw[f.name] for f in dataclasses.fields(cls) if f.name in raw}
 
 
 def _initial_state_from_config(value):
-    if isinstance(value, bool):
-        raise ValueError("config key 'initial_state' must be an index or [re, im] pairs")
-    if isinstance(value, int):
+    """A basis index, or the complex amplitudes of ``[re, im]`` pairs.
+
+    Only the JSON shapes are checked here; ``_as_real`` checks each entry.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, list):
-        amplitudes = []
-        for item in value:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in item)
-            ):
-                raise ValueError(
-                    "config key 'initial_state' entries must be [re, im] number pairs"
-                )
-            re, im = (_as_real(x, "initial_state amplitude") for x in item)
-            amplitudes.append(complex(re, im))
-        return amplitudes
-    raise ValueError("config key 'initial_state' must be an index or [re, im] pairs")
+    if not isinstance(value, list):
+        raise ValueError("config key 'initial_state' must be an index or [re, im] pairs")
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in value):
+        raise ValueError("config key 'initial_state' entries must be [re, im] number pairs")
+    return [complex(*(_as_real(x, "initial_state amplitude") for x in pair)) for pair in value]
+
+
+def _run_inputs(raw):
+    """The SystemSpec and EvolutionConfig that `nlevel evolve` runs from a config."""
+    spec = SystemSpec(**_config_fields(raw, SystemSpec, ("n", "energies")))
+    fields = _config_fields(raw, EvolutionConfig, ("t_start", "t_end", "dt", "initial_state"))
+    fields["initial_state"] = _initial_state_from_config(fields["initial_state"])
+    return spec, EvolutionConfig(**fields)
 
 
 def _cmd_algebra(args) -> int:
@@ -274,11 +273,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_evolve(args) -> int:
     raw = _load_config(args.config)
-    spec = SystemSpec(**_config_fields(raw, SystemSpec, ("n", "energies")))
-    required = ("t_start", "t_end", "dt", "initial_state")
-    fields = _config_fields(raw, EvolutionConfig, required)
-    fields["initial_state"] = _initial_state_from_config(fields["initial_state"])
-    config = EvolutionConfig(**fields)
+    spec, config = _run_inputs(raw)
     out_path = args.out if args.out is not None else raw.get("output_path")
     if out_path is None:
         raise ValueError("no output path: pass --out or set 'output_path' in the config")

@@ -327,6 +327,39 @@ class TestEvolveCommand:
         proc = run_cli("evolve", "--config", config, "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 1
 
+    # in-process: one fresh interpreter per value would add seconds to the suite
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be an index or [re, im] pairs"),
+        ("0", "must be an index or [re, im] pairs"),
+        ({"re": 1}, "must be an index or [re, im] pairs"),
+        (1.5, "must be an index or [re, im] pairs"),
+        (None, "must be an index or [re, im] pairs"),
+        ([1, 0], "entries must be [re, im] number pairs"),
+        ([[1]], "entries must be [re, im] number pairs"),
+        ([[1, 0, 0], [0, 0, 0]], "entries must be [re, im] number pairs"),
+        ([[True, 0], [0, 0]], "amplitude must be a real number, got True"),
+        ([[1, "x"], [0, 0]], "amplitude must be a real number, got 'x'"),
+        ([[1, None], [0, 0]], "amplitude must be a real number, got None"),
+        ([[10**400, 0], [0, 0]], "amplitude is too large for float64"),
+        ([], "must have 2 amplitudes, got shape (0,)"),
+        ([[1, 0]], "must have 2 amplitudes, got shape (1,)"),
+        ([[1, 0], [0, 0], [0, 0]], "must have 2 amplitudes, got shape (3,)"),
+        ([[0, 0], [0, 0]], "must not be the zero vector"),
+        (-1, "index -1 outside [0, 2)"),
+    ], ids=["bool", "string", "object", "float", "null", "flat_pair", "short_pair",
+            "long_pairs", "bool_entry", "string_entry", "null_entry", "huge_entry",
+            "no_pairs", "too_few_pairs", "too_many_pairs", "zero_vector", "negative_index"])
+    def test_malformed_initial_state_exits_1(self, tmp_path, capsys, value, message):
+        out = tmp_path / "x.csv"
+        payload = dict(BASE_EVOLVE, initial_state=value)
+        assert cli.main(["evolve", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nlevel: error: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_sample_every_thins_rows(self, tmp_path):
         payload = dict(BASE_EVOLVE, sample_every=8)
         config = write_config(tmp_path, payload)

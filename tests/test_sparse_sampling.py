@@ -1,7 +1,9 @@
-"""The sparse-sampling script's config reading and its paired run's premise."""
+"""The sparse-sampling script's config reading and paired-run premise, and the records' commands."""
 
 import dataclasses
 import importlib
+import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -12,7 +14,8 @@ import nlevel
 import nlevel.cli as cli
 from test_cli import write_config
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
 from sparse_sampling import committed, config_objects, load  # noqa: E402
 
 CONFIGS = ["driven_three_level.json", "rabi_two_level.json"]
@@ -77,3 +80,16 @@ class TestSecondTree:
         traj = second_tree.evolve(spec, config)
         for field in dataclasses.fields(expected):
             assert np.array_equal(getattr(traj, field.name), getattr(expected, field.name))
+
+
+def test_every_record_names_the_script_that_makes_it():
+    # a committed BENCH_*.json is a figure only if a script in benchmarks/
+    # can make it again
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for record in records:
+        command = json.loads(record.read_text()).get("command")
+        assert isinstance(command, str), record.name
+        script = Path(shlex.split(command)[1])
+        assert script.parent == Path("benchmarks"), record.name
+        assert (ROOT / script).is_file(), record.name
