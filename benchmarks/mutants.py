@@ -62,7 +62,7 @@ MUTANTS = [
            "sampled = chain[-(start + unit) % every // unit + 1 :: every // unit]",
            "_lab_steps samples the state one past each sample instant"),
     Mutant(PROPAGATOR,
-           "return phi * edges[1] ** levels, k",
+           "return phi * [1.0, end] if n == 2 else phi, k",
            "return phi, k",
            "_frame_steps leaves the final state in the rotating frame (drops R(w t_end))"),
     # np.empty may hold any bits; NaN, which spreads through every product
@@ -75,6 +75,10 @@ MUTANTS = [
            " carried to the block starts read only the other blocks' last products,"
            " and the padded positions are cut off by [:count]; with NaN there, no"
            " test or case sees a NaN"),
+    Mutant(PROPAGATOR,
+           "parts = levels, drive_coefficient(spec).real",
+           "parts = levels, drive_coefficient(spec)",
+           "one-phase tables diagonalize in complex arithmetic"),
     Mutant(PROPAGATOR,
            "n_steps = int(math.ceil((span / dt) * (1.0 - 1e-12)))",
            "n_steps = int(math.ceil(span / dt))",

@@ -9,13 +9,21 @@ Usage:
 Each SRC is the ``src`` directory of an nlevel checkout.  A paired run
 imports both into one process, PARENT_SRC as ``nlevel`` and CHANGE_SRC as
 ``nlevel_change`` (the package imports itself only relatively), and pins
-the process to the first CPU of its affinity set.  After one warm-up pair
-per case, each of ``--calls`` call indices runs every case once on each
-side, and the side that goes first alternates from one index to the next.
-Per case the record holds each side's median and quartiles in ms, the
-change's wins (calls faster than the parent's call of the same index) over
-its pairs, and each side's max |dp| against ``stepwise`` and largest norm
-error.  The record, with its command, CPU and versions, replaces ``--out``.
+the process to the first CPU of its affinity set.  After one warm-up index,
+each of ``--calls`` call indices makes four passes over the cases, an ABBA
+block: parent, change, change, parent.  A case's calls in the first two
+passes are a pair in which the parent goes first, and those in the last two
+a pair in which the change does, so each order has ``--calls`` pairs.  Every
+call follows a call of another case: a call made right after one of the same
+case runs faster (four driven_config calls in a row took 0.80, 0.64, 0.58
+and 0.54 ms, medians of 41, on a 2-vCPU x86_64 VM), which favoured the
+second side of each pair.  Per case the record holds each side's median
+and quartiles in ms over both orders, and per order each side's median and
+the change's wins (pairs in which the change was faster); the change is
+faster on a case only when it wins at least nine in ten of the pairs of
+each order.  It also holds each side's max |dp| against ``stepwise`` and
+largest norm error.  The record, with its command, CPU and versions,
+replaces ``--out``.
 Given one SRC, the script runs only that comparison, on SRC.  Both exit 1
 when a case exceeds its bound.  The reference runs on the tree imported as
 ``nlevel``.
@@ -50,6 +58,8 @@ MAX_DP = 1e-10
 EPS_PER_STEP = 16 * np.finfo(np.float64).eps
 # steps per batched eigh of the reference loop
 _REFERENCE_CHUNK = 4096
+# the two pairs of an ABBA block: the parent first, then the change first
+ORDERS = ("parent_first", "change_first")
 
 
 def load(src, name="nlevel"):
@@ -104,6 +114,11 @@ def cases():
         # commensurate and sampled every step
         "k100_n3_1500_every1": _driven(3, None, 1500, 1, period=100),
         "k100_n8_1500_every1": _driven(8, None, 1500, 1, period=100),
+        # large n, off the period grid and sampled every step: one-phase tables
+        # (n >= 2M + 1) whose steps _chain applies one product at a time
+        "offgrid_n16_600_every1": _driven(16, 0.05, 600, 1),
+        "offgrid_n32_200_every1": _driven(32, 0.05, 200, 1),
+        "offgrid_n128_40_every1": _driven(128, 0.05, 40, 1),
         # the rotating frame: rwa2, whose Rabi config ends on a shortened
         # step, and static specs (w = 0), dense and sparse, on the grid and
         # with a last step of 0.6 dt
@@ -114,6 +129,7 @@ def cases():
         "frame_static_n8_5k_every100": _driven(8, 0.05, 5000, 100, omega=0.0),
         "frame_static_n8_5k_every100_offgrid": _driven(8, 0.05, 5000.6, 100, omega=0.0),
         "frame_static_n8_100k_every1": _driven(8, 0.05, 100_000, 1, omega=0.0),
+        "frame_static_n32_1k_every100": _driven(32, 0.05, 1000, 100, omega=0.0),
     }
 
 
@@ -169,17 +185,23 @@ def check(tree, raws, references):
 
 
 def time_pairs(trees, raws, calls):
-    """Per side and case, the ms of ``calls`` evolve calls made in pairs after a warm-up pair."""
+    """Per order of ORDERS, side and case, the ms of ``calls`` evolve calls after a warm-up index.
+
+    Each call index makes an ABBA block of passes over the cases, parent
+    (side 0), change, change, parent: the first two passes give the pairs of
+    order 0, the last two those of order 1.
+    """
     runs = [{name: config_objects(raw, tree.__name__) for name, raw in raws.items()}
             for tree in trees]
-    times = [{name: [] for name in raws} for _ in trees]
-    for i in range(calls + 1):
-        for name in raws:
-            for side in (1, 0) if i % 2 else (0, 1):
+    times = [[{name: [] for name in raws} for _ in trees] for _ in ORDERS]
+    for _ in range(calls + 1):
+        for order, side in ((0, 0), (0, 1), (1, 1), (1, 0)):
+            for name in raws:
                 t0 = time.perf_counter()
                 trees[side].evolve(*runs[side][name])
-                times[side][name].append(1e3 * (time.perf_counter() - t0))
-    return [{name: ms[1:] for name, ms in side.items()} for side in times]
+                times[order][side][name].append(1e3 * (time.perf_counter() - t0))
+    return [[{name: ms[1:] for name, ms in side.items()} for side in order]
+            for order in times]
 
 
 def _timed(result, ms):
@@ -221,17 +243,28 @@ def main(argv=None):
     times = time_pairs(trees, raws, args.calls)
     results = {}
     for name in raws:
-        parent, change = (_timed(c[name], t[name]) for c, t in zip(checks, times))
-        wins = sum(c < p for p, c in zip(times[0][name], times[1][name]))
-        results[name] = {"parent": parent, "change": change, "change_wins": wins,
-                         "pairs": args.calls}
+        parent, change = (_timed(checks[side][name], times[0][side][name] + times[1][side][name])
+                          for side in (0, 1))
+        orders = {order: {
+            "parent_median_ms": statistics.median(parents[name]),
+            "change_median_ms": statistics.median(changes[name]),
+            "change_wins": sum(c < p for p, c in zip(parents[name], changes[name])),
+        } for order, (parents, changes) in zip(ORDERS, times)}
+        faster = all(10 * o["change_wins"] >= 9 * args.calls for o in orders.values())
+        results[name] = {"parent": parent, "change": change, "orders": orders,
+                         "pairs_per_order": args.calls, "faster": faster}
         print(f"{name:36s} {parent['median_ms']:9.3f} ms -> {change['median_ms']:9.3f} ms,"
-              f" change won {wins}/{args.calls}")
+              " change won " + ", ".join(f"{o['change_wins']}/{args.calls} {order}"
+                                         for order, o in orders.items())
+              + (", faster" if faster else ""))
     Path(args.out).write_text(json.dumps({
         "command": shlex.join(["python", "benchmarks/sparse_sampling.py",
                                *(sys.argv[1:] if argv is None else argv)]),
-        "what": "in-process nlevel.evolve, ms per call, both trees in one process; "
-                "change_wins: pairs the change was faster; max_dp against stepwise",
+        "what": "in-process nlevel.evolve, ms per call, both trees in one process, "
+                "each call index an ABBA block of passes over the cases; orders: per "
+                "pair order, each side's median and the pairs the change was faster; "
+                "faster: the change won nine in ten pairs of both orders; max_dp "
+                "against stepwise",
         "pinned_cpu": cpu,
         "python": platform.python_version(),
         "numpy": np.__version__,

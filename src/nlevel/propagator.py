@@ -2,32 +2,35 @@
 
 Each step applies exp(-i dt H(t + dt/2)) to the state, with the matrix
 exponential evaluated through a full hermitian eigendecomposition (LAPACK,
-through numpy.linalg.eigh, in one kernel, _spectrum), or taken in a
-rotating frame as powers of one step (rwa2 and static specs), or, for
-full-length steps of the other drives, summed from a phase table built
-from such decompositions (long runs), whose products over a sample
-interval a jump table gives.  Step k is exactly dt long and centred at
-t_start + (k + 1/2) dt on every path, so the frame, the table and eigh see
-the same phase and length for it; when the grid does not end on t_end, a
-last step from t_start + K dt to t_end, K the number of full steps,
-follows on the same path: in the frame, or diagonalized on its own.  Each
-path takes every step of its run, and evolve only dispatches.  H(t) does
-not depend on the state, so evolve forms the step unitaries of many steps
-at once, in chunks.
+through numpy.linalg.eigh, in one kernel, _spectrum; in real arithmetic
+where H is real, see below), or taken in a rotating frame as powers of one
+step (rwa2 and static specs), or, for full-length steps of the other
+drives, summed from a phase table built from such decompositions (long
+runs), whose products over a sample interval a jump table gives.  Step k
+is exactly dt long and centred at t_start + (k + 1/2) dt on every path, so
+the frame, the table and eigh see the same phase and length for it; when
+the grid does not end on t_end, a last step from t_start + K dt to t_end,
+K the number of full steps, follows on the same path: in the frame, or
+diagonalized on its own.  Each path takes every step of its run, and
+evolve only dispatches.  H(t) does not depend on the state, so evolve
+forms the step unitaries of many steps at once, in chunks.
 H(t) is hermitian by construction (see hamiltonian_at), so nothing checks
 that at run time.  Before any step, evolve checks that the drift's levels,
 the Python floats of the one helper build_drift also reads, and a bound on
 every step's eigenphases are finite, so that no step can overflow; the
 n x n drift is formed only inside an assembled H (see _at_phase).  The
-chain of states through a chunk is a blocked prefix product (Blelloch,
-CMU-CS-90-190, 1990), one algorithm for every n (_chain): the N unitaries
-are cut into blocks of at most 8, each block's running products are formed
-for all blocks at once, the state is carried from block to block by the
-same chain over the block products, and one more product over all blocks
-gives every state.  Only the storage and the product depend on n.  Up to _SCAN_MAX_N the
-blocks are stored block index innermost, so each product is one elementwise
-multiply and sum over all blocks; a BLAS call per 3 x 3 product would cost
-more than its arithmetic.  Above it each product is one batched BLAS call.
+chain of states through a chunk (_chain) applies one matrix-vector product
+per step to a stack of at most 8 unitaries, and to any stack from
+n = _LOOP_MIN_N on, where that n^2 work per step costs less than the n^3
+of a blocked product.  Below it a longer stack is chained as a blocked
+prefix product (Blelloch, CMU-CS-90-190, 1990): the N unitaries are cut
+into blocks of at most 8, each block's running products are formed for all
+blocks at once, the state is carried from block to block by the same chain
+over the block products, and one more product over all blocks gives every
+state.  Up to _SCAN_MAX_N the blocks are stored block index innermost, so
+each product is one elementwise multiply and sum over all blocks; a BLAS
+call per 3 x 3 product would cost more than its arithmetic.  Above it each
+product is one batched BLAS call.
 The scheme is second order in dt and unitary to solver precision, so norm
 drift shows rounding only, not the discretization error: the resonant
 two-level drive of configs/rabi_two_level.json, run for 5,000 steps of T/100,
@@ -48,16 +51,16 @@ three numbers of H(0) (Rabi, Phys. Rev. 51, 652, 1937), read from the
 drift's levels and the drive coefficient without forming H(0), and W^k is
 the rotation by k times its angle: scalar arithmetic, no eigh and no other
 numpy.linalg call.  A static spec above n = 2 has W = U(0), and
-W^k = X diag(e^{i k theta_j}) X^dagger from one eigh of H(0) (see
-_frame_powers).  The frame forms M = W^sample_every and chains the frame
-states of the sample instants, M^j R(a_0)^dagger psi, one CHUNK_BYTES chunk
-at a time, each chunk in about log2 of its length products (see
-_power_states).  R is diagonal, so the frame states' populations are the
-lab frame's; only the final state is rotated back.  The fewer than
-sample_every full-length steps after the last sample instant are W^r, and
-a last step of length h is the frame's step at that length, W_h, from the
-same closed form or the same eigh.  No phase table, jump table or step
-unitary is formed.
+W^k = X diag(e^{i k theta_j}) X^dagger from one eigh of H(0), which is
+real symmetric, so X is real (see _frame_powers).  The frame forms
+M = W^sample_every and chains the frame states of the sample instants,
+M^j R(a_0)^dagger psi, one CHUNK_BYTES chunk at a time, each chunk in about
+log2 of its length products (see _power_states).  R is diagonal, so the
+frame states' populations are the lab frame's; only the final state is
+rotated back.  The fewer than sample_every full-length steps after the
+last sample instant are W^r, and a last step of length h is the frame's
+step at that length, W_h, from the same closed form or the same eigh.  No
+phase table, jump table or step unitary is formed.
 
 Phase table.  H = drift + e^{i theta} A + h.c. depends on t only through the
 drive phase theta = w t, so the unitary U(theta) = exp(-i dt H(theta)) of a
@@ -75,11 +78,16 @@ eigh, once per run, and keeps the table by cyclic diagonals (see
 _phase_table); every full-length step then costs one column of n products
 (n, Q) @ (Q, N), one per diagonal, of the table with the powers
 e^{i (m* + n s) theta}, and a gather back to matrix order.  At
-n >= 2M + 1, Q = 1: one eigh, of U(0), serves every full-length step of the
-run.  The table serves the fresh full-length steps, those no jump covers (a
-last step shortened to land on t_end is not one of them), when there are at
-least Q of them and the table fits: Q matrices fit in a chunk, and so do the
-powers of the Q phase factors that its DFT takes, about n Q^2 entries.
+n >= 2M + 1, Q = 1: one eigh, of H(0), serves every full-length step of the
+run.  The drift is real and diagonal and every drive model's A is real (the
+paper's shift S, or sigma_minus), so H(0) = drift + A + A^T is real
+symmetric, and evolve keeps A real: that eigh, like the frame's, runs in
+real arithmetic (LAPACK dsyevd, 0.67-0.77 of zheevd's time at n = 32),
+and only the phase factors of other phases make H complex.  The table
+serves the fresh full-length steps, those no jump covers (a last step
+shortened to land on t_end is not one of them), when there are at least Q
+of them and the table fits: Q matrices fit in a chunk, and so do the powers
+of the Q phase factors that its DFT takes, about n Q^2 entries.
 Other runs, such as a one-step run or dt g / 2 beyond about 22.4 at n = 2,
 diagonalize every step.  The powers take about n Q rows per step, so a
 chunk's steps go through in slices whose powers fit CHUNK_BYTES.
@@ -162,6 +170,13 @@ _SCAN_MAX_N = 4
 # (16 was up to 25% slower at N = 300), and 4 to 16 within 7% of each other
 # at n = 5..16 for N = 50 and one chunk
 _SCAN_BLOCK = 8
+# smallest n whose stacks _chain applies one matrix-vector product at a time
+# at every length: the blocked chain does n^3 work per step, the loop n^2.
+# Measured on the same CPU (median of 101 alternated calls), the loop took
+# 1.06, 0.91, 0.84 and 0.75 times the blocked chain's time at n = 12..15 for
+# N = 50 unitaries, and 1.19, 1.01, 0.91 and 0.87 times for one chunk (N =
+# 113, 96, 83 and 72); 0.39-0.42 times at n = 32
+_LOOP_MIN_N = 13
 # cap on the sampled times, populations and norm errors a run may hold
 MAX_SAMPLE_BYTES = 2**30
 # truncation error allowed in the phase table's Fourier sum (see _table_phases)
@@ -417,10 +432,12 @@ def _phase_table(parts: tuple, dt: float, q: int) -> np.ndarray:
     T_s = (1/Q) sum_j U(theta_j) e^{-i (m* + n s) theta_j}, the Q-point DFT
     of U with its phase pattern removed, so that U is exact to about eps.
     Entry [r, a, S + s] holds T_s at row a of diagonal r.  At n >= 2M + 1,
-    Q = 1 and the table is U(0) itself.
+    Q = 1 and the table is U(0) itself, diagonalized at the real phase
+    factor 1: with ``parts`` real, as evolve passes them, H(0) is real
+    symmetric and eigh runs in real arithmetic, U(0) = X e^{-i dt L} X^T.
     """
     n = len(parts[0])
-    z = root_power(n * q, np.arange(q))
+    z = root_power(n * q, np.arange(q)) if q > 1 else np.ones(1)
     u = _unitaries(parts, z, dt, f"on the drive-phase table for dt = {dt!r}")
     # at Q = 1 the one phase is theta = 0, where the pattern is 1 and the DFT
     # the identity
@@ -492,18 +509,21 @@ def _phase_powers(z: np.ndarray, order: int) -> np.ndarray:
 def _chain(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """States u[0] psi, u[1] u[0] psi, ... for a stack of N unitaries, as (N, n).
 
-    Up to _SCAN_BLOCK unitaries are applied one by one.  A longer stack is
-    cut into B blocks of L = min(_SCAN_BLOCK, isqrt(N)), and L - 1 products
-    form the running products of every block at once.  psi is carried to the
-    start of each block by _chain over the B - 1 block products, and one more
-    product applies each block's running products to its start.  Up to
+    Up to _SCAN_BLOCK unitaries, and a stack of any length from
+    n = _LOOP_MIN_N on, are applied one by one, one matrix-vector product
+    each: there a blocked product's n^3 work per step costs more than the
+    loop.  A longer stack of smaller matrices is cut into B blocks of
+    L = min(_SCAN_BLOCK, isqrt(N)), and L - 1 products form the running
+    products of every block at once.  psi is carried to the start of each
+    block by _chain over the B - 1 block products, and one more product
+    applies each block's running products to its start.  Up to
     n = _SCAN_MAX_N the blocks are stored block index innermost and each
     product is one elementwise multiply and sum over all blocks; above it
     each matrix is stored whole and each product is one batched BLAS call.
     The input stack is left unchanged.
     """
     count, n = u.shape[0], u.shape[-1]
-    if count <= _SCAN_BLOCK:
+    if count <= _SCAN_BLOCK or n >= _LOOP_MIN_N:
         states = np.empty((count, n), dtype=np.complex128)
         states[0] = u[0] @ psi
         for j in range(1, count):
@@ -656,10 +676,11 @@ def _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, po
     state at t_end, back in the lab frame, and the next row.
     """
     n = spec.n
-    levels = np.arange(n)
     power = _frame_powers(spec, parts, dt)
-    edges = _phase_factors(spec, np.array([t_start, t_end]))
-    phi = psi * edges[0].conj() ** levels
+    # R(w t) at the run's ends as Python scalars: diag(1, e^{i w t}) for rwa2,
+    # the one driven spec in the frame, which is two-level, and I otherwise
+    start, end = (complex(_phase_factors(spec, t)) for t in (t_start, t_end))
+    phi = psi * [1.0, start.conjugate()] if n == 2 else psi
     count, size, k = whole // every, max(1, CHUNK_BYTES // (16 * n)), 1
     # no power of W is formed when no full-length step runs: dt may then
     # exceed the span, and w dt / 2 overflow
@@ -672,7 +693,7 @@ def _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, po
         phi = power(whole % every) @ phi
     if whole < n_steps:
         phi = power(1, t_end - (t_start + whole * dt)) @ phi
-    return phi * edges[1] ** levels, k
+    return phi * [1.0, end] if n == 2 else phi, k
 
 
 def _frame_powers(spec, parts, dt):
@@ -689,9 +710,10 @@ def _frame_powers(spec, parts, dt):
     V^k = cos(k a) I + sin(k a) N / |N|, formed in scalar arithmetic without
     eigh.  The rest are static (rwa2 is two-level only), so W_h = U_h(0), and
     W_h^k = X diag(e^{i k theta_j}) X^dagger from the one eigh
-    H(0) = X diag(l_j) X^dagger, theta_j the angle of e^{-i l_j h}.  Every
-    power is formed from angles in (-pi, pi] times k, so it is finite at any
-    step count.
+    H(0) = X diag(l_j) X^dagger, theta_j the angle of e^{-i l_j h}; with
+    ``parts`` real, as evolve passes them, H(0) is real symmetric, and X is
+    real from an eigh in real arithmetic.  Every power is formed from angles
+    in (-pi, pi] times k, so it is finite at any step count.
     """
     if spec.n > 2:
         (w,), (v,) = _spectrum(parts, np.ones(1), f"in the rotating frame for dt = {dt!r}")
@@ -797,8 +819,10 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
         raise ValueError("drift diag(E - Delta_0) is too large for float64")
     if not math.isfinite(2.0 * ((max(map(abs, levels)) + spec.g) * dt)):
         raise ValueError("step phase bound 2 (max|drift| + g) dt is too large for float64")
-    # every H of the run is assembled from these levels and one drive coefficient
-    parts = levels, drive_coefficient(spec)
+    # every H of the run is assembled from these levels and one drive
+    # coefficient, kept real (its imaginary part is 0 for every drive model),
+    # so that H at the phase factor 1 is real symmetric
+    parts = levels, drive_coefficient(spec).real
     # sample k follows step k every, the last one step n_steps: the multiple
     # of every past n_steps is never scaled by dt, where it could overflow.
     # The ends are set as given, since t_start + 0 dt would turn a t_start of

@@ -303,6 +303,22 @@ class TestFullHamiltonian:
         )
         assert max_abs(drive_coefficient(driven) - 0.3 * build_shift(3)) <= 1e-15
 
+    @pytest.mark.parametrize("model, n", [
+        (model, n) for model in DRIVE_MODELS for n in (2, 3, 32)
+        if n == 2 or model not in ("cosine2", "rwa2")
+    ])
+    def test_drive_coefficient_is_real(self, model, n):
+        # the propagator keeps only its real part, so that H(0) is real
+        # symmetric and its eigensolve runs in real arithmetic; the public
+        # matrix stays complex, and its imaginary parts are +0, so a complex
+        # product with the real part, cast back to complex, is the same to the bit
+        spec = SystemSpec(n=n, energies=tuple(np.sin(np.arange(n) * 1.3)), g=0.7,
+                          omega=1.1, drive_model=model)
+        a = drive_coefficient(spec)
+        assert a.dtype == np.complex128
+        assert np.array_equal(a.imag, np.zeros((n, n)))
+        assert not np.signbit(a.imag).any()
+
     @pytest.mark.parametrize("model", DRIVE_MODELS)
     def test_hermitian_for_random_specs(self, model):
         # the propagator relies on H being hermitian to the bit and does not

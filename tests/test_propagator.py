@@ -980,11 +980,14 @@ def random_unitaries(rng, count, n):
 class TestChain:
     # _chain against one matrix-vector product per unitary, with blocks
     # stored block index innermost up to n = _SCAN_MAX_N and matrix by
-    # matrix above it, each n next to that crossover; counts on both sides of the
-    # block length and its square, and the chunk lengths evolve hands in
+    # matrix above it, and no blocks from n = _LOOP_MIN_N on, each n next to
+    # those crossovers; counts on both sides of the block length and its
+    # square, and the chunk lengths evolve hands in
 
     @pytest.mark.parametrize("n", sorted({2, 3, propagator._SCAN_MAX_N,
-                                          propagator._SCAN_MAX_N + 1, 8, 32}))
+                                          propagator._SCAN_MAX_N + 1, 8,
+                                          propagator._LOOP_MIN_N - 1,
+                                          propagator._LOOP_MIN_N, 32}))
     @pytest.mark.parametrize("count", sorted({
         1, 2, 3, 4, 5, 15, 16, 17, 455, 1820,
         SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
@@ -1304,28 +1307,33 @@ class TestClockSymmetry:
     # grid) and rabi2_floquet (n = 2, 100 steps per period, 50 periods) with
     # its drive as cosine2, so that a jump table composed from the phase
     # table serves it; the workload's own rwa2 drive runs in the rotating
-    # frame (see TestRotatingFrame)
-    @pytest.mark.parametrize("spec, dt, steps, every, phases", [
+    # frame (see TestRotatingFrame), as does a static n = 8 spec, which
+    # builds no table.  H is real symmetric at drive phase 0, so the
+    # one-phase table and the frame diagonalize a real matrix, and the
+    # tables of Q = 3 and Q = 5 phases complex ones
+    @pytest.mark.parametrize("spec, dt, steps, every, phases, dtype", [
         (SystemSpec(n=32, energies=tuple(np.linspace(-1.0, 1.0, 32)), g=0.25,
-                    omega=1.0, drive_model="generalized"), 0.05, 2, 2, 1),
-        (THREE_LEVEL, 0.005, 1500, 1, 3),
+                    omega=1.0, drive_model="generalized"), 0.05, 2, 2, 1, np.float64),
+        (THREE_LEVEL, 0.005, 1500, 1, 3, np.complex128),
         (SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1.0, drive_model="cosine2"),
-         2.0 * math.pi / 100, 5000, 100, 5),
-    ], ids=["dense32", "driven3_dense", "rabi2_floquet"])
+         2.0 * math.pi / 100, 5000, 100, 5, np.complex128),
+        (SystemSpec(n=8, energies=tuple(np.sin(np.arange(8) * 1.3)), g=0.25, omega=0.0,
+                    drive_model="generalized"), 0.05, 300, 1, None, np.float64),
+    ], ids=["dense32", "driven3_dense", "rabi2_floquet", "static_n8_frame"])
     def test_eigh_work_of_the_benchmark_runs(self, monkeypatch, table_builds, spec, dt,
-                                             steps, every, phases):
-        shapes = []
+                                             steps, every, phases, dtype):
+        calls = []
         plain = np.linalg.eigh
 
         def spy(a, *args, **kwargs):
-            shapes.append(a.shape)
+            calls.append((a.shape, a.dtype))
             return plain(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
         config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt, sample_every=every)
         traj = evolve(spec, config)
-        assert table_builds == [phases]
-        assert shapes == [(phases, spec.n, spec.n)]
+        assert table_builds == ([] if phases is None else [phases])
+        assert calls == [((phases or 1, spec.n, spec.n), dtype)]
         assert_matches_stepwise(spec, config, traj)
 
 
