@@ -65,16 +65,23 @@ MUTANTS = [
            "return phi * [1.0, end] if n == 2 else phi, k",
            "return phi, k",
            "_frame_steps leaves the final state in the rotating frame (drops R(w t_end))"),
-    # np.empty may hold any bits; NaN, which spreads through every product
-    # it enters, stands for the worst of them
+    # NaN spreads through every product it enters, so it shows where the
+    # padding's values reach; being quiet, it raises no floating-point
+    # warning, so it does not stand for every value np.empty may leave there
     Mutant(PROPAGATOR,
            "grouped[-1, rest:] = 0.0",
            "grouped[-1, rest:] = np.nan",
-           "_chain leaves the padding of its last block unzeroed (NaN in its place)",
+           "_chain fills the padding of its last block with NaN in place of zeros",
            "equivalent: the running products of each block stay within it, the states"
            " carried to the block starts read only the other blocks' last products,"
-           " and the padded positions are cut off by [:count]; with NaN there, no"
-           " test or case sees a NaN"),
+           " and the padded positions are cut off by [:count]; a NaN there reaches"
+           " no kept value and raises no warning"),
+    # a large finite value reaches no kept value either, but its products
+    # overflow, which -W error turns into a failure: the zero fill is needed
+    Mutant(PROPAGATOR,
+           "grouped[-1, rest:] = 0.0",
+           "grouped[-1, rest:] = 1e300",
+           "_chain fills the padding of its last block with 1e300 in place of zeros"),
     Mutant(PROPAGATOR,
            "parts = levels, drive_coefficient(spec).real",
            "parts = levels, drive_coefficient(spec)",

@@ -26,9 +26,9 @@ __all__ = [
 
 # byte size allowed for one n x n complex matrix, so n <= 512.  Every command
 # holds a bounded number of them: peaks measured with tracemalloc at n = 128
-# and 256 were about 150 matrices for `matrices` (its JSON objects), 11 for
-# `algebra`, 7 for a two-step `evolve` and 4 for `decompose`, so none passes
-# 1 GiB
+# and 256 were 5 matrices for `matrices` (its three matrices and one row's
+# JSON objects at a time), 11 for `algebra`, 7 for a two-step `evolve` and 4
+# for `decompose`, so none passes 1 GiB
 _MAX_MATRIX_BYTES = 2**22
 
 

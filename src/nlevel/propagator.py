@@ -208,10 +208,7 @@ def hermitian_eig(h):
             "matrix is not hermitian (anti-hermitian residue above "
             f"{HERMITIAN_RTOL:g} of its largest entry)"
         )
-    try:
-        return np.linalg.eigh(half + half_adjoint)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigensolver failed to converge: {exc}") from exc
+    return _spectrum(half + half_adjoint, "in hermitian_eig")
 
 
 def exp_step(h_mid, dt, psi):
@@ -313,24 +310,24 @@ def _step_count(span: float, dt: float) -> int:
     return max(n_steps, 1)
 
 
-def _spectrum(parts: tuple, z: np.ndarray, where: str):
-    """Eigenvalues and eigenvectors of H = _at_phase(*parts, z) at every phase factor of z.
+def _spectrum(h: np.ndarray, where: str):
+    """Eigenvalues and eigenvectors of a hermitian matrix, or of each matrix of a stack.
 
-    ``parts`` are the run's drift levels and drive coefficient.  The one
-    batched eigh of the propagator; ``where`` names the phases in the
-    EigenConvergenceError a solver failure raises.
+    The package's one eigh, and its one handler of LAPACK failures: ``where``
+    names the matrices in the EigenConvergenceError a failure raises.
     """
-    # eigh reads the lower triangle and the real diagonal, which is all of H,
-    # hermitian by construction (see hamiltonian_at)
+    # eigh reads the lower triangle and the real diagonal, which is all of a
+    # hermitian h: the symmetrized input of hermitian_eig, or an H assembled
+    # by _at_phase, hermitian by construction (see hamiltonian_at)
     try:
-        return np.linalg.eigh(_at_phase(*parts, z))
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigensolver failed to converge {where}") from exc
 
 
 def _unitaries(parts: tuple, z: np.ndarray, dt: float, where: str) -> np.ndarray:
     """exp(-i dt H) for H = _at_phase(*parts, z) at every phase factor of z, as a stack."""
-    w, v = _spectrum(parts, z, where)
+    w, v = _spectrum(_at_phase(*parts, z), where)
     return (v * np.exp(-1j * (w * dt))[..., None, :]) @ _adjoint(v)
 
 
@@ -535,8 +532,9 @@ def _chain(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
     # prefix[i] holds u[b L + i] ... u[b L + 1] u[b L] for every block b, as
     # (n, n, B) up to _SCAN_MAX_N, else as (B, n, n); grouped views it as
     # (B, L, n, n), and starts[b], the state at the start of block b, keeps
-    # the block index innermost.  Zeros pad the last block, whose products
-    # only reach the states cut off at the end
+    # the block index innermost.  Zeros pad the last block: its padded
+    # products only reach the states cut off at the end, but whatever
+    # np.empty left there could overflow in them
     prefix = np.empty((size, n, n, blocks) if small else (size, blocks, n, n), np.complex128)
     grouped = prefix.transpose((3, 0, 1, 2) if small else (1, 0, 2, 3))
     grouped[: count // size] = u[: count - rest].reshape(-1, size, n, n)
@@ -716,7 +714,8 @@ def _frame_powers(spec, parts, dt):
     in (-pi, pi] times k, so it is finite at any step count.
     """
     if spec.n > 2:
-        (w,), (v,) = _spectrum(parts, np.ones(1), f"in the rotating frame for dt = {dt!r}")
+        where = f"in the rotating frame for dt = {dt!r}"
+        (w,), (v,) = _spectrum(_at_phase(*parts, np.ones(1)), where)
         back = _adjoint(v)
         return lambda k, h=dt: (v * np.exp(1j * k * np.angle(np.exp(-1j * (w * h))))) @ back
     (p, q), ((_, up), (down, _)) = parts[0], parts[1].tolist()

@@ -461,8 +461,12 @@ class TestFailureMapping:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(EigenConvergenceError, match="t in"):
             evolve(THREE_LEVEL, EvolutionConfig(**self.CONFIG))
-        with pytest.raises(EigenConvergenceError):
+        # the public single-matrix calls share evolve's one LAPACK handler
+        message = "^eigensolver failed to converge in hermitian_eig$"
+        with pytest.raises(EigenConvergenceError, match=message):
             hermitian_eig(np.eye(2))
+        with pytest.raises(EigenConvergenceError, match=message):
+            exp_step(np.eye(2), 0.1, [1.0, 0.0])
 
 
 class TestChunking:
@@ -655,7 +659,7 @@ def table_builds(monkeypatch):
 @pytest.fixture
 def eigh_phases(monkeypatch):
     """Matrix counts of every batched eigh evolve makes: table, steps or rotating frame."""
-    return spy_on(monkeypatch, "_spectrum", lambda args, wv: len(args["z"]))
+    return spy_on(monkeypatch, "_spectrum", lambda args, wv: len(args["h"]))
 
 
 def assert_matches_stepwise(spec, config, traj=None):
