@@ -62,6 +62,10 @@ MUTANTS = [
            "sampled = chain[-(start + unit) % every // unit + 1 :: every // unit]",
            "_lab_steps samples the state one past each sample instant"),
     Mutant(PROPAGATOR,
+           "mid = np.array([t0 + 0.5 * (t_end - t0)])",
+           "mid = np.array([t0])",
+           "_lab_steps centres the shortened last step at its start"),
+    Mutant(PROPAGATOR,
            "return phi * [1.0, end] if n == 2 else phi, k",
            "return phi, k",
            "_frame_steps leaves the final state in the rotating frame (drops R(w t_end))"),

@@ -119,6 +119,12 @@ def cases():
         "offgrid_n16_600_every1": _driven(16, 0.05, 600, 1),
         "offgrid_n32_200_every1": _driven(32, 0.05, 200, 1),
         "offgrid_n128_40_every1": _driven(128, 0.05, 40, 1),
+        # fresh eigh steps in the lab frame: a last step of 0.6 dt, a step
+        # table too large to fit (dt g / 2 = 30), and fewer full steps (2) than
+        # the table's Q (13)
+        "offgrid_n3_20k_every100_short_last": _driven(3, 0.005, 20_000.6, 100),
+        "nofit_n2_2k_every1": dict(_driven(2, 0.05, 2000, 1), g=1200.0),
+        "short_n3_2_every1": dict(_driven(3, 0.5, 2, 1), g=5.0),
         # the rotating frame: rwa2, whose Rabi config ends on a shortened
         # step, and static specs (w = 0), dense and sparse, on the grid and
         # with a last step of 0.6 dt

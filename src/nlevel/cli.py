@@ -9,8 +9,10 @@ A config's keys are the fields of ``SystemSpec`` and ``EvolutionConfig`` plus
 value; the CLI only rejects unknown keys, names missing required ones, checks
 ``output_path`` and turns ``[re, im]`` pairs into complex amplitudes.
 
-Exit status: 0 on success (all audits pass), 1 on user or config errors and
-audit failures, 2 on internal numerical failure (eigensolver non-convergence).
+Exit status, set by ``main`` alone: 0 on success (all audits pass), 1 on user
+or config errors and audit failures, 2 on internal numerical failure
+(eigensolver non-convergence).  A command returns 1 when its audit fails and
+nothing otherwise; ``main`` maps the exceptions it raises.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import dataclasses
 import json
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 
 import numpy as np
 
@@ -98,21 +100,25 @@ def identity_residuals(n: int):
     ]
 
 
-@contextmanager
-def _atomic_open(path):
-    """Text file whose content replaces ``path`` only once the block completes.
+def _write(pieces, path):
+    """Write the text pieces to ``path``, or to stdout when it is None.
 
-    The content goes to a temporary file in the same directory, renamed over
-    ``path`` (over the file a symlink points to) at the end; on any exception
-    the temporary file is removed and an existing ``path`` keeps its old
-    content.  A device or pipe, such as /dev/stdout, is written in place.
-    The file is opened on entry, so a bad path fails before any work.
+    A device or pipe, such as /dev/stdout, is written in place.  Otherwise
+    the text goes to a temporary file in the same directory, renamed over
+    ``path`` (over the file a symlink points to) once the last piece is
+    written; on any exception the temporary file is removed and an existing
+    ``path`` keeps its old content.  The file is opened before the first
+    piece is asked for, so a bad path fails before a generator of pieces
+    does any work.
     """
+    if path is None:
+        sys.stdout.writelines(pieces)
+        return
     if not path:
         raise ValueError("output path must not be empty")
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", newline="") as fh:
-            yield fh
+            fh.writelines(pieces)
         return
     real = os.path.realpath(path)
     head, name = os.path.split(real)
@@ -120,7 +126,7 @@ def _atomic_open(path):
     fh = open(tmp, "x", newline="")
     try:
         with fh:
-            yield fh
+            fh.writelines(pieces)
         os.replace(tmp, real)
     except BaseException:
         with suppress(FileNotFoundError):
@@ -150,15 +156,6 @@ def _matrices_json(n):
     yield "\n}\n"
 
 
-def _write_json(pieces, out_path):
-    """Write the pieces of a JSON text to ``out_path``, or to stdout when it is None."""
-    if out_path is None:
-        sys.stdout.writelines(pieces)
-    else:
-        with _atomic_open(out_path) as fh:
-            fh.writelines(pieces)
-
-
 def _csv_blocks(*columns):
     """The rows of float columns side by side as CSV text, every value as %.17g.
 
@@ -172,6 +169,13 @@ def _csv_blocks(*columns):
         block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
         row = ",".join(["%.17g"] * block.shape[1]) + "\n"
         yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def _trajectory_csv(spec, config):
+    """The CSV text of `nlevel evolve`; the run starts when the first piece is asked for."""
+    traj = evolve(spec, config)
+    yield "t," + ",".join(f"p{i}" for i in range(spec.n)) + ",norm_error\n"
+    yield from _csv_blocks(traj.times, traj.populations, traj.norm_errors)
 
 
 def _load_config(path):
@@ -221,7 +225,7 @@ def _run_inputs(raw):
     return spec, EvolutionConfig(**fields)
 
 
-def _cmd_algebra(args) -> int:
+def _cmd_algebra(args):
     build_shift(args.n)  # surfaces the dimension error before any output
     tol = args.tol
     rows = identity_residuals(args.n)
@@ -235,15 +239,13 @@ def _cmd_algebra(args) -> int:
         print(f"{failures} identity check(s) failed")
         return 1
     print("all identities hold")
-    return 0
 
 
-def _cmd_matrices(args) -> int:
-    _write_json(_matrices_json(args.n), args.out)
-    return 0
+def _cmd_matrices(args):
+    _write(_matrices_json(args.n), args.out)
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     raw = _load_config(args.config)
     spec = SystemSpec(**_config_fields(raw, SystemSpec, ("n", "energies")))
     n = spec.n
@@ -267,24 +269,17 @@ def _cmd_decompose(args) -> int:
     }
     # a non-finite value has no JSON form: raise ValueError, write nothing
     text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    _write_json([text], args.out if args.out is not None else raw.get("output_path"))
-    return 0
+    _write([text], args.out if args.out is not None else raw.get("output_path"))
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args):
     raw = _load_config(args.config)
     spec, config = _run_inputs(raw)
     out_path = args.out if args.out is not None else raw.get("output_path")
     if out_path is None:
         raise ValueError("no output path: pass --out or set 'output_path' in the config")
 
-    with _atomic_open(out_path) as fh:
-        traj = evolve(spec, config)
-        header = "t," + ",".join(f"p{i}" for i in range(spec.n)) + ",norm_error"
-        fh.write(header + "\n")
-        for text in _csv_blocks(traj.times, traj.populations, traj.norm_errors):
-            fh.write(text)
-    return 0
+    _write(_trajectory_csv(spec, config), out_path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +313,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args) or 0
     except EigenConvergenceError as exc:
         print(f"nlevel: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,8 @@ from test_cli import write_config
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
-from sparse_sampling import committed, config_objects, load  # noqa: E402
+from nlevel.propagator import _in_frame, _step_count, _table_phases  # noqa: E402
+from sparse_sampling import cases, committed, config_objects, load  # noqa: E402
 
 CONFIGS = ["driven_three_level.json", "rabi_two_level.json"]
 
@@ -48,6 +49,25 @@ class TestConfigObjects:
         assert cli.main(["evolve", "--config", write_config(tmp_path, raw),
                          "--out", str(tmp_path / "out.csv")]) == 0
         assert built == [config_objects(raw)]
+
+
+def test_cases_take_every_fresh_lab_step():
+    # the lab path diagonalizes a step on its own for a last step shortened
+    # to land on t_end, and for every full step when the step table does not
+    # fit or the run has fewer full steps than its Q (with one sample per
+    # step, no jump table takes them); the check must run each of these
+    short_last = no_fit = under_q = False
+    for raw in cases().values():
+        spec, config = config_objects(raw)
+        if _in_frame(spec):
+            continue
+        steps = _step_count(config.t_end - config.t_start, config.dt)
+        whole = steps if config.t_start + steps * config.dt == config.t_end else steps - 1
+        q = _table_phases(spec, config.dt)
+        short_last |= whole < steps
+        no_fit |= q is None
+        under_q |= config.sample_every == 1 and q is not None and whole < q
+    assert short_last and no_fit and under_q
 
 
 @pytest.fixture(scope="module")
