@@ -42,7 +42,7 @@ MUTANTS = [
     Mutant(PROPAGATOR,
            "while term > _EPS and",
            "while term > 1e3 * _EPS and",
-           "_table_phases truncates the Fourier table at 1e3 eps"),
+           "_series_order truncates the Fourier table and the Taylor steps at 1e3 eps"),
     Mutant("src/nlevel/hamiltonian.py",
            "mean = math.fsum(spec.energies) / spec.n",
            "mean = sum(spec.energies) / spec.n",
@@ -62,7 +62,7 @@ MUTANTS = [
            "sampled = chain[-(start + unit) % every // unit + 1 :: every // unit]",
            "_lab_steps samples the state one past each sample instant"),
     Mutant(PROPAGATOR,
-           "mid = np.array([t0 + 0.5 * (t_end - t0)])",
+           "mid = np.array([t0 + 0.5 * h])",
            "mid = np.array([t0])",
            "_lab_steps centres the shortened last step at its start"),
     Mutant(PROPAGATOR,
@@ -90,6 +90,18 @@ MUTANTS = [
            "parts = levels, drive_coefficient(spec).real",
            "parts = levels, drive_coefficient(spec)",
            "one-phase tables diagonalize in complex arithmetic"),
+    Mutant(PROPAGATOR,
+           "x = h * (max(map(abs, levels)) + spec.g)",
+           "x = h * max(map(abs, levels))",
+           "_taylor_order bounds ||h H|| without the drive's g"),
+    Mutant(PROPAGATOR,
+           "if x >= 1.0 or count >= budget:",
+           "if count >= budget:",
+           "_taylor_order takes Taylor steps at x >= 1"),
+    Mutant(PROPAGATOR,
+           "h, psi, last)[0]",
+           "dt, psi, last)[0]",
+           "_lab_steps takes a shortened last Taylor step at full length"),
     Mutant(PROPAGATOR,
            "n_steps = int(math.ceil((span / dt) * (1.0 - 1e-12)))",
            "n_steps = int(math.ceil(span / dt))",

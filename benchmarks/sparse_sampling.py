@@ -125,6 +125,13 @@ def cases():
         "offgrid_n3_20k_every100_short_last": _driven(3, 0.005, 20_000.6, 100),
         "nofit_n2_2k_every1": dict(_driven(2, 0.05, 2000, 1), g=1200.0),
         "short_n3_2_every1": dict(_driven(3, 0.5, 2, 1), g=5.0),
+        # Taylor steps in the lab frame, whose products cost less than the
+        # eigh of a one-phase table: dense32's shape (2 steps, one sample
+        # interval), 4 steps and a last one of 0.6 dt, and a few dozen steps
+        # at n = 512
+        "offgrid_n32_2_every2": _driven(32, 0.05, 2, 2),
+        "offgrid_n32_4_every2_short_last": _driven(32, 0.05, 4.6, 2),
+        "offgrid_n512_24_every1": _driven(512, 0.05, 24, 1),
         # the rotating frame: rwa2, whose Rabi config ends on a shortened
         # step, and static specs (w = 0), dense and sparse, on the grid and
         # with a last step of 0.6 dt

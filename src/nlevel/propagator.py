@@ -6,19 +6,21 @@ through numpy.linalg.eigh, in one kernel, _spectrum; in real arithmetic
 where H is real, see below), or taken in a rotating frame as powers of one
 step (rwa2 and static specs), or, for full-length steps of the other
 drives, summed from a phase table built from such decompositions (long
-runs), whose products over a sample interval a jump table gives.  Step k
-is exactly dt long and centred at t_start + (k + 1/2) dt on every path, so
-the frame, the table and eigh see the same phase and length for it; when
-the grid does not end on t_end, a last step from t_start + K dt to t_end,
-K the number of full steps, follows on the same path: in the frame, or
-diagonalized on its own.  Each path takes every step of its run, and
-evolve only dispatches.  H(t) does not depend on the state, so evolve
-forms the step unitaries of many steps at once, in chunks.
+runs), whose products over a sample interval a jump table gives, or, for
+the lab steps of short runs, applied to the state as its Taylor series
+(see below).  Step k is exactly dt long and centred at
+t_start + (k + 1/2) dt on every path, so the frame, the table, Taylor and
+eigh see the same phase and length for it; when the grid does not end on
+t_end, a last step from t_start + K dt to t_end, K the number of full
+steps, follows on the same path: in the frame, or on its own, by Taylor or
+eigh.  Each path takes every step of its run, and evolve only dispatches.
+H(t) does not depend on the state, so evolve forms the step unitaries, or
+the H of Taylor steps, of many steps at once, in chunks.
 H(t) is hermitian by construction (see hamiltonian_at), so nothing checks
 that at run time.  Before any step, evolve checks that the drift's levels,
 the Python floats of the one helper build_drift also reads, and a bound on
 every step's eigenphases are finite, so that no step can overflow; the
-n x n drift is formed only inside an assembled H (see _at_phase).  The
+levels enter only the diagonal of an assembled H (see _at_phase).  The
 chain of states through a chunk (_chain) applies one matrix-vector product
 per step to a stack of at most 8 unitaries, and to any stack from
 n = _LOOP_MIN_N on, where that n^2 work per step costs less than the n^3
@@ -89,8 +91,10 @@ shortened to land on t_end is not one of them), when there are at least Q
 of them and the table fits: Q matrices fit in a chunk, and so do the powers
 of the Q phase factors that its DFT takes, about n Q^2 entries.
 Other runs, such as a one-step run or dt g / 2 beyond about 22.4 at n = 2,
-diagonalize every step.  The powers take about n Q rows per step, so a
-chunk's steps go through in slices whose powers fit CHUNK_BYTES.
+take Taylor steps or diagonalize every step, and runs whose Taylor steps
+cost less than the table's eigh take no table (see Taylor steps).  The
+powers take about n Q rows per step, so a chunk's steps go through in
+slices whose powers fit CHUNK_BYTES.
 
 Jump tables.  The product of L = sample_every steps,
 V_L(theta) = U(theta + (L - 1) delta) ... U(theta), delta = w dt and theta
@@ -109,6 +113,22 @@ steps only.  The fewer than sample_every full-length steps after the last
 whole interval are fresh steps, in the same loop: each pass chains one
 stack, of jumps or of steps, and records the states that end on a multiple
 of sample_every.
+
+Taylor steps.  H(t) is hermitian with ||H|| <= max|E - Delta_0| + g, so a
+step of length h with x = h (max|E - Delta_0| + g) < 1 is, to eps, the sum
+psi <- sum_{k <= K} (-i h H)^k psi / k!, K from the remainder bound
+e^x x^(K+1) / (K+1)! <= eps (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+488, 2011): K matrix-vector products and no eigh (see _taylor_order).
+Costs are counted in such products, and the choice is made before any
+eigh.  count Taylor steps cost count K, and the eigh route about 1.5 n per
+matrix it diagonalizes (_EIGH_PRODUCTS, measured): Q for a phase table,
+one per step without it.  So when no jump table is composed, the fresh
+full-length steps are Taylor steps when they cost less than that, and the
+phase table is built only when its Q eighs cost less than they would; a
+shortened last step is one Taylor step when its K costs less than its
+eigh.  dense32's two steps at n = 32, K = 8, take 16 products in place of
+the eigh of a one-phase table, about 48; a last step at n = 3 stays with
+eigh unless x < 0.0019, where K = 4.  Steps with x >= 1 keep eigh.
 """
 
 import functools
@@ -177,9 +197,20 @@ _SCAN_BLOCK = 8
 # N = 50 unitaries, and 1.19, 1.01, 0.91 and 0.87 times for one chunk (N =
 # 113, 96, 83 and 72); 0.39-0.42 times at n = 32
 _LOOP_MIN_N = 13
+# matrix-vector products that one eigh costs, per level (see _taylor_order):
+# the order K at which a Taylor step (H assembled, K products H @ term, each
+# scaled and added) costs as much as the eigh route's step (H assembled,
+# diagonalized, exp(-i h H) formed and applied), over n.  Measured on the same
+# CPU for one step (median of 301 alternated calls, 41 from n = 256, two
+# processes): 3.7-3.8, 2.8-3.3, 2.25, 1.70, 1.57-1.58, 1.60, 1.63, 1.90-1.93,
+# 2.9-3.1, 1.90, 3.1-3.4, 4.3-4.5, 4.2-4.6 and 2.5-2.6 at n = 2, 3, 4, 6, 8,
+# 10, 13, 16, 24, 32, 64, 128, 256 and 512; below the least of them, so that
+# a Taylor step is taken only where it costs less at every n measured
+_EIGH_PRODUCTS = 1.5
 # cap on the sampled times, populations and norm errors a run may hold
 MAX_SAMPLE_BYTES = 2**30
-# truncation error allowed in the phase table's Fourier sum (see _table_phases)
+# truncation error allowed in the phase table's Fourier sum and in a Taylor
+# step (see _series_order)
 _EPS = np.finfo(np.float64).eps
 
 
@@ -192,13 +223,16 @@ def hermitian_eig(h):
 
     The input is symmetrized as (H + H^dagger)/2 before decomposition; an
     anti-hermitian residue above HERMITIAN_RTOL times the largest entry
-    raises ValueError, and a LAPACK convergence failure raises
-    EigenConvergenceError.  The eigenvectors of a repeated eigenvalue are
-    the orthonormal basis of its eigenspace that LAPACK returns.
+    raises ValueError, as does an empty or non-square matrix, and a LAPACK
+    convergence failure raises EigenConvergenceError.  The eigenvectors of a
+    repeated eigenvalue are the orthonormal basis of its eigenspace that
+    LAPACK returns.
     """
     a = np.asarray(h, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError("expected a matrix of at least one row, got shape (0, 0)")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     # halves first: a + a^dagger and a - a^dagger overflow near the float64 limit
@@ -212,7 +246,11 @@ def hermitian_eig(h):
 
 
 def exp_step(h_mid, dt, psi):
-    """Apply exp(-i dt h_mid) to psi through the eigendecomposition of h_mid."""
+    """Apply exp(-i dt h_mid) to psi through the eigendecomposition of h_mid.
+
+    Raises ValueError when a step phase w dt, w an eigenvalue, is too large
+    for float64, as evolve does for its steps.
+    """
     dt = _as_real(dt, "dt")
     w, v = hermitian_eig(h_mid)
     psi = np.asarray(psi, dtype=np.complex128)
@@ -220,6 +258,9 @@ def exp_step(h_mid, dt, psi):
         raise ValueError(
             f"state length {psi.shape} does not match matrix dimension {w.shape[0]}"
         )
+    # in Python floats, which overflow to inf without a warning
+    if not math.isfinite(float(max(-w[0], w[-1])) * dt):
+        raise ValueError("step phase max|eigenvalue| dt is too large for float64")
     return v @ ((v.conj().T @ psi) * np.exp(-1j * w * dt))
 
 
@@ -382,9 +423,9 @@ def _power_rows(n: int, q: int) -> int:
 def _table_phases(spec: SystemSpec, dt: float):
     """Phases Q of the table of a step of length dt, or None when the table does not fit.
 
-    M is the smallest Fourier order with 2 x^(M+1) / (M+1)! <= eps for
-    x = dt g / 2, g / 2 the spectral norm of drive_coefficient for every
-    drive model.  The Fourier coefficient of order m of U(theta) collects
+    M is the smallest Fourier order with 2 x^(M+1) / (M+1)! <= eps (see
+    _series_order) for x = dt g / 2, g / 2 the spectral norm of
+    drive_coefficient for every drive model.  The Fourier coefficient of order m of U(theta) collects
     terms of order |m| and above in dt A, so its size falls off like
     x^|m| / |m|! (Shirley, Phys. Rev. 138, B979, 1965): the orders left out
     and those the Q-point transform folds onto the kept ones, |m| > M, stay
@@ -398,18 +439,69 @@ def _table_phases(spec: SystemSpec, dt: float):
     and Q = 83: 7.4 ms against 7.2 ms; 1,820 steps at n = 3 and Q = 71: 4.7
     against 8.3 ms), beyond it slower (n = 2, Q = 1,121: 62 against 7.2 ms).
     """
-    n, x = spec.n, 0.5 * spec.g * dt
-    # term = 2 x^(order+1) / (order+1)!; from order n on, the Q > 2 order / n
-    # - 1 phases and at least 2 order rows of the powers take more than
-    # 32 order^2 / n entries, so no order beyond fits, which bounds the loop
-    order, term = 0, 2.0 * x
-    while term > _EPS and (order < n or 32 * order**2 <= CHUNK_BYTES * n):
-        order += 1
-        term *= x / (order + 1)
+    n = spec.n
+    # from order n on, the Q > 2 order / n - 1 phases and at least 2 order
+    # rows of the powers take more than 32 order^2 / n entries, which fit a
+    # chunk only while 32 order^2 <= CHUNK_BYTES n: no order past the larger
+    # of the two bounds fits, which bounds the loop
+    limit = max(n - 1, math.isqrt(CHUNK_BYTES * n // 32))
+    order = _series_order(0.5 * spec.g * dt, 2.0, limit)
     q = 2 * ((order + n // 2) // n) + 1
     # Q matrices fit a chunk, which holds at least one (see _lab_steps)
     fits = q <= max(1, CHUNK_BYTES // (16 * n * n))
     return q if fits and 16 * q * _power_rows(n, q) <= CHUNK_BYTES else None
+
+
+def _series_order(x: float, scale: float, limit: float = math.inf) -> int:
+    """Smallest order M with scale x^(M+1) / (M+1)! <= eps, or limit + 1 if it exceeds limit.
+
+    The tail of both series the propagator truncates: the Fourier orders of
+    a step's unitary (see _table_phases), with scale 2, and the Taylor
+    series of exp(-i h H) (see _taylor_order), with scale e^x.
+    """
+    order, term = 0, scale * x
+    while term > _EPS and order <= limit:
+        order += 1
+        term *= x / (order + 1)
+    return order
+
+
+def _taylor_order(spec: SystemSpec, levels: list, h: float, count: int, eighs: int):
+    """Order K of count Taylor steps of length h, or None when eighs eigh's cost less.
+
+    H(t) is hermitian with ||H|| <= max|drift| + g (see evolve), so x =
+    h (max|drift| + g) bounds ||h H||, and the terms of exp(-i h H) past
+    order K sum to at most e^x x^(K+1) / (K+1)! in norm (Al-Mohy and Higham,
+    SIAM J. Sci. Comput. 33, 488, 2011): K = _series_order(x, e^x) keeps
+    them within eps.  The steps cost count K matrix-vector products, and
+    each eigh _EIGH_PRODUCTS n of them; steps with x >= 1, whose K grows
+    and whose terms cancel, are left to eigh.  K >= 1 wherever x exceeds
+    eps, so count steps cost at least count products, and a run of as many
+    steps as the eigh's cost is left to them before K is formed.
+    """
+    budget = _EIGH_PRODUCTS * spec.n * eighs
+    x = h * (max(map(abs, levels)) + spec.g)
+    if x >= 1.0 or count >= budget:
+        return None
+    order = _series_order(x, math.exp(x))
+    return order if count * order < budget else None
+
+
+def _taylor_states(h: np.ndarray, dt: float, psi: np.ndarray, order: int) -> np.ndarray:
+    """States after each step of length dt under the stack h, from psi, as (N, n).
+
+    Each step applies sum_{k <= order} (-i dt H)^k / k! to the state: order
+    matrix-vector products, no eigh and no unitary.
+    """
+    states = np.empty((len(h), len(psi)), dtype=np.complex128)
+    factors = [-1j * dt / k for k in range(1, order + 1)]
+    for j, matrix in enumerate(h):
+        term = psi
+        for factor in factors:
+            term = (matrix @ term) * factor
+            psi = psi + term
+        states[j] = psi
+    return states
 
 
 def _phase_table(parts: tuple, dt: float, q: int) -> np.ndarray:
@@ -597,11 +689,15 @@ def _jump_table(spec: SystemSpec, table: np.ndarray, dt: float, every: int) -> n
 
 
 def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, populations):
-    """Every step of the run: steps 1..whole from eigh, the phase table and a jump table.
+    """Every step of the run: steps 1..whole from a jump table, the phase table, eigh or Taylor.
 
-    A last step shortened to land on t_end, when steps 1..whole do not, is
-    diagonalized on its own.  Records the states that end a sample interval
-    in ``populations`` from row 1 on and returns the state at t_end and the
+    Without a jump table, the fresh full-length steps are applied to the
+    state as their Taylor series (see _taylor_order) when that costs fewer
+    matrix-vector products than the eigh's of their phase table, or of each
+    step when no table serves them.  A last step shortened to land on t_end,
+    when steps 1..whole do not, is taken on its own, by Taylor or eigh on
+    the same rule.  Records the states that end a sample interval in
+    ``populations`` from row 1 on and returns the state at t_end and the
     next row.
     """
     chunk = max(1, CHUNK_BYTES // (16 * spec.n**2))
@@ -615,11 +711,15 @@ def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, popu
     jump_q = _table_phases(spec, every * dt)
     done = count * every if jump_q and 3 * jump_q * compositions < count * (every - 1) else 0
     # the fresh full-length steps are summed from the phase table when it fits
-    # and they are at least Q, and so is the jump table's first factor; this
-    # is decided before any eigh, and the tables are built once, only for
-    # such runs
+    # and they are at least Q, and so is the jump table's first factor;
+    # without a jump table they are Taylor steps when those cost less than
+    # the table's Q eighs, or than an eigh per step.  This is decided before
+    # any eigh, and the tables are built once, only for such runs
     step_q = _table_phases(spec, dt)
-    table = _phase_table(parts, dt, step_q) if step_q and (done or step_q <= whole) else None
+    tabled = step_q and (done or step_q <= whole)
+    order = None if done else _taylor_order(spec, parts[0], dt, whole,
+                                            step_q if tabled else whole)
+    table = _phase_table(parts, dt, step_q) if tabled and order is None else None
     jump = _jump_table(spec, table, dt, every) if done else None
 
     # each pass chains a stack of unitaries over unit steps each, from step
@@ -629,16 +729,31 @@ def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, popu
     for begin, stop, unit, tab in ((0, done, every, jump), (done, whole, 1, table)):
         for start in range(begin, stop, chunk * unit):
             starts = np.arange(start, min(start + chunk * unit, stop), unit)
-            u = _step_unitaries(spec, parts, t_start + (starts + 0.5) * dt, dt, tab)
-            chain = _chain(u, psi)
+            mids = t_start + (starts + 0.5) * dt
+            # the stack, of unitaries or of H, stays referenced until the next
+            # chunk's replaces it: freed at once, it would leave a heap top
+            # that the allocator returns to the system, and the next stack
+            # would fault in fresh pages (Taylor steps at n = 256 took 512
+            # minor page faults per step so, against 31)
+            if order is None:
+                u = _step_unitaries(spec, parts, mids, dt, tab)
+                chain = _chain(u, psi)
+            else:
+                u = _at_phase(*parts, _phase_factors(spec, mids))
+                chain = _taylor_states(u, dt, psi, order)
             psi = chain[-1]
             sampled = chain[-(start + unit) % every // unit :: every // unit]
             populations[k : k + len(sampled)] = sampled.real**2 + sampled.imag**2
             k += len(sampled)
     if whole < n_steps:
         t0 = t_start + whole * dt
-        mid = np.array([t0 + 0.5 * (t_end - t0)])
-        psi = _step_unitaries(spec, parts, mid, t_end - t0)[0] @ psi
+        h = t_end - t0
+        mid = np.array([t0 + 0.5 * h])
+        last = _taylor_order(spec, parts[0], h, 1, 1)
+        if last is None:
+            psi = _step_unitaries(spec, parts, mid, h)[0] @ psi
+        else:
+            psi = _taylor_states(_at_phase(*parts, _phase_factors(spec, mid)), h, psi, last)[0]
     return psi, k
 
 
@@ -773,16 +888,20 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     steps fits and composing it forms fewer matrices than the steps it
     replaces, each whole sample interval costs one propagator, summed from
     that table, in the chain; only the full-length steps after the last
-    whole interval are fresh.  When the fresh full-length steps are at
-    least Q (Q phases in [0, 2 pi / n), from dt g / 2; see _table_phases),
-    or a jump table is composed, their unitaries are summed from a Fourier
-    table over the drive phase that one batched eigh of Q matrices builds
-    once per run; otherwise they are diagonalized in one batched eigh call
-    per chunk.  Jumps and fresh steps share one loop (see the module
-    docstring), and a last step shortened to land on t_end is diagonalized
-    on its own.  The drift's levels are the floats of _drift_levels, which
-    build_drift puts on a diagonal; only an assembled H holds them as a
-    matrix.  Raises ValueError when the drive phase w t is not finite at
+    whole interval are fresh.  Without a jump table, fresh full-length
+    steps with x = dt (max|drift| + g) < 1 are applied to the state as
+    their Taylor series, K matrix-vector products each, when those cost
+    less than the eigh's they replace (see _taylor_order).  Otherwise, when
+    they are at least Q (Q phases in [0, 2 pi / n), from dt g / 2; see
+    _table_phases), or a jump table is composed, their unitaries are summed
+    from a Fourier table over the drive phase that one batched eigh of Q
+    matrices builds once per run; else they are diagonalized in one
+    batched eigh call per chunk.  Jumps and fresh steps share one loop (see
+    the module docstring), and a last step shortened to land on t_end is
+    taken on its own, by Taylor or eigh on the same rule.  The drift's
+    levels are the floats of _drift_levels, which build_drift puts on a
+    diagonal; only an assembled H holds them, on its diagonal.  Raises
+    ValueError when the drive phase w t is not finite at
     t_start or t_end (the time is reported), when the drift
     diag(E - Delta_0) or the bound 2 (max|drift| + g) dt on a step's
     eigenphases is too large for float64, or when the samples would need

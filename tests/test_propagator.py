@@ -27,7 +27,7 @@ from test_cli import write_config
 
 # the path tests share the stepwise reference of the sparse-sampling check
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-from sparse_sampling import committed, config_objects, stepwise  # noqa: E402
+from sparse_sampling import cases, committed, config_objects, stepwise  # noqa: E402
 
 
 def max_abs(m):
@@ -86,6 +86,11 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="finite"):
             hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_an_empty_matrix(self):
+        # with a message of its own, not numpy's about a zero-size reduction
+        with pytest.raises(ValueError, match=r"^expected a matrix of at least one row"):
+            hermitian_eig(np.zeros((0, 0)))
+
     def test_entries_near_the_float64_limit(self):
         # H + H^dagger and H - H^dagger overflow here, so neither may be formed
         h = np.diag([1.7e308, 0.0])
@@ -136,6 +141,14 @@ class TestExpStep:
     def test_rejects_mismatched_state(self):
         with pytest.raises(ValueError, match="does not match"):
             exp_step(np.eye(3), 0.1, np.ones(2, dtype=complex))
+
+    @pytest.mark.parametrize("dt", [1e10, -1e10])
+    def test_rejects_an_overflowing_step_phase(self, dt):
+        # as evolve does, without a warning and without writing NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step phase .*too large for float64$"):
+                exp_step(np.diag([1e300, -1e300]), dt, np.array([1.0, 0.0]))
 
     def test_loop_matches_the_stepwise_reference(self):
         # the path tests' batched reference against one exp_step per step: a
@@ -536,19 +549,26 @@ class TestEnergyScale:
     def test_steps_take_the_drift_of_build_drift(self, monkeypatch, n, offset,
                                                  include_delta0):
         # evolve reads the levels from the helper build_drift puts on its
-        # diagonal; every H it diagonalizes, here of a full step and a
-        # shortened last step, must hold that diagonal to the bit, the
-        # drive's being zero
+        # diagonal; every H it assembles, here of a full step and a
+        # shortened last step, and every H it diagonalizes, must hold that
+        # diagonal to the bit, the drive's being zero.  From n = 4 both
+        # steps here are Taylor steps, which diagonalize nothing
         energies = np.random.default_rng(400 + n).uniform(-5, 5, size=n) + offset
         spec = SystemSpec(n=n, energies=tuple(energies), g=0.25, omega=1.0,
                           drive_model="generalized", include_delta0=include_delta0)
-        diagonals, plain = [], np.linalg.eigh
+        diagonals, plain, assemble = [], np.linalg.eigh, propagator._at_phase
 
         def spy(h, *args, **kwargs):
             diagonals.extend(np.diagonal(h, axis1=-2, axis2=-1))
             return plain(h, *args, **kwargs)
 
+        def assembled(*args):
+            h = assemble(*args)
+            diagonals.extend(np.diagonal(h, axis1=-2, axis2=-1))
+            return h
+
         monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(propagator, "_at_phase", assembled)
         evolve(spec, EvolutionConfig(t_start=0.0, t_end=1.5e-3, dt=1e-3))
         assert diagonals
         for diagonal in diagonals:
@@ -1176,19 +1196,27 @@ class TestPhaseTable:
         evolve(THREE_LEVEL, EvolutionConfig(t_start=0.0, t_end=0.005, dt=0.005))
         assert table_builds == jump_builds == []
 
-    def test_one_phase_serves_two_steps_at_n32(self, table_builds, built_steps,
-                                               eigh_phases, jump_builds):
-        # at n >= 2M + 1 the table is U(0): one eigh of one matrix serves both
-        # steps, where eigh on each step would cost two; composing a jump
-        # over the one sample interval would form more matrices than it saves
+    @pytest.mark.parametrize("steps, every, built, stacks", [(2, 2, [], []),
+                                                           (40, 1, [1], [16, 16, 8])],
+                             ids=["2_taylor_steps", "40_table_steps"])
+    def test_one_phase_serves_many_steps_at_n32(self, table_builds, built_steps,
+                                                eigh_phases, jump_builds, steps, every,
+                                                built, stacks):
+        # at n >= 2M + 1 the table is U(0): one eigh of one matrix, which
+        # costs about 1.5 n = 48 matrix-vector products, serves 40 steps in
+        # 16-step chunks, where their Taylor series would take 8 products
+        # each; 2 steps take 16 products as Taylor steps and no eigh.
+        # Composing a jump over one sample interval of 2 steps would form
+        # more matrices than it saves, and sample_every = 1 never does
         spec = SystemSpec(n=32, energies=tuple(np.linspace(-1.0, 1.0, 32)), g=0.25,
                           omega=1.0137, drive_model="generalized")
-        config = EvolutionConfig(t_start=0.0, t_end=0.1, dt=0.05, sample_every=2)
+        config = EvolutionConfig(t_start=0.0, t_end=steps * 0.05, dt=0.05,
+                                 sample_every=every)
         assert not on_period_grid(spec, config.dt)
-        evolve(spec, config)
-        assert table_builds == [1]
-        assert built_steps == [2]
-        assert eigh_phases == [1]
+        assert_matches_stepwise(spec, config)
+        assert table_builds == built
+        assert built_steps == stacks
+        assert eigh_phases == built
         assert jump_builds == []
 
     def test_one_phase_for_a_static_spec(self, table_builds, eigh_phases):
@@ -1312,12 +1340,13 @@ class TestClockSymmetry:
     # its drive as cosine2, so that a jump table composed from the phase
     # table serves it; the workload's own rwa2 drive runs in the rotating
     # frame (see TestRotatingFrame), as does a static n = 8 spec, which
-    # builds no table.  H is real symmetric at drive phase 0, so the
-    # one-phase table and the frame diagonalize a real matrix, and the
-    # tables of Q = 3 and Q = 5 phases complex ones
+    # builds no table.  dense32's two steps are Taylor steps, which cost
+    # fewer products than the one eigh of its one-phase table.  H is real
+    # symmetric at drive phase 0, so the frame diagonalizes a real matrix,
+    # and the tables of Q = 3 and Q = 5 phases complex ones
     @pytest.mark.parametrize("spec, dt, steps, every, phases, dtype", [
         (SystemSpec(n=32, energies=tuple(np.linspace(-1.0, 1.0, 32)), g=0.25,
-                    omega=1.0, drive_model="generalized"), 0.05, 2, 2, 1, np.float64),
+                    omega=1.0, drive_model="generalized"), 0.05, 2, 2, None, None),
         (THREE_LEVEL, 0.005, 1500, 1, 3, np.complex128),
         (SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1.0, drive_model="cosine2"),
          2.0 * math.pi / 100, 5000, 100, 5, np.complex128),
@@ -1337,8 +1366,110 @@ class TestClockSymmetry:
         config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt, sample_every=every)
         traj = evolve(spec, config)
         assert table_builds == ([] if phases is None else [phases])
-        assert calls == [((phases or 1, spec.n, spec.n), dtype)]
+        assert calls == ([] if dtype is None else [((phases or 1, spec.n, spec.n), dtype)])
         assert_matches_stepwise(spec, config, traj)
+
+
+@pytest.fixture
+def taylor_steps(monkeypatch):
+    """Step counts of every stack of Taylor steps evolve applies to the state."""
+    return spy_on(monkeypatch, "_taylor_states", lambda args, states: len(args["h"]))
+
+
+def taylor_spec(n, x, dt, g=2.0):
+    """A driven spec of n levels whose bound dt (max|drift| + g) equals x."""
+    energies = np.sin(np.arange(n) * 1.3)
+    levels = hamiltonian._drift_levels(SystemSpec(n=n, energies=tuple(energies)))
+    scale = x / (dt * (max(map(abs, levels)) + g))
+    return SystemSpec(n=n, energies=tuple(scale * energies), g=scale * g, omega=1.0137,
+                      drive_model="generalized")
+
+
+class TestTaylorSteps:
+    # without a jump table, fresh full-length lab steps and a shortened last
+    # step are applied to the state as sum_{k <= K} (-i h H)^k psi / k! when
+    # x = h (max|drift| + g) < 1 and the K products cost less than the eigh's
+    # they replace, about 1.5 n products each
+
+    @pytest.mark.parametrize("last", [0.0, 0.4], ids=["grid", "shortened"])
+    @pytest.mark.parametrize("x", [0.05, 0.9])
+    @pytest.mark.parametrize("n", [3, 32, 128])
+    def test_match_stepwise(self, monkeypatch, taylor_steps, eigh_phases, n, x, last):
+        # every step by Taylor, at any n, once an eigh costs more than any
+        # number of products; g is most of the bound, so a K taken without
+        # it would fall short of eps.  7 steps sampled every 3rd, off the
+        # period grid, from a start on every level
+        monkeypatch.setattr(propagator, "_EIGH_PRODUCTS", 1e9)
+        dt = 0.125
+        spec = taylor_spec(n, x, dt)
+        config = EvolutionConfig(t_start=0.3, t_end=0.3 + (7 - last) * dt, dt=dt,
+                                 initial_state=superposed(n), sample_every=3)
+        assert not on_period_grid(spec, dt)
+        assert_matches_stepwise(spec, config)
+        assert eigh_phases == []
+        whole, chunk = 7 if last == 0 else 6, max(1, propagator.CHUNK_BYTES // (16 * n * n))
+        full = [min(chunk, whole - k) for k in range(0, whole, chunk)]
+        assert taylor_steps == full + ([] if last == 0 else [1])
+
+    def test_norm_errors_within_16_eps_per_step(self, monkeypatch):
+        # 400 short runs of random size, bound, length and start, every step
+        # by Taylor; sample j follows j steps
+        monkeypatch.setattr(propagator, "_EIGH_PRODUCTS", 1e9)
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for _ in range(400):
+            n, steps = int(rng.integers(2, 41)), int(rng.integers(1, 9))
+            spec = taylor_spec(n, float(rng.uniform(0.01, 0.99)), 0.1)
+            amplitudes = rng.normal(size=n) + 1j * rng.normal(size=n)
+            config = EvolutionConfig(t_start=0.0, t_end=steps * 0.1, dt=0.1,
+                                     initial_state=tuple(amplitudes))
+            errors = evolve(spec, config).norm_errors
+            worst = max(worst, float(np.max(errors / np.maximum(np.arange(steps + 1), 1))))
+        assert worst <= 16 * EPS
+
+    @pytest.mark.parametrize("spec, dt, steps", [
+        # the 1e6 energy scale, with Delta_0 kept: x = 1e3
+        (SystemSpec(n=32, energies=tuple(1e6 + np.sin(np.arange(32) * 1.3)), g=0.25,
+                    omega=1.0137, drive_model="generalized", include_delta0=True), 1e-3, 2),
+        (taylor_spec(128, 5.0, 0.05), 0.05, 2),
+        # nofit_n2_2k_every1's spec, whose step table does not fit: x = 60
+        (config_objects(cases()["nofit_n2_2k_every1"])[0], 0.05, 40),
+    ], ids=["1e6_scale", "n128_x5", "nofit_n2"])
+    def test_large_bounds_take_eigh(self, taylor_steps, eigh_phases, spec, dt, steps):
+        # x >= 1 takes eigh, even where K products would cost less than it
+        assert propagator._taylor_order(spec, hamiltonian._drift_levels(spec), dt, 1,
+                                        10**9) is None
+        config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt)
+        assert_matches_stepwise(spec, config)
+        assert taylor_steps == []
+        assert eigh_phases
+
+    @pytest.mark.parametrize("n, taylor, stacks", [(3, [], [20, 1]),
+                                                   (32, [1], [16, 4])], ids=["n3", "n32"])
+    def test_shortened_last_step(self, taylor_steps, built_steps, n, taylor, stacks):
+        # 20 full steps from the phase table and a last step of 0.6 dt, whose
+        # K = 5 at n = 3 costs more than 1.5 n = 4.5 products, and K = 7 at
+        # n = 32 less than 48
+        dt = 0.005 if n == 3 else 0.05
+        spec = jump_spec(n, g=0.25)
+        config = EvolutionConfig(t_start=0.0, t_end=20.6 * dt, dt=dt,
+                                 initial_state=superposed(n))
+        assert_matches_stepwise(spec, config)
+        assert taylor_steps == taylor
+        assert built_steps == stacks
+
+    @pytest.mark.parametrize("x", [1e-12, 1e-3, 0.05, 0.5, 0.9, 0.999])
+    def test_order_is_the_smallest_within_eps(self, x):
+        # e^x x^(K+1) / (K+1)! bounds the terms left out: within eps at K,
+        # and not at K - 1
+        spec = taylor_spec(32, x, 1.0)
+        order = propagator._taylor_order(spec, hamiltonian._drift_levels(spec), 1.0, 1, 1)
+
+        def tail(k):
+            return math.exp(x) * x ** (k + 1) / math.factorial(k + 1)
+
+        assert tail(order) <= EPS
+        assert order == 0 or tail(order - 1) > EPS
 
 
 RABI = SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1.0, drive_model="rwa2")

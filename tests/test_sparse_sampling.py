@@ -12,6 +12,7 @@ import pytest
 
 import nlevel
 import nlevel.cli as cli
+import nlevel.propagator as propagator
 from test_cli import write_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +69,27 @@ def test_cases_take_every_fresh_lab_step():
         no_fit |= q is None
         under_q |= config.sample_every == 1 and q is not None and whole < q
     assert short_last and no_fit and under_q
+
+
+def test_cases_take_taylor_and_eigh_steps(monkeypatch):
+    # without a jump table the lab path applies fresh full-length steps and a
+    # shortened last step as their Taylor series where that costs less than
+    # eigh, and diagonalizes a shortened last step where it does not (n = 3,
+    # about 1.5 n = 4.5 products per eigh); the check must run each
+    taken = set()
+    for name, position in (("_taylor_states", 1), ("_step_unitaries", 3)):
+        def spy(*args, plain=getattr(propagator, name), name=name, position=position):
+            taken.add((name, args[position] == dt))
+            return plain(*args)
+
+        monkeypatch.setattr(propagator, name, spy)
+    for raw in cases().values():
+        spec, config = config_objects(raw)
+        if not _in_frame(spec):
+            dt = config.dt
+            nlevel.evolve(spec, config)
+    assert {("_taylor_states", True), ("_taylor_states", False),
+            ("_step_unitaries", False)} <= taken
 
 
 @pytest.fixture(scope="module")
