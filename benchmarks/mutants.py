@@ -103,6 +103,23 @@ MUTANTS = [
            "dt, psi, last)[0]",
            "_lab_steps takes a shortened last Taylor step at full length"),
     Mutant(PROPAGATOR,
+           "        psi = psi * back\n",
+           "        psi = psi\n",
+           "_lab_steps leaves the final state of a table pass in the drive's frame"),
+    Mutant(PROPAGATOR,
+           "half = cmath.phase(_phase_factors(spec, 0.5 * dt))",
+           "half = 0.0",
+           "_phase_table drops R(-w dt / 2) from the frame's coefficients"),
+    Mutant(PROPAGATOR,
+           "// n) <= q // 2",
+           "// n) < q // 2",
+           "_transform keeps Q - 2 orders of each entry, not Q"),
+    Mutant(PROPAGATOR,
+           "end = origin + 2 * whole * cmath.phase(_phase_factors(spec, 0.5 * dt))",
+           "end = cmath.phase(_phase_factors(spec, t_start + whole * dt))",
+           "_lab_steps rotates a table pass back by e^{i w t} at the step edge, not the"
+           " frame's own phase"),
+    Mutant(PROPAGATOR,
            "n_steps = int(math.ceil((span / dt) * (1.0 - 1e-12)))",
            "n_steps = int(math.ceil(span / dt))",
            "_step_count adds a step where span / dt rounds just above an integer"),

@@ -5,8 +5,9 @@ exponential evaluated through a full hermitian eigendecomposition (LAPACK,
 through numpy.linalg.eigh, in one kernel, _spectrum; in real arithmetic
 where H is real, see below), or taken in a rotating frame as powers of one
 step (rwa2 and static specs), or, for full-length steps of the other
-drives, summed from a phase table built from such decompositions (long
-runs), whose products over a sample interval a jump table gives, or, for
+drives, summed in the drive's frame from a phase table built from such
+decompositions (long runs), whose products over a sample interval a jump
+table gives, or, for
 the lab steps of short runs, applied to the state as its Taylor series
 (see below).  Step k is exactly dt long and centred at
 t_start + (k + 1/2) dt on every path, so the frame, the table, Taylor and
@@ -72,45 +73,50 @@ Fourier coefficients fall off like (dt g/2)^|m| / |m|! (Shirley, Phys. Rev.
 eps.  The paper's clock Z and shift S obey Z S Z^dagger = sigma S, sigma =
 e^{2 pi i / n} (Weyl), every drive model's A obeys Z A Z^dagger = sigma A, and
 the drift is diagonal, so U(theta + 2 pi / n) = Z U(theta) Z^dagger: entry
-(a, b) of U carries only the orders m = a - b mod n.  So U(theta) is a fixed
-phase pattern e^{i m*(a, b) theta}, m* the representative of a - b nearest 0,
-times a function of period 2 pi / n, and the phases in [0, 2 pi / n) fix it.
-evolve diagonalizes U at Q such phases (see _table_phases) in one batched
-eigh, once per run, and keeps the table by cyclic diagonals (see
-_phase_table); every full-length step then costs one column of n products
-(n, Q) @ (Q, N), one per diagonal, of the table with the powers
-e^{i (m* + n s) theta}, and a gather back to matrix order.  At
-n >= 2M + 1, Q = 1: one eigh, of H(0), serves every full-length step of the
-run.  The drift is real and diagonal and every drive model's A is real (the
-paper's shift S, or sigma_minus), so H(0) = drift + A + A^T is real
-symmetric, and evolve keeps A real: that eigh, like the frame's, runs in
-real arithmetic (LAPACK dsyevd, 0.67-0.77 of zheevd's time at n = 32),
-and only the phase factors of other phases make H complex.  The table
-serves the fresh full-length steps, those no jump covers (a last step
-shortened to land on t_end is not one of them), when there are at least Q
-of them and the table fits: Q matrices fit in a chunk, and so do the powers
-of the Q phase factors that its DFT takes, about n Q^2 entries.
-Other runs, such as a one-step run or dt g / 2 beyond about 22.4 at n = 2,
-take Taylor steps or diagonalize every step, and runs whose Taylor steps
-cost less than the table's eigh take no table (see Taylor steps).  The
-powers take about n Q rows per step, so a chunk's steps go through in
-slices whose powers fit CHUNK_BYTES.
+(a, b) of U carries only the orders m = a - b mod n.  So
+U(theta) = R(theta) G(theta) R(theta)^dagger, R as in the rotating frame,
+with G of period 2 pi / n, a short series sum_j y^j C_j in y = e^{i n theta}
+whose Q + 2 coefficients are fixed matrices, and the phases in
+[0, 2 pi / n) fix it.  evolve diagonalizes U at Q such phases (see
+_table_phases) in one batched eigh, once per run, and keeps the frame's
+coefficients R(-w dt / 2) C_j R(-w dt / 2) in matrix order (see
+_phase_table).  The passes the table serves carry the state in the drive's
+frame, phi = R(a)^dagger psi, a the drive phase at the step edge, as the
+rotating frame does, so each full-length step is
+phi <- sum_j y^j R(-w dt / 2) C_j R(-w dt / 2) phi, at y of its midpoint:
+one product (N, Q + 2) @ (Q + 2, n^2) for a chunk's steps, and the state
+rotates back once, by the frame's own phase.  At n >= 2M + 1, Q = 1: one
+eigh, of H(0), serves every full-length step of the run.  The drift is real
+and diagonal and every drive model's A is real (the paper's shift S, or
+sigma_minus), so H(0) = drift + A + A^T is real symmetric, and evolve keeps
+A real: that eigh, like the frame's, runs in real arithmetic (LAPACK
+dsyevd, 0.67-0.77 of zheevd's time at n = 32), and only the phase factors of
+other phases make H complex.  The table serves the fresh full-length steps,
+those no jump covers (a last step shortened to land on t_end is not one of
+them), when there are at least Q of them and the table fits (see
+_table_phases).  Other runs, such as a one-step run or dt g / 2 beyond
+about 22.4 at n = 2, take Taylor steps or diagonalize every step, and runs
+whose Taylor steps cost less than the table's eigh take no table (see
+Taylor steps).  A chunk's steps go through in slices whose Q + 2 powers of
+y fit CHUNK_BYTES.
 
 Jump tables.  The product of L = sample_every steps,
 V_L(theta) = U(theta + (L - 1) delta) ... U(theta), delta = w dt and theta
 the drive phase at the first step's midpoint, is a 2 pi-periodic function
 of theta on any grid, with U's clock symmetry and Fourier orders that fall
-off like (L dt g/2)^|m| / |m|! (Shirley, 1965).  So it is kept as a table
-of the step's kind, which _jump_table composes from the phase table by
-binary powers, V_{a+b}(theta) = V_b(theta + a delta) V_a(theta), each
-composition a sum, a product and a DFT over the Q phases of its table.
-Every whole sample interval then costs one table sum at its start phase
-and one link in the chain, as a step does.  evolve composes when the jump
-table fits as the phase table must and when its compositions, each forming
-about 3 Q matrices, form fewer than the steps the jumps replace; so a
-one-step run, sample_every = 1 and a run of two steps at n = 32 take fresh
-steps only.  The fewer than sample_every full-length steps after the last
-whole interval are fresh steps, in the same loop: each pass chains one
+off like (L dt g/2)^|m| / |m|! (Shirley, 1965).  So its frame propagator,
+G~_L(theta) = R(a + L delta)^dagger V_L(theta) R(a), a = theta - w dt / 2,
+is kept as a table of the step's kind, which _jump_table composes from the
+phase table by binary powers, G~_{a+b}(theta) = G~_b(theta + a delta)
+G~_a(theta), each composition a sum, a product and a DFT over the Q phases
+of its table.  Every whole sample interval then costs one table sum at its
+start phase and one link in the chain, as a step does.  evolve composes
+when the jump table fits as the phase table must and when its
+compositions, each forming about 3 Q matrices, form fewer than the steps
+the jumps replace; so a one-step run, sample_every = 1 and a run of two
+steps at n = 32 take fresh steps only.  The fewer than sample_every
+full-length steps after the last whole interval are fresh steps from the
+phase table, in the same loop and the same frame: each pass chains one
 stack, of jumps or of steps, and records the states that end on a multiple
 of sample_every.
 
@@ -131,6 +137,7 @@ the eigh of a one-phase table, about 48; a last step at n = 3 stays with
 eigh unless x < 0.0019, where K = 4.  Steps with x >= 1 keep eigh.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -375,49 +382,39 @@ def _unitaries(parts: tuple, z: np.ndarray, dt: float, where: str) -> np.ndarray
 def _step_unitaries(
     spec: SystemSpec, parts: tuple, mids: np.ndarray, dt: float, table: np.ndarray = None
 ) -> np.ndarray:
-    """exp(-i dt H(t)) at every step midpoint t of ``mids``, as a stack.
+    """exp(-i dt H(t)) at every step midpoint t of ``mids``, as a stack, or its frame step.
 
     Every step is dt long, and ``parts`` are the run's drift levels and
-    drive coefficient.  With ``table``, the phase table built for steps of
-    that length (see _phase_table), the unitaries are summed from its
-    coefficients (see _table_sum); without it they come from one batched
-    eigh.  With a jump table (see _jump_table) in its place, they are the
-    propagators over the table's steps whose first step is centred at each
-    midpoint.
+    drive coefficient.  Without ``table`` the unitaries come from one batched
+    eigh.  With ``table``, the phase table built for steps of that length
+    (see _phase_table), each is the step in the drive's frame,
+    R(-w dt / 2) G(theta) R(-w dt / 2), summed from the table's coefficients
+    at y = e^{i n theta} (see _table_sum).  With a jump table (see
+    _jump_table) in its place, they are the frame's propagators over the
+    table's steps whose first step is centred at each midpoint.
     """
     z = _phase_factors(spec, mids)
     if table is None:
         span = f"[{float(mids[0])!r}, {float(mids[-1])!r}]"
         return _unitaries(parts, z, dt, f"at some t in {span}")
-    # the steps go through in slices whose powers of z fit CHUNK_BYTES
-    rows = _power_rows(spec.n, table.shape[-1])
-    size = max(1, CHUNK_BYTES // (16 * rows))
-    u = [_table_sum(table, _phase_powers(z[i : i + size], rows // 2))
-         for i in range(0, len(z), size)]
+    # the steps go through in slices whose powers of y = z^n fit CHUNK_BYTES
+    y = z**spec.n
+    size = max(1, CHUNK_BYTES // (16 * len(table)))
+    u = [_table_sum(table, _phase_powers(y[i : i + size], len(table) // 2))
+         for i in range(0, len(y), size)]
     return u[0] if len(u) == 1 else np.concatenate(u)
 
 
 def _table_sum(table: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """The matrices of a table at N phase factors z, as an (N, n, n) stack.
+    """The matrices sum_j y^j C_j of a (J, n, n) table at N values y, as an (N, n, n) stack.
 
-    ``powers`` holds z^m as rows (see _phase_powers), up to an order of at
-    least n S + n/2.  Entry (a, b) on diagonal r is
-    sum_s T_s[a, b] z^(m* + n s) (see _phase_table), one product
-    (n, Q) @ (Q, N) per diagonal, gathered back to matrix order.  The stack
-    is a view, step index last.
+    ``powers`` holds y^j as rows (see _phase_powers), for j = -J/2..J/2 or
+    for more orders around them, of which the J at its centre are taken:
+    one product (N, J) @ (J, n^2), in matrix order.
     """
-    n, q = table.shape[0], table.shape[-1]
-    u = table @ _diagonal_powers(powers, n, q)
-    # powers passed in as a temporary are freed before the gather allocates
-    # as much again: in a fresh process, holding them took about 50 more
-    # minor page faults per 1,500 steps at n = 3
-    del powers
-    return np.take(u.reshape(n * n, -1), _diagonal_order(n)[0], axis=0).T.reshape(-1, n, n)
-
-
-def _power_rows(n: int, q: int) -> int:
-    """Rows 2 (n S + n/2) + 1, S = Q // 2, of one phase factor's powers (see _diagonal_powers)."""
-    return 2 * (n * (q // 2) + n // 2) + 1
+    j, n = table.shape[0], table.shape[-1]
+    cut = (len(powers) - j) // 2
+    return (powers[cut : len(powers) - cut].T @ table.reshape(j, n * n)).reshape(-1, n, n)
 
 
 def _table_phases(spec: SystemSpec, dt: float):
@@ -433,23 +430,26 @@ def _table_phases(spec: SystemSpec, dt: float):
     _phase_table), m* in [-n/2, n - 1 - n/2], so with S = (M + n/2) // n,
     n/2 rounded down, |s| <= S holds every such order up to M, and the first
     left out, |s| = S + 1, lies beyond M: the table samples Q = 2 S + 1
-    phases.  It fits when Q matrices fit a chunk of CHUNK_BYTES and so do the
-    powers of its Q phase factors, which its DFT multiplies by.  Up to that
-    bound the table is about as fast as eigh or faster (4,096 steps at n = 2
-    and Q = 83: 7.4 ms against 7.2 ms; 1,820 steps at n = 3 and Q = 71: 4.7
-    against 8.3 ms), beyond it slower (n = 2, Q = 1,121: 62 against 7.2 ms).
+    phases.  It fits when Q matrices fit a chunk of CHUNK_BYTES, and when
+    16 Q (2 (n S + n/2) + 1) bytes, about 16 n Q^2, do too.  That second
+    bound limits the table's cost, Q eighs to build it and Q + 2 coefficients
+    summed per step, not its memory: it stops Q at 89 at n = 2 and 73 at
+    n = 3, where the table still beats eigh (4,096 steps at n = 2 and Q = 83,
+    table built and summed: 1.6 ms against 3.9 ms; 1,820 steps at n = 3 and
+    Q = 73: 1.0 against 4.6 ms), well before it loses (n = 2, Q = 1,121:
+    138 against 3.5 ms).
     """
     n = spec.n
-    # from order n on, the Q > 2 order / n - 1 phases and at least 2 order
-    # rows of the powers take more than 32 order^2 / n entries, which fit a
-    # chunk only while 32 order^2 <= CHUNK_BYTES n: no order past the larger
-    # of the two bounds fits, which bounds the loop
+    # from order n on, Q > 2 order / n - 1 and 2 (n S + n/2) + 1 >= 2 order,
+    # so the second bound's bytes exceed 32 order^2 / n, which fit a chunk
+    # only while 32 order^2 <= CHUNK_BYTES n: no order past the larger of
+    # the two bounds fits, which bounds the loop
     limit = max(n - 1, math.isqrt(CHUNK_BYTES * n // 32))
     order = _series_order(0.5 * spec.g * dt, 2.0, limit)
     q = 2 * ((order + n // 2) // n) + 1
     # Q matrices fit a chunk, which holds at least one (see _lab_steps)
     fits = q <= max(1, CHUNK_BYTES // (16 * n * n))
-    return q if fits and 16 * q * _power_rows(n, q) <= CHUNK_BYTES else None
+    return q if fits and 16 * q * (2 * (n * (q // 2) + n // 2) + 1) <= CHUNK_BYTES else None
 
 
 def _series_order(x: float, scale: float, limit: float = math.inf) -> int:
@@ -504,81 +504,78 @@ def _taylor_states(h: np.ndarray, dt: float, psi: np.ndarray, order: int) -> np.
     return states
 
 
-def _phase_table(parts: tuple, dt: float, q: int) -> np.ndarray:
-    """Coefficients of the full step's unitary along its cyclic diagonals, as (n, n, Q).
+def _phase_table(spec: SystemSpec, parts: tuple, dt: float, q: int) -> np.ndarray:
+    """Frame coefficients of the full step's unitary, as (Q + 2, n, n) in matrix order.
 
     U(theta) = exp(-i dt H(theta)), with H(theta) = drift + e^{i theta} A + h.c.
     the Hamiltonian at drive phase theta = w t and ``parts`` = (levels, A).
     The clock Z obeys Z A Z^dagger = sigma A, sigma = e^{2 pi i / n} (Weyl),
-    and commutes with the drift, so U(theta + 2 pi / n) = Z U(theta) Z^dagger:
-    entry (a, b) of U carries only the Fourier orders m*(a, b) + n s, m* the
-    representative of a - b in [-n/2, n - 1 - n/2], which is the same along
-    each cyclic diagonal (see _diagonal_order).  So
-    U(theta)[a, b] = sum_s T_s[a, b] e^{i (m*(a, b) + n s) theta}, a phase
-    pattern e^{i m* theta} times a function of period 2 pi / n, and |s| <= S
-    holds every order up to M (see _table_phases).  U is diagonalized at the
-    Q = 2 S + 1 phases theta_j = 2 pi j / (n Q) in one batched eigh, and
-    T_s = (1/Q) sum_j U(theta_j) e^{-i (m* + n s) theta_j}, the Q-point DFT
-    of U with its phase pattern removed, so that U is exact to about eps.
-    Entry [r, a, S + s] holds T_s at row a of diagonal r.  At n >= 2M + 1,
-    Q = 1 and the table is U(0) itself, diagonalized at the real phase
-    factor 1: with ``parts`` real, as evolve passes them, H(0) is real
-    symmetric and eigh runs in real arithmetic, U(0) = X e^{-i dt L} X^T.
+    and commutes with the drift, so U(theta + 2 pi / n) = Z U(theta) Z^dagger,
+    and U(theta) = R(theta) G(theta) R(theta)^dagger, R(theta) =
+    diag(e^{i k theta}), with G of period 2 pi / n: a series in y = e^{i n theta}
+    (Shirley, Phys. Rev. 138, B979, 1965).  Entry (a, b) of U carries only the
+    Fourier orders m* + n s, m* the representative of a - b in
+    [-n/2, n - 1 - n/2], and |s| <= S holds every order up to M (see
+    _table_phases), so entry (a, b) of G carries only y^j with |j - w| <= S,
+    w = (m* - (a - b)) / n in {-1, 0, 1}: G = sum_j y^j C_j, j = -S-1..S+1.
+    U is diagonalized at the Q = 2 S + 1 phases theta_l = 2 pi l / (n Q) in one
+    batched eigh, and C_j is the Q-point DFT of G(theta_l) = R(theta_l)^dagger
+    U(theta_l) R(theta_l), kept in that window (see _transform), so that U is
+    exact to about eps.  Entry j + S + 1 holds
+    R(-w dt / 2) C_j R(-w dt / 2), the coefficient of the step in the drive's
+    frame (see _lab_steps).  At n >= 2M + 1, Q = 1 and G(0) = U(0) is
+    diagonalized at the real phase factor 1: with ``parts`` real, as evolve
+    passes them, H(0) is real symmetric and eigh runs in real arithmetic,
+    U(0) = X e^{-i dt L} X^T.
     """
     n = len(parts[0])
-    z = root_power(n * q, np.arange(q)) if q > 1 else np.ones(1)
+    theta = 2.0 * math.pi / (n * q) * np.arange(q)
+    z = np.exp(1j * theta) if q > 1 else np.ones(1)
     u = _unitaries(parts, z, dt, f"on the drive-phase table for dt = {dt!r}")
-    # at Q = 1 the one phase is theta = 0, where the pattern is 1 and the DFT
-    # the identity
-    powers = _phase_powers(z.conj(), _power_rows(n, q) // 2) if q > 1 else None
-    return _transform(u, powers)
+    # G~(theta_l) = R(theta_l + w dt / 2)^dagger U(theta_l) R(theta_l - w dt / 2)
+    half = cmath.phase(_phase_factors(spec, 0.5 * dt))
+    left, right = _rotation(np.add.outer((half, -half), theta), n)
+    return _transform(left.conj()[:, :, None] * u * right[:, None, :])
 
 
-def _transform(u: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Table (n, n, Q) of Q samples u, as (Q, n, n), at the phases theta_j = 2 pi j / (n Q).
+def _transform(samples: np.ndarray) -> np.ndarray:
+    """Table (J, n, n) of Q frame samples, as (Q, n, n), at the phases theta_l = 2 pi l / (n Q).
 
-    The Q-point DFT of the samples with their phase pattern removed, kept by
-    cyclic diagonal: T_s = (1/Q) sum_j u_j e^{-i (m* + n s) theta_j} for
-    s = -S..S, Q = 2 S + 1 (see _phase_table).  ``powers`` holds
-    e^{-i m theta_j} as rows (see _table_sum); None takes the samples as the
-    table, which they are at Q = 1.
+    The Q-point DFT C_j = (1/Q) sum_l G(theta_l) y_l^-j, y_l = e^{i n theta_l},
+    for j = -S-1..S+1, Q = 2 S + 1, kept where |j - w(a, b)| <= S (see
+    _phase_table and _window): each entry's Q orders, with the two of the
+    other window that the DFT folds onto them cleared.
     """
-    q, n = u.shape[0], u.shape[-1]
-    _, to_diagonals = _diagonal_order(n)
-    u = np.take(u.reshape(q, -1), to_diagonals, axis=1).reshape(q, n, n).transpose(1, 2, 0)
-    if powers is None:
-        return u
-    return u @ _diagonal_powers(powers, n, q).transpose(0, 2, 1) / q
+    q, n = samples.shape[0], samples.shape[-1]
+    _, powers, keep = _window(n, q)
+    return (powers.conj() @ samples.reshape(q, n * n) / q).reshape(-1, n, n) * keep
 
 
-def _diagonal_powers(powers: np.ndarray, n: int, q: int) -> np.ndarray:
-    """z^(m* + n s), m* = r - n/2, for every diagonal r and s = -S..S, as (n, Q, N).
+@functools.lru_cache(maxsize=32)
+def _window(n: int, q: int):
+    """The orders j, the powers y_l^j and the window |j - w(a, b)| <= S of a table of Q phases.
 
-    Row r + n (s + S) - n S - n/2 of the rows z^m of _phase_powers, whose
-    order is at least n S + n/2, S = Q // 2, viewed without a copy.
+    j = -S-1..S+1, S = Q // 2, as a (Q + 2, 1) column, y_l = e^{2 pi i l / Q}
+    at the Q phases of the table, with y_l^j as (Q + 2, Q) rows, and the
+    window as a (Q + 2, n, n) mask (see _phase_table).  They depend on n and
+    Q alone, so they are kept, read-only, for later tables and compositions.
     """
-    start = len(powers) // 2 - _power_rows(n, q) // 2
-    return powers[start : start + n * q].reshape(q, n, -1).transpose(1, 0, 2)
+    orders, k = np.arange(-(q // 2) - 1, q // 2 + 2)[:, None], np.arange(n)
+    powers = root_power(q, orders * np.arange(q))
+    # w(a, b) = (m* - (a - b)) / n = -((a - b + n/2) // n), n/2 rounded down
+    keep = abs(orders[:, :, None] + np.subtract.outer(k + n // 2, k) // n) <= q // 2
+    orders.flags.writeable = powers.flags.writeable = keep.flags.writeable = False
+    return orders, powers, keep
 
 
-@functools.lru_cache(maxsize=1)
-def _diagonal_order(n: int):
-    """Index arrays from the n x n entries to their cyclic diagonals and back.
+def _rotation(angle, n: int) -> np.ndarray:
+    """The diagonal e^{i k a}, k = 0..n-1, of R(a), at an angle a or at each of an array of them.
 
-    Position r n + a of the diagonal order holds entry (a, b) with
-    r = (a - b + n/2) mod n, so that r - n/2 = m*(a, b), a - b reduced to
-    [-n/2, n - 1 - n/2], is constant along diagonal r.  Returns
-    (to_entries, to_diagonals): to_entries[a n + b] = r n + a, and its
-    inverse.  Kept, read-only, for the last n, as the table and every chunk
-    of a run need them.
+    Every entry has modulus 1 within rounding.  Callers pass the angles of
+    phase factors, in (-pi, pi], or sums of few of them, so k a stays finite
+    where w t, whose phase factor they come from, may not be.
     """
-    k = np.arange(n)
-    # entry (a, b) lies on diagonal r = (a - b + n/2) mod n, where b = (a - r + n/2) mod n
-    to_entries = (((k[:, None] - k + n // 2) % n) * n + k[:, None]).ravel()
-    to_diagonals = (k * n + (k - k[:, None] + n // 2) % n).ravel()
-    to_entries.flags.writeable = False
-    to_diagonals.flags.writeable = False
-    return to_entries, to_diagonals
+    return np.exp(1j * np.multiply.outer(angle, np.arange(n)))
 
 
 def _phase_powers(z: np.ndarray, order: int) -> np.ndarray:
@@ -650,35 +647,34 @@ def _chain(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def _jump_table(spec: SystemSpec, table: np.ndarray, dt: float, every: int) -> np.ndarray:
-    """Table of V_every, the propagator over every steps, by binary composition.
+    """Frame table of V_every, the propagator over every steps, by binary composition.
 
     V_L(theta) is the product of L steps, the first at drive phase theta and
-    each next one delta = w dt later, so V_{a+b}(theta) =
-    V_b(theta + a delta) V_a(theta).  V_L has the symmetry of a step,
-    V(theta + 2 pi / n) = Z V(theta) Z^dagger, and its Fourier orders fall
-    off like x^|m| / |m|!, x = L dt g / 2, so it is kept as a table of the
-    step's kind, with the Q that _table_phases gives for steps of L dt.
-    Starting from the step's phase table, it reads the binary digits of
-    every after the leading one: each doubles V_L, and each digit 1 adds one
-    step, so every.bit_length() + every.bit_count() - 2 compositions.  Each
-    sums both factors at the Q phases theta_j = 2 pi j / (n Q) of V_{a+b}'s
-    table, the second with its coefficients of order m times
-    e^{i m a delta}, multiplies them and transforms the products (see
-    _transform).  The shift e^{i a delta} is formed as (e^{i a w dt / 2})^2:
-    a dt is at most the run's span and w t is finite at both of its ends,
-    so w a dt / 2 is finite where w a dt may not be.
+    each next one delta = w dt later.  In the drive's frame (see
+    _phase_table) it is G~_L(theta) = G~(theta + (L - 1) delta) ... G~(theta),
+    G~ the frame's step, so G~_{a+b}(theta) = G~_b(theta + a delta)
+    G~_a(theta).  V_L has the symmetry of a step, V(theta + 2 pi / n) =
+    Z V(theta) Z^dagger, and its Fourier orders fall off like x^|m| / |m|!,
+    x = L dt g / 2, so G~_L is kept as a table of the step's kind, with the Q
+    that _table_phases gives for steps of L dt.  Starting from the step's
+    phase table, it reads the binary digits of every after the leading one:
+    each doubles L, and each digit 1 adds one step, so
+    every.bit_length() + every.bit_count() - 2 compositions.  Each sums both
+    factors at the Q values y_l = e^{2 pi i l / Q} of G~_{a+b}'s table, the
+    second with its coefficient of y^j times e^{i j n a delta}, multiplies
+    them and transforms the products (see _transform).  All three tables
+    take their powers from the one (Q + 2, Q) table of y_l^j.  The shift
+    e^{i n a delta} is formed from the angle of e^{i a w dt / 2}, times 2 n:
+    a dt is at most the run's span and w t is finite at both of its ends, so
+    w a dt / 2 is finite where w a dt may not be.
     """
     n = spec.n
 
     def compose(first, a, second, b):
         q = _table_phases(spec, (a + b) * dt)
-        top = _power_rows(n, q) // 2
-        m = np.arange(-top, top + 1)[:, None]
-        # z_j^m at the Q phases, which are roots of unity of order n Q
-        powers = root_power(n * q, np.arange(n * q))[m * np.arange(q) % (n * q)]
-        shift = _phase_factors(spec, 0.5 * (a * dt)) ** 2
-        return _transform(_table_sum(second, powers * shift**m) @ _table_sum(first, powers),
-                          powers.conj())
+        orders, powers, _ = _window(n, q)
+        shift = np.exp(2j * n * cmath.phase(_phase_factors(spec, 0.5 * (a * dt))) * orders)
+        return _transform(_table_sum(second, powers * shift) @ _table_sum(first, powers))
 
     jump, length = table, 1
     for digit in bin(every)[3:]:
@@ -719,13 +715,24 @@ def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, popu
     tabled = step_q and (done or step_q <= whole)
     order = None if done else _taylor_order(spec, parts[0], dt, whole,
                                             step_q if tabled else whole)
-    table = _phase_table(parts, dt, step_q) if tabled and order is None else None
+    table = _phase_table(spec, parts, dt, step_q) if tabled and order is None else None
     jump = _jump_table(spec, table, dt, every) if done else None
 
     # each pass chains a stack of unitaries over unit steps each, from step
     # start on: jumps up to step done, then fresh full-length steps; the
-    # states that end on a multiple of every are sampled
+    # states that end on a multiple of every are sampled.  Passes that the
+    # tables serve carry the state in the drive's frame, R(a)^dagger psi, a
+    # the drive phase at the step edge, whose populations are the lab's.  It
+    # rotates back at step edge whole by the frame's own phase, the angle of
+    # e^{i w t_start} (e^{i w dt / 2})^(2 whole): e^{i w t} at that edge
+    # differs from it by the rounding of w t, which at a large |w t| reaches
+    # the state
     k = 1
+    if table is not None:
+        origin = cmath.phase(_phase_factors(spec, t_start))
+        end = origin + 2 * whole * cmath.phase(_phase_factors(spec, 0.5 * dt))
+        into, back = _rotation((-origin, end), spec.n)
+        psi = psi * into
     for begin, stop, unit, tab in ((0, done, every, jump), (done, whole, 1, table)):
         for start in range(begin, stop, chunk * unit):
             starts = np.arange(start, min(start + chunk * unit, stop), unit)
@@ -745,6 +752,8 @@ def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, popu
             sampled = chain[-(start + unit) % every // unit :: every // unit]
             populations[k : k + len(sampled)] = sampled.real**2 + sampled.imag**2
             k += len(sampled)
+    if table is not None:
+        psi = psi * back
     if whole < n_steps:
         t0 = t_start + whole * dt
         h = t_end - t0
@@ -893,9 +902,9 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     their Taylor series, K matrix-vector products each, when those cost
     less than the eigh's they replace (see _taylor_order).  Otherwise, when
     they are at least Q (Q phases in [0, 2 pi / n), from dt g / 2; see
-    _table_phases), or a jump table is composed, their unitaries are summed
-    from a Fourier table over the drive phase that one batched eigh of Q
-    matrices builds once per run; else they are diagonalized in one
+    _table_phases), or a jump table is composed, they are summed in the
+    drive's frame from a Fourier table over the drive phase that one batched
+    eigh of Q matrices builds once per run; else they are diagonalized in one
     batched eigh call per chunk.  Jumps and fresh steps share one loop (see
     the module docstring), and a last step shortened to land on t_end is
     taken on its own, by Taylor or eigh on the same rule.  The drift's

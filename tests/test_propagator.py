@@ -672,8 +672,8 @@ def on_period_grid(spec, dt):
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Phase counts Q of every phase table evolve builds: one coefficient per phase."""
-    return spy_on(monkeypatch, "_phase_table", lambda args, table: table.shape[-1])
+    """Phase counts Q of every phase table evolve builds: Q + 2 frame coefficients."""
+    return spy_on(monkeypatch, "_phase_table", lambda args, table: len(table) - 2)
 
 
 @pytest.fixture
@@ -782,9 +782,10 @@ class TestCommensurateGrids:
 
     def test_block_over_a_chunk_runs_stepwise(self, built_steps, table_builds,
                                               jump_builds, monkeypatch):
-        # chunks of 880 bytes hold the Q = 5 phase table and its powers, 5 x 11
-        # rows, but not the powers of the Q = 7 jump table, 7 x 15 rows: every
-        # full step is summed from the phase table, 13 2 x 2 unitaries a chunk
+        # chunks of 880 bytes meet _table_phases' second bound, 16 Q
+        # (2 (n S + n/2) + 1) bytes, for the Q = 5 phase table, 5 x 11, but not
+        # for the Q = 7 jump table, 7 x 15: every full step is summed from the
+        # phase table, 13 2 x 2 matrices a chunk
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 16 * 5 * 11)
         spec, config = rabi_cosine()
         assert_matches_stepwise(spec, config)
@@ -806,10 +807,11 @@ class TestCommensurateGrids:
                                    omega=2.0 * math.pi / (period * dt))
         assert on_period_grid(spec, dt)
         parts = run_parts(spec)
-        table = propagator._phase_table(parts, dt, propagator._table_phases(spec, dt))
+        table = propagator._phase_table(spec, parts, dt, propagator._table_phases(spec, dt))
         jump = propagator._jump_table(spec, table, dt, every)
         starts = 0.3 + np.arange(5) * every * dt
-        props = propagator._step_unitaries(spec, parts, starts + 0.5 * dt, dt, jump)
+        props = in_the_lab(spec, propagator._step_unitaries(
+            spec, parts, starts + 0.5 * dt, dt, jump), starts + 0.5 * dt, dt, every)
         for start, prop in zip(starts, props):
             product = np.eye(3)
             mids = start + (np.arange(every) + 0.5) * dt
@@ -852,10 +854,11 @@ class TestJumpTable:
         # TestNormDrift's 16 eps per step
         spec, dt, every = jump_spec(n, g=0.25), 0.005, 1000
         parts = run_parts(spec)
-        table = propagator._phase_table(parts, dt, propagator._table_phases(spec, dt))
+        table = propagator._phase_table(spec, parts, dt, propagator._table_phases(spec, dt))
         jump = propagator._jump_table(spec, table, dt, every)
         starts = 0.3 + np.arange(4) * every * dt
-        props = propagator._step_unitaries(spec, parts, starts + 0.5 * dt, dt, jump)
+        props = in_the_lab(spec, propagator._step_unitaries(
+            spec, parts, starts + 0.5 * dt, dt, jump), starts + 0.5 * dt, dt, every)
         for start, prop in zip(starts, props):
             product = np.eye(n)
             for u in propagator._step_unitaries(
@@ -1084,12 +1087,28 @@ def run_parts(spec):
     return hamiltonian._drift_levels(spec), hamiltonian.drive_coefficient(spec)
 
 
+def in_the_lab(spec, frame, mids, dt, steps=1):
+    """Lab propagators of frame ones M over ``steps`` steps, the first centred at each of mids.
+
+    Over L steps from drive phase a = theta - w dt / 2, theta the first
+    step's, the frame's M is R(a + L w dt)^dagger V R(a), R(a) =
+    diag(e^{i k a}), so V = R(a + L w dt) M R(a)^dagger.  The rotations are
+    formed as evolve forms its own, from the angles of e^{i theta} and of
+    e^{i w dt / 2} (see propagator._rotation).
+    """
+    theta = np.angle(hamiltonian._phase_factors(spec, mids))
+    half = np.angle(hamiltonian._phase_factors(spec, 0.5 * dt))
+    left = propagator._rotation(theta + (2 * steps - 1) * half, spec.n)
+    right = propagator._rotation(half - theta, spec.n)
+    return left[:, :, None] * frame * right[:, None, :]
+
+
 def tabled_and_direct(spec, dt, steps=300, t0=0.25):
     """The step unitaries of one grid from the phase table and from eigh."""
     mids = t0 + (np.arange(steps) + 0.5) * dt
     parts = run_parts(spec)
-    table = propagator._phase_table(parts, dt, propagator._table_phases(spec, dt))
-    return (propagator._step_unitaries(spec, parts, mids, dt, table),
+    table = propagator._phase_table(spec, parts, dt, propagator._table_phases(spec, dt))
+    return (in_the_lab(spec, propagator._step_unitaries(spec, parts, mids, dt, table), mids, dt),
             propagator._step_unitaries(spec, parts, mids, dt))
 
 
@@ -1136,9 +1155,10 @@ class TestPhaseTable:
     ])
     def test_phases_quoted_in_the_readme(self, n, quoted, largest, last):
         # Q at dt g / 2 = 6.25e-4, 0.1 and 5, and the largest Q whose table
-        # fits, at the last dt g / 2 on a grid of 0.01 where one does: its
-        # powers stop it at n = 2 and 3, and its Q matrices at n = 32, where
-        # a chunk holds 16.  Q grows with dt g / 2, so none fits beyond
+        # fits, at the last dt g / 2 on a grid of 0.01 where one does: the
+        # second bound, about 16 n Q^2 bytes, stops it at n = 2 and 3, and
+        # its Q matrices at n = 32, where a chunk holds 16.  Q grows with
+        # dt g / 2, so none fits beyond
         def phases(x):
             return propagator._table_phases(table_spec("generalized", n, x, 1.0), 1.0)
 
@@ -1262,9 +1282,9 @@ class TestPhaseTable:
     @pytest.mark.parametrize("g, built", [(40.0, [83]), (800.0, [])])
     def test_memory_stays_bounded_at_large_dt_g(self, table_builds, jump_builds, g, built):
         # 4,096 steps at n = 2: dt g / 2 = 20 needs Q = 83 phases, whose
-        # powers, 167 rows per step, go through in slices that fit
-        # CHUNK_BYTES; dt g / 2 = 400 would need Q = 1,121, whose DFT's powers
-        # do not fit, so every step is diagonalized instead
+        # powers, 85 rows per step, go through in slices that fit
+        # CHUNK_BYTES; dt g / 2 = 400 would need Q = 1,121, past the second
+        # bound of _table_phases, so every step is diagonalized instead
         spec = SystemSpec(n=2, energies=(0.5, -0.5), g=g, omega=1.0137,
                           drive_model="generalized")
         config = EvolutionConfig(t_start=0.0, t_end=4096.0, dt=1.0, sample_every=4096)
@@ -1312,7 +1332,7 @@ class TestClockSymmetry:
         ("cosine2", 2, 1e-17), ("rwa2", 2, 1e-17),
     ])
     def test_one_phase_matches_eigh(self, model, n, x):
-        # S = 0 at n >= 2M + 1: every step is U(0) times its phase pattern
+        # S = 0 at n >= 2M + 1: every step is U(0) split into its y^-1, 1 and y terms
         spec = table_spec(model, n, x, 0.125)
         assert propagator._table_phases(spec, 0.125) == 1
         tabled, direct = tabled_and_direct(spec, 0.125)
