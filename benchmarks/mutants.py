@@ -34,6 +34,7 @@ class Mutant(NamedTuple):
 
 
 PROPAGATOR = "src/nlevel/propagator.py"
+HAMILTONIAN = "src/nlevel/hamiltonian.py"
 MUTANTS = [
     Mutant(PROPAGATOR,
            "3 * jump_q * compositions < count * (every - 1)",
@@ -43,7 +44,7 @@ MUTANTS = [
            "while term > _EPS and",
            "while term > 1e3 * _EPS and",
            "_series_order truncates the Fourier table and the Taylor steps at 1e3 eps"),
-    Mutant("src/nlevel/hamiltonian.py",
+    Mutant(HAMILTONIAN,
            "mean = math.fsum(spec.energies) / spec.n",
            "mean = sum(spec.energies) / spec.n",
            "_drift_levels takes Delta_0 from a rounded sum"),
@@ -86,10 +87,14 @@ MUTANTS = [
            "grouped[-1, rest:] = 0.0",
            "grouped[-1, rest:] = 1e300",
            "_chain fills the padding of its last block with 1e300 in place of zeros"),
-    Mutant(PROPAGATOR,
-           "parts = levels, drive_coefficient(spec).real",
-           "parts = levels, drive_coefficient(spec)",
-           "one-phase tables diagonalize in complex arithmetic"),
+    Mutant(HAMILTONIAN,
+           "a = np.ascontiguousarray(drive_coefficient(spec).real)",
+           "a = np.ascontiguousarray(drive_coefficient(spec))",
+           "_parts hands out a complex A: one-phase tables diagonalize in complex arithmetic"),
+    Mutant(HAMILTONIAN,
+           "h += p.conj() * at",
+           "h += p * at",
+           "_at_phase adds z A^T, not z* A^T"),
     Mutant(PROPAGATOR,
            "x = h * (max(map(abs, levels)) + spec.g)",
            "x = h * max(map(abs, levels))",

@@ -64,6 +64,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _tolerance(text: str) -> float:
+    """An ``algebra --tol`` value: a finite float >= 0, else a usage error."""
+    with suppress(ValueError):
+        if 0.0 <= float(text) <= sys.float_info.max:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+
+
 def _max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
@@ -227,12 +235,11 @@ def _run_inputs(raw):
 
 def _cmd_algebra(args):
     build_shift(args.n)  # surfaces the dimension error before any output
-    tol = args.tol
     rows = identity_residuals(args.n)
-    print(f"identity audit: n = {args.n}, tolerance = {tol:g}")
+    print(f"identity audit: n = {args.n}, tolerance = {args.tol:g}")
     failures = 0
     for name, residual in rows:
-        ok = residual <= tol
+        ok = residual <= args.tol
         failures += 0 if ok else 1
         print(f"{name:<16} {residual:12.3e}  {'PASS' if ok else 'FAIL'}")
     if failures:
@@ -248,12 +255,10 @@ def _cmd_matrices(args):
 def _cmd_decompose(args):
     raw = _load_config(args.config)
     spec = SystemSpec(**_config_fields(raw, SystemSpec, ("n", "energies")))
-    n = spec.n
     deltas = energies_to_deltas(spec.energies)
-
-    pairing = 0.0
-    for j in range(n):
-        pairing = max(pairing, abs(deltas[(n - j) % n] - deltas[j].conjugate()))
+    # Delta_{n-j} against conj(Delta_j), n - j taken mod n; the abs of each
+    # numpy scalar, as np.abs on the array may round differently
+    pairing = max(map(abs, np.roll(deltas[::-1], 1) - deltas.conj()))
     # the paper's sum_j Delta_j clock^j, whose diagonal should give back E; it
     # runs scaled by 2^-p (see _clock_sums), so E is scaled the same way for
     # the residual, which is then scaled back by 2^p
@@ -261,7 +266,7 @@ def _cmd_decompose(args):
     reconstruction = np.ldexp(_max_abs(clock_sum - np.ldexp(spec.energies, -p)), p)
 
     payload = {
-        "n": n,
+        "n": spec.n,
         "energies": [float(e) for e in spec.energies],
         "deltas": [{"re": float(d.real), "im": float(d.imag)} for d in deltas],
         "hermitian_residual": float(pairing),
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_alg = sub.add_parser("algebra", help="audit the operator identities")
     p_alg.add_argument("--n", type=int, required=True, help="dimension (>= 2)")
-    p_alg.add_argument("--tol", type=float, default=1e-12, help="residual tolerance")
+    p_alg.add_argument("--tol", type=_tolerance, default=1e-12, help="residual tolerance")
     p_alg.set_defaults(func=_cmd_algebra)
 
     p_mat = sub.add_parser("matrices", help="dump shift/clock/fourier as JSON")

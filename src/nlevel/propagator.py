@@ -88,10 +88,11 @@ one product (N, Q + 2) @ (Q + 2, n^2) for a chunk's steps, and the state
 rotates back once, by the frame's own phase.  At n >= 2M + 1, Q = 1: one
 eigh, of H(0), serves every full-length step of the run.  The drift is real
 and diagonal and every drive model's A is real (the paper's shift S, or
-sigma_minus), so H(0) = drift + A + A^T is real symmetric, and evolve keeps
-A real: that eigh, like the frame's, runs in real arithmetic (LAPACK
-dsyevd, 0.67-0.77 of zheevd's time at n = 32), and only the phase factors of
-other phases make H complex.  The table serves the fresh full-length steps,
+sigma_minus), so H(0) = drift + A + A^T is real symmetric, and the parts
+every H is assembled from hold A real (see hamiltonian._parts): that eigh,
+like the frame's, runs in real arithmetic (LAPACK dsyevd, 0.67-0.77 of
+zheevd's time at n = 32), and only the phase factors of other phases make H
+complex.  The table serves the fresh full-length steps,
 those no jump covers (a last step shortened to land on t_end is not one of
 them), when there are at least Q of them and the table fits (see
 _table_phases).  Other runs, such as a one-step run or dt g / 2 beyond
@@ -147,14 +148,12 @@ import numpy as np
 from .algebra import _as_int, root_power
 from .hamiltonian import (
     SystemSpec,
-    _adjoint,
     _as_real,
     _at_phase,
-    _drift_levels,
     _is_static,
     _ldexp,
+    _parts,
     _phase_factors,
-    drive_coefficient,
 )
 
 __all__ = [
@@ -352,6 +351,10 @@ def _initial_vector(n: int, initial_state) -> np.ndarray:
     return _ldexp(arr, -p) / math.sqrt(sum(math.ldexp(x, -p) ** 2 for x in values))
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m.conj(), -1, -2)
+
+
 def _step_count(span: float, dt: float) -> int:
     # back off by one ulp-scale factor so span/dt == integer N stays N steps
     n_steps = int(math.ceil((span / dt) * (1.0 - 1e-12)))
@@ -384,12 +387,12 @@ def _step_unitaries(
 ) -> np.ndarray:
     """exp(-i dt H(t)) at every step midpoint t of ``mids``, as a stack, or its frame step.
 
-    Every step is dt long, and ``parts`` are the run's drift levels and
-    drive coefficient.  Without ``table`` the unitaries come from one batched
-    eigh.  With ``table``, the phase table built for steps of that length
-    (see _phase_table), each is the step in the drive's frame,
-    R(-w dt / 2) G(theta) R(-w dt / 2), summed from the table's coefficients
-    at y = e^{i n theta} (see _table_sum).  With a jump table (see
+    Every step is dt long, and ``parts`` are the run's _parts: drift
+    levels, drive coefficient and its transpose.  Without ``table`` the
+    unitaries come from one batched eigh.  With ``table``, the phase table
+    built for steps of that length (see _phase_table), each is the step in
+    the drive's frame, R(-w dt / 2) G(theta) R(-w dt / 2), summed from the
+    table's coefficients at y = e^{i n theta} (see _table_sum).  With a jump table (see
     _jump_table) in its place, they are the frame's propagators over the
     table's steps whose first step is centred at each midpoint.
     """
@@ -508,7 +511,7 @@ def _phase_table(spec: SystemSpec, parts: tuple, dt: float, q: int) -> np.ndarra
     """Frame coefficients of the full step's unitary, as (Q + 2, n, n) in matrix order.
 
     U(theta) = exp(-i dt H(theta)), with H(theta) = drift + e^{i theta} A + h.c.
-    the Hamiltonian at drive phase theta = w t and ``parts`` = (levels, A).
+    the Hamiltonian at drive phase theta = w t and ``parts`` = (levels, A, A^T).
     The clock Z obeys Z A Z^dagger = sigma A, sigma = e^{2 pi i / n} (Weyl),
     and commutes with the drift, so U(theta + 2 pi / n) = Z U(theta) Z^dagger,
     and U(theta) = R(theta) G(theta) R(theta)^dagger, R(theta) =
@@ -524,8 +527,8 @@ def _phase_table(spec: SystemSpec, parts: tuple, dt: float, q: int) -> np.ndarra
     exact to about eps.  Entry j + S + 1 holds
     R(-w dt / 2) C_j R(-w dt / 2), the coefficient of the step in the drive's
     frame (see _lab_steps).  At n >= 2M + 1, Q = 1 and G(0) = U(0) is
-    diagonalized at the real phase factor 1: with ``parts`` real, as evolve
-    passes them, H(0) is real symmetric and eigh runs in real arithmetic,
+    diagonalized at the real phase factor 1: A is real (see _parts), so
+    H(0) is real symmetric and eigh runs in real arithmetic,
     U(0) = X e^{-i dt L} X^T.
     """
     n = len(parts[0])
@@ -822,37 +825,37 @@ def _frame_powers(spec, parts, dt):
     """(k, h) -> W_h^k, W_h = R(-w h / 2) U_h(0) R(-w h / 2) the frame's step of length h.
 
     h is dt unless given (see _frame_steps).  At n = 2, with
-    H(0) = [[p, c*], [c, q]], p and q the drift's levels and
-    c = A[1, 0] + A[0, 1]* (A's diagonal is zero), m = (p + q) / 2,
-    d = (p - q) / 2, r = hypot(d, |c|), x = r h and s = sin(x) / r (h at r = 0):
-    U_h(0) = e^{-i m h} [[cos x - i s d, -i s c*], [-i s c, cos x + i s d]]
+    H(0) = [[p, c], [c, q]], p and q the drift's levels and
+    c = A[1, 0] + A[0, 1], real as A is (A's diagonal is zero; see _parts),
+    m = (p + q) / 2, d = (p - q) / 2, r = hypot(d, c), x = r h and
+    s = sin(x) / r (h at r = 0):
+    U_h(0) = e^{-i m h} [[cos x - i s d, -i s c], [-i s c, cos x + i s d]]
     (Rabi, Phys. Rev. 51, 652, 1937), so W_h = e^{-i (m h + e)} V with
     e = w h / 2 and V = [[A, B], [-B*, A*]] in SU(2), A = (cos x - i s d) e^{i e}
-    and B = -i s c*.  V = cos a I + N, N traceless, is a rotation by 2 a, and
+    and B = -i s c.  V = cos a I + N, N traceless, is a rotation by 2 a, and
     V^k = cos(k a) I + sin(k a) N / |N|, formed in scalar arithmetic without
     eigh.  The rest are static (rwa2 is two-level only), so W_h = U_h(0), and
     W_h^k = X diag(e^{i k theta_j}) X^dagger from the one eigh
-    H(0) = X diag(l_j) X^dagger, theta_j the angle of e^{-i l_j h}; with
-    ``parts`` real, as evolve passes them, H(0) is real symmetric, and X is
-    real from an eigh in real arithmetic.  Every power is formed from angles
-    in (-pi, pi] times k, so it is finite at any step count.
+    H(0) = X diag(l_j) X^dagger, theta_j the angle of e^{-i l_j h}; A is
+    real, so H(0) is real symmetric, and X is real from an eigh in real
+    arithmetic.  Every power is formed from angles in (-pi, pi] times k, so
+    it is finite at any step count.
     """
     if spec.n > 2:
         where = f"in the rotating frame for dt = {dt!r}"
         (w,), (v,) = _spectrum(_at_phase(*parts, np.ones(1)), where)
         back = _adjoint(v)
         return lambda k, h=dt: (v * np.exp(1j * k * np.angle(np.exp(-1j * (w * h))))) @ back
-    (p, q), ((_, up), (down, _)) = parts[0], parts[1].tolist()
-    c = down + up.conjugate()
+    (p, q), c = parts[0], float(parts[1][1, 0] + parts[1][0, 1])
     # halves first, as in hermitian_eig: p - q may overflow
     m, d = 0.5 * p + 0.5 * q, 0.5 * p - 0.5 * q
 
     def power(k, h=dt):
-        x = math.hypot(d, abs(c)) * h
+        x = math.hypot(d, c) * h
         # s = h sin(x) / x, which stays right where r h underflows
         s = math.sin(x) / x * h if x else h
         turn = complex(_phase_factors(spec, 0.5 * h))
-        a, b = complex(math.cos(x), -s * d) * turn, -1j * s * c.conjugate()
+        a, b = complex(math.cos(x), -s * d) * turn, -1j * s * c
         norm = math.hypot(a.imag, abs(b))
         angle = math.atan2(norm, a.real)
         # the angle of e^{-i (m h + e)}, each factor reduced exactly by libm
@@ -941,15 +944,12 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     # _table_phases), so every eigenphase of a step stays below that bound
     # times dt; the factor 2 leaves room for rounding and for a last step
     # slightly longer than dt (see _step_count)
-    levels = _drift_levels(spec)
+    parts = _parts(spec)
+    levels = parts[0]
     if not all(map(math.isfinite, levels)):
         raise ValueError("drift diag(E - Delta_0) is too large for float64")
     if not math.isfinite(2.0 * ((max(map(abs, levels)) + spec.g) * dt)):
         raise ValueError("step phase bound 2 (max|drift| + g) dt is too large for float64")
-    # every H of the run is assembled from these levels and one drive
-    # coefficient, kept real (its imaginary part is 0 for every drive model),
-    # so that H at the phase factor 1 is real symmetric
-    parts = levels, drive_coefficient(spec).real
     # sample k follows step k every, the last one step n_steps: the multiple
     # of every past n_steps is never scaled by dt, where it could overflow.
     # The ends are set as given, since t_start + 0 dt would turn a t_start of

@@ -74,6 +74,20 @@ class TestAlgebraCommand:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_rejects_tolerance_not_finite_or_negative(self, tol):
+        # a usage error, before any audit: NaN and -1 failed all nine checks,
+        # and inf passed every one
+        proc = run_cli("algebra", "--n", "4", "--tol", tol)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: nlevel algebra")
+        assert "tolerance must be a finite number >= 0" in proc.stderr
+
+    def test_zero_tolerance_runs_the_audit(self):
+        proc = run_cli("algebra", "--n", "4", "--tol", "0")
+        assert proc.stdout.startswith("identity audit: n = 4, tolerance = 0")
+
     def test_rejects_small_dimension(self):
         proc = run_cli("algebra", "--n", "1")
         assert proc.returncode == 1

@@ -24,7 +24,7 @@ from nlevel import (
     mat_pow,
 )
 from nlevel.algebra import root_power
-from nlevel.hamiltonian import _at_phase, _drift_levels
+from nlevel.hamiltonian import _at_phase, _drift_levels, _parts, _phase_factors
 
 
 def max_abs(m):
@@ -122,6 +122,17 @@ class TestDecomposition:
             deltas_to_energies(deltas)
         out = deltas_to_energies(deltas, imag_tol=1e-6)
         assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("imag_tol", [math.nan, math.inf, -1.0, None, "1e-6"])
+    def test_reconstruction_rejects_invalid_tolerance(self, imag_tol):
+        # a NaN tolerance discarded any imaginary part, here 0.26, and a
+        # negative one rejected exactly real energies
+        deltas = energies_to_deltas([1.0, 2.0, 4.0])
+        deltas[1] += 0.3
+        with pytest.raises(ValueError, match="imag_tol"):
+            deltas_to_energies(deltas, imag_tol=imag_tol)
+        with pytest.raises(ValueError, match="imag_tol"):
+            deltas_to_energies(energies_to_deltas([1.0, 1.0]), imag_tol=imag_tol)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e6, 1e9])
@@ -308,10 +319,10 @@ class TestFullHamiltonian:
         if n == 2 or model not in ("cosine2", "rwa2")
     ])
     def test_drive_coefficient_is_real(self, model, n):
-        # the propagator keeps only its real part, so that H(0) is real
-        # symmetric and its eigensolve runs in real arithmetic; the public
-        # matrix stays complex, and its imaginary parts are +0, so a complex
-        # product with the real part, cast back to complex, is the same to the bit
+        # every H is assembled from its real part alone (see _parts), so that
+        # H(0) is real symmetric and its eigensolve runs in real arithmetic;
+        # the public matrix stays complex, and its imaginary parts are +0, so
+        # a complex product with the real part is the same to the bit
         spec = SystemSpec(n=n, energies=tuple(np.sin(np.arange(n) * 1.3)), g=0.7,
                           omega=1.1, drive_model=model)
         a = drive_coefficient(spec)
@@ -323,7 +334,10 @@ class TestFullHamiltonian:
     def test_hermitian_for_random_specs(self, model):
         # the propagator relies on H being hermitian to the bit and does not
         # check it: at one time, over a stack of times and at the phase
-        # table's roots of unity, with and without Delta_0, at any scale
+        # table's roots of unity, with and without Delta_0, at any scale.
+        # Each H is also diag(levels) + (m + m^dagger), m = z A, in value (a
+        # zero's sign may differ), and hamiltonian_at's stays complex, static
+        # specs' too
         rng = np.random.default_rng(400 + DRIVE_MODELS.index(model))
         for _ in range(50):
             n = 2 if model in ("cosine2", "rwa2") else int(rng.integers(2, 9))
@@ -343,14 +357,18 @@ class TestFullHamiltonian:
                     omega=scale * spec.omega,
                     include_delta0=keep,
                 )
-                stacks = [
-                    build_full_hamiltonian(scaled, t / scale)[None],
-                    hamiltonian_at(scaled, (t + np.linspace(0.0, 20.0, 7)) / scale),
-                ]
-                parts = _drift_levels(scaled), drive_coefficient(scaled)
-                stacks += [_at_phase(*parts, root_power(p, np.arange(p))) for p in (2, 12, 18)]
-                for h in stacks:
+                times = (t + np.linspace(0.0, 20.0, 7)) / scale
+                one, many = build_full_hamiltonian(scaled, times[0]), hamiltonian_at(scaled, times)
+                assert one.dtype == many.dtype == np.complex128
+                z = _phase_factors(scaled, times)
+                stacks = [(one[None], z[:1]), (many, z)]
+                for roots in (root_power(p, np.arange(p)) for p in (2, 12, 18)):
+                    stacks.append((_at_phase(*_parts(scaled), roots), roots))
+                drift = np.diag(_drift_levels(scaled))
+                for h, z in stacks:
                     assert np.array_equal(h, np.swapaxes(h.conj(), -1, -2))
+                    m = z[:, None, None] * drive_coefficient(scaled)
+                    assert np.array_equal(h, drift + (m + np.swapaxes(m.conj(), -1, -2)))
 
 
 class TestHamiltonianAt:

@@ -806,7 +806,7 @@ class TestCommensurateGrids:
         spec = dataclasses.replace(table_spec("generalized", 3, 0.05, dt),
                                    omega=2.0 * math.pi / (period * dt))
         assert on_period_grid(spec, dt)
-        parts = run_parts(spec)
+        parts = hamiltonian._parts(spec)
         table = propagator._phase_table(spec, parts, dt, propagator._table_phases(spec, dt))
         jump = propagator._jump_table(spec, table, dt, every)
         starts = 0.3 + np.arange(5) * every * dt
@@ -853,7 +853,7 @@ class TestJumpTable:
         # their 1,000 step unitaries from eigh multiplied one by one, within
         # TestNormDrift's 16 eps per step
         spec, dt, every = jump_spec(n, g=0.25), 0.005, 1000
-        parts = run_parts(spec)
+        parts = hamiltonian._parts(spec)
         table = propagator._phase_table(spec, parts, dt, propagator._table_phases(spec, dt))
         jump = propagator._jump_table(spec, table, dt, every)
         starts = 0.3 + np.arange(4) * every * dt
@@ -1082,11 +1082,6 @@ def table_spec(model, n, x, dt, offset=0.0):
     )
 
 
-def run_parts(spec):
-    """The drift levels and drive coefficient evolve assembles every H of a run from."""
-    return hamiltonian._drift_levels(spec), hamiltonian.drive_coefficient(spec)
-
-
 def in_the_lab(spec, frame, mids, dt, steps=1):
     """Lab propagators of frame ones M over ``steps`` steps, the first centred at each of mids.
 
@@ -1106,7 +1101,7 @@ def in_the_lab(spec, frame, mids, dt, steps=1):
 def tabled_and_direct(spec, dt, steps=300, t0=0.25):
     """The step unitaries of one grid from the phase table and from eigh."""
     mids = t0 + (np.arange(steps) + 0.5) * dt
-    parts = run_parts(spec)
+    parts = hamiltonian._parts(spec)
     table = propagator._phase_table(spec, parts, dt, propagator._table_phases(spec, dt))
     return (in_the_lab(spec, propagator._step_unitaries(spec, parts, mids, dt, table), mids, dt),
             propagator._step_unitaries(spec, parts, mids, dt))
@@ -1322,7 +1317,7 @@ class TestClockSymmetry:
     def test_shifted_phase_is_a_clock_conjugation(self, model, n):
         spec = table_spec(model, n, 0.3, 0.125, offset=0.4)
         theta = np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, 16)
-        u, shifted = (propagator._unitaries(run_parts(spec), np.exp(1j * phase), 0.125, "")
+        u, shifted = (propagator._unitaries(hamiltonian._parts(spec), np.exp(1j * phase), 0.125, "")
                       for phase in (theta, theta + 2.0 * math.pi / n))
         z = build_clock(n)
         assert max_abs(shifted - z @ u @ z.conj().T) <= 1e-14
