@@ -67,6 +67,10 @@ MUTANTS = [
            "mid = np.array([t0])",
            "_lab_steps centres the shortened last step at its start"),
     Mutant(PROPAGATOR,
+           "psi, None, _taylor_order",
+           "psi, table, _taylor_order",
+           "_lab_steps sums the shortened last step from the phase table"),
+    Mutant(PROPAGATOR,
            "return phi * [1.0, end] if n == 2 else phi, k",
            "return phi, k",
            "_frame_steps leaves the final state in the rotating frame (drops R(w t_end))"),
@@ -104,9 +108,9 @@ MUTANTS = [
            "if count >= budget:",
            "_taylor_order takes Taylor steps at x >= 1"),
     Mutant(PROPAGATOR,
-           "h, psi, last)[0]",
-           "dt, psi, last)[0]",
-           "_lab_steps takes a shortened last Taylor step at full length"),
+           "mid, h, psi, None",
+           "mid, dt, psi, None",
+           "_lab_steps takes the shortened last step, Taylor or eigh, at full length"),
     Mutant(PROPAGATOR,
            "        psi = psi * back\n",
            "        psi = psi\n",

@@ -23,7 +23,9 @@ the change's wins (pairs in which the change was faster); the change is
 faster on a case only when it wins at least nine in ten of the pairs of
 each order.  It also holds each side's max |dp| against ``stepwise`` and
 largest norm error.  The record, with its command, CPU and versions,
-replaces ``--out``.
+replaces ``--out``.  Its command names each path as its path from the
+repository's root, or, outside the repository, as PARENT_SRC, CHANGE_SRC or
+OUT, so that no local path enters the record.
 Given one SRC, the script runs only that comparison, on SRC.  Both exit 1
 when a case exceeds its bound.  The reference runs on the tree imported as
 ``nlevel``.
@@ -217,6 +219,12 @@ def time_pairs(trees, raws, calls):
             for order in times]
 
 
+def _named(path, outside):
+    """``path`` relative to the repository's root, or ``outside`` when it lies elsewhere."""
+    path = Path(path).resolve()
+    return str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else outside
+
+
 def _timed(result, ms):
     """A case's check result with the median and quartiles of its call times."""
     q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
@@ -270,9 +278,12 @@ def main(argv=None):
               " change won " + ", ".join(f"{o['change_wins']}/{args.calls} {order}"
                                          for order, o in orders.items())
               + (", faster" if faster else ""))
+    command = ["python", "benchmarks/sparse_sampling.py", _named(args.src, "PARENT_SRC"),
+               _named(args.change, "CHANGE_SRC"), "--calls", str(args.calls)]
+    if args.out != parser.get_default("out"):
+        command += ["--out", _named(args.out, "OUT")]
     Path(args.out).write_text(json.dumps({
-        "command": shlex.join(["python", "benchmarks/sparse_sampling.py",
-                               *(sys.argv[1:] if argv is None else argv)]),
+        "command": shlex.join(command),
         "what": "in-process nlevel.evolve, ms per call, both trees in one process, "
                 "each call index an ABBA block of passes over the cases; orders: per "
                 "pair order, each side's median and the pairs the change was faster; "

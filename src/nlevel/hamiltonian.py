@@ -59,6 +59,13 @@ def _as_real(value, what: str) -> float:
     return value
 
 
+def _read_energies(energies) -> tuple:
+    """Level energies as a tuple of floats: an iterable that is not text, each entry _as_real."""
+    if isinstance(energies, (str, bytes)) or not np.iterable(energies):
+        raise ValueError("energies must be a sequence of real numbers")
+    return tuple(_as_real(e, "energy") for e in energies)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Physical description of a driven n-level system.
@@ -79,9 +86,7 @@ class SystemSpec:
     def __post_init__(self):
         n = _check_dim(self.n)
         object.__setattr__(self, "n", n)
-        if isinstance(self.energies, (str, bytes)) or not np.iterable(self.energies):
-            raise ValueError("energies must be a sequence of real numbers")
-        energies = tuple(_as_real(e, "energy") for e in self.energies)
+        energies = _read_energies(self.energies)
         if len(energies) != n:
             raise ValueError(
                 f"expected {n} energies, got {len(energies)}"
@@ -127,21 +132,15 @@ def energies_to_deltas(energies) -> np.ndarray:
     and Delta_0 is the mean energy.  The sum runs on the energies scaled by
     2^-p, p the binary exponent of max|E| (see _clock_sums), so it cannot
     overflow at any finite energies; the result is scaled back by 2^p.
-    Energies that do not fit in float64 raise ValueError.
+    The energies are read as SystemSpec reads them (see _read_energies), so
+    text, bools and entries that are not finite real numbers within float64
+    raise ValueError, as do fewer than two energies.
     """
-    arr = np.asarray(energies)
-    if np.iscomplexobj(arr):
-        raise ValueError("energies must be real")
-    try:
-        e = arr.astype(np.float64)
-    except OverflowError as exc:
-        raise ValueError("energies are too large for float64") from exc
-    if e.ndim != 1 or e.shape[0] < 2:
+    e = _read_energies(energies)
+    if len(e) < 2:
         raise ValueError("energies must be a 1-d sequence of length >= 2")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("energies must be finite")
     sums, p = _clock_sums(e, -1)
-    return _ldexp(sums / e.shape[0], p)
+    return _ldexp(sums / len(e), p)
 
 
 def deltas_to_energies(deltas, imag_tol: float = 1e-10) -> np.ndarray:
@@ -152,11 +151,15 @@ def deltas_to_energies(deltas, imag_tol: float = 1e-10) -> np.ndarray:
     reconstruction must come out real; an imaginary residue larger than
     ``imag_tol`` times max(1, max|E|) raises ValueError, smaller ones are
     discarded, so the test means the same at any energy scale above 1.
-    ``imag_tol`` must be a finite real number >= 0, or ValueError is raised.
+    ``imag_tol`` must be a finite real number >= 0, and the deltas integer,
+    real or complex numbers (not text or bools), or ValueError is raised.
     """
     if _as_real(imag_tol, "imag_tol") < 0:
         raise ValueError(f"imag_tol must be non-negative, got {imag_tol}")
-    d = np.asarray(deltas, dtype=np.complex128)
+    d = np.asarray(deltas)
+    if d.dtype.kind not in "iufc":
+        raise ValueError(f"deltas must be integer, real or complex numbers, got {d.dtype}")
+    d = d.astype(np.complex128)
     if d.ndim != 1 or d.shape[0] < 2:
         raise ValueError("deltas must be a 1-d sequence of length >= 2")
     if not np.all(np.isfinite(d)):
@@ -307,16 +310,13 @@ def _at_phase(levels, a: np.ndarray, at: np.ndarray, phase: np.ndarray) -> np.nd
     z* a^T = (z a)^dagger and H is hermitian to the bit; a real array of
     phase factors gives a real H.  Two products of the stack's size and the
     levels added on a diagonal view; no n x n drift and no conjugate
-    transpose is formed.  Against a form that conjugate-transposed each
-    z a (pinned, medians of 41 alternated pairs, no page faulted in), one
-    matrix took 1.01 ms in place of 2.10 ms at n = 512 and 48 us in place of
-    72 us at n = 128, and stacks of 16 to 4,096 matrices at n = 2 to 32
-    took 0.89-0.95 of the time.
+    transpose is formed.  The view spans a.size = n^2 entries per matrix,
+    so an empty array of phase factors gives an empty stack.
     """
     p = phase[..., None, None]
     h = p * a
     h += p.conj() * at
-    h.reshape(*h.shape[:-2], -1)[..., :: len(levels) + 1] += levels
+    h.reshape(*h.shape[:-2], a.size)[..., :: len(levels) + 1] += levels
     return h
 
 

@@ -382,30 +382,34 @@ def _unitaries(parts: tuple, z: np.ndarray, dt: float, where: str) -> np.ndarray
     return (v * np.exp(-1j * (w * dt))[..., None, :]) @ _adjoint(v)
 
 
-def _step_unitaries(
-    spec: SystemSpec, parts: tuple, mids: np.ndarray, dt: float, table: np.ndarray = None
-) -> np.ndarray:
-    """exp(-i dt H(t)) at every step midpoint t of ``mids``, as a stack, or its frame step.
+def _steps(spec, parts, mids, h, psi, table, order):
+    """A group of steps of length h centred at ``mids``: their stack and the states after each.
 
-    Every step is dt long, and ``parts`` are the run's _parts: drift
-    levels, drive coefficient and its transpose.  Without ``table`` the
-    unitaries come from one batched eigh.  With ``table``, the phase table
-    built for steps of that length (see _phase_table), each is the step in
-    the drive's frame, R(-w dt / 2) G(theta) R(-w dt / 2), summed from the
-    table's coefficients at y = e^{i n theta} (see _table_sum).  With a jump table (see
-    _jump_table) in its place, they are the frame's propagators over the
-    table's steps whose first step is centred at each midpoint.
+    ``parts`` are the run's _parts: drift levels, drive coefficient and its
+    transpose.  With ``order``, the stack is the steps' H, applied to the
+    state as Taylor steps of that order (see _taylor_states).  Otherwise it
+    holds exp(-i h H(t)) at every midpoint t, from one batched eigh without
+    ``table``, and _chain applies it.  With ``table``, the phase table built
+    for steps of that length (see _phase_table), each is the step in the
+    drive's frame, R(-w h / 2) G(theta) R(-w h / 2), summed from the table's
+    coefficients at y = e^{i n theta} (see _table_sum).  With a jump table
+    (see _jump_table) in its place, they are the frame's propagators over
+    the table's steps whose first step is centred at each midpoint.
     """
     z = _phase_factors(spec, mids)
+    if order is not None:
+        u = _at_phase(*parts, z)
+        return u, _taylor_states(u, h, psi, order)
     if table is None:
-        span = f"[{float(mids[0])!r}, {float(mids[-1])!r}]"
-        return _unitaries(parts, z, dt, f"at some t in {span}")
-    # the steps go through in slices whose powers of y = z^n fit CHUNK_BYTES
-    y = z**spec.n
-    size = max(1, CHUNK_BYTES // (16 * len(table)))
-    u = [_table_sum(table, _phase_powers(y[i : i + size], len(table) // 2))
-         for i in range(0, len(y), size)]
-    return u[0] if len(u) == 1 else np.concatenate(u)
+        u = _unitaries(parts, z, h, f"at some t in [{float(mids[0])!r}, {float(mids[-1])!r}]")
+    else:
+        # the steps go through in slices whose powers of y = z^n fit CHUNK_BYTES
+        y = z**spec.n
+        size = max(1, CHUNK_BYTES // (16 * len(table)))
+        u = [_table_sum(table, _phase_powers(y[i : i + size], len(table) // 2))
+             for i in range(0, len(y), size)]
+        u = u[0] if len(u) == 1 else np.concatenate(u)
+    return u, _chain(u, psi)
 
 
 def _table_sum(table: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -721,12 +725,12 @@ def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, popu
     table = _phase_table(spec, parts, dt, step_q) if tabled and order is None else None
     jump = _jump_table(spec, table, dt, every) if done else None
 
-    # each pass chains a stack of unitaries over unit steps each, from step
-    # start on: jumps up to step done, then fresh full-length steps; the
-    # states that end on a multiple of every are sampled.  Passes that the
-    # tables serve carry the state in the drive's frame, R(a)^dagger psi, a
-    # the drive phase at the step edge, whose populations are the lab's.  It
-    # rotates back at step edge whole by the frame's own phase, the angle of
+    # each pass hands _steps chunks of unit steps each, from step start on:
+    # jumps up to step done, then fresh full-length steps; the states that
+    # end on a multiple of every are sampled.  Passes that the tables serve
+    # carry the state in the drive's frame, R(a)^dagger psi, a the drive
+    # phase at the step edge, whose populations are the lab's.  It rotates
+    # back at step edge whole by the frame's own phase, the angle of
     # e^{i w t_start} (e^{i w dt / 2})^(2 whole): e^{i w t} at that edge
     # differs from it by the rounding of w t, which at a large |w t| reaches
     # the state
@@ -745,12 +749,7 @@ def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, popu
             # that the allocator returns to the system, and the next stack
             # would fault in fresh pages (Taylor steps at n = 256 took 512
             # minor page faults per step so, against 31)
-            if order is None:
-                u = _step_unitaries(spec, parts, mids, dt, tab)
-                chain = _chain(u, psi)
-            else:
-                u = _at_phase(*parts, _phase_factors(spec, mids))
-                chain = _taylor_states(u, dt, psi, order)
+            u, chain = _steps(spec, parts, mids, dt, psi, tab, order)
             psi = chain[-1]
             sampled = chain[-(start + unit) % every // unit :: every // unit]
             populations[k : k + len(sampled)] = sampled.real**2 + sampled.imag**2
@@ -761,11 +760,7 @@ def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, popu
         t0 = t_start + whole * dt
         h = t_end - t0
         mid = np.array([t0 + 0.5 * h])
-        last = _taylor_order(spec, parts[0], h, 1, 1)
-        if last is None:
-            psi = _step_unitaries(spec, parts, mid, h)[0] @ psi
-        else:
-            psi = _taylor_states(_at_phase(*parts, _phase_factors(spec, mid)), h, psi, last)[0]
+        psi = _steps(spec, parts, mid, h, psi, None, _taylor_order(spec, parts[0], h, 1, 1))[1][0]
     return psi, k
 
 

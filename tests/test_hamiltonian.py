@@ -111,6 +111,22 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="too large for float64"):
             energies_to_deltas([10**400, 0])
 
+    @pytest.mark.parametrize("energies", [["1", "2"], [True, False, True], "12", [1.0, 1j]],
+                             ids=["str_entries", "bools", "str", "complex_entry"])
+    def test_reads_energies_as_system_spec_does(self, energies):
+        # text and bools are no energies, here or in a SystemSpec
+        with pytest.raises(ValueError) as spec_error:
+            SystemSpec(n=len(energies), energies=energies)
+        with pytest.raises(ValueError) as error:
+            energies_to_deltas(energies)
+        assert str(error.value) == str(spec_error.value)
+
+    @pytest.mark.parametrize("deltas", [["1", "0"], [True, False], [10**400, 0]],
+                             ids=["str", "bools", "past_int64"])
+    def test_reconstruction_rejects_non_numbers(self, deltas):
+        with pytest.raises(ValueError, match="deltas must be integer, real or complex"):
+            deltas_to_energies(deltas)
+
     def test_reconstruction_rejects_unpaired_deltas(self):
         # breaking the conjugate pairing makes the energies complex
         with pytest.raises(ValueError, match="not real"):
@@ -386,6 +402,16 @@ class TestHamiltonianAt:
 
     def test_scalar_time_gives_one_matrix(self):
         assert hamiltonian_at(self.SPEC, 2).shape == (4, 4)
+
+    @pytest.mark.parametrize("model, n", [("none", 3), ("generalized", 3),
+                                          ("cosine2", 2), ("rwa2", 2)])
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_times_give_an_empty_stack(self, model, n, shape):
+        # np.shape(times) + (n, n), as for any other array of times
+        spec = SystemSpec(n=n, energies=tuple(np.arange(n) * 0.7), g=0.35, omega=1.2,
+                          drive_model=model)
+        stack = hamiltonian_at(spec, np.zeros(shape))
+        assert stack.shape == shape + (n, n)
 
     def test_static_spec_is_the_drift_at_any_time(self):
         # w t overflows at t = 1e9, but no drive means no phase

@@ -634,7 +634,8 @@ def spy_on(monkeypatch, name, record):
 
     The wrapper forwards any arguments and binds them to the function's
     parameter names, so a spy survives a signature change that keeps the
-    names it reads.  Returns the list of records.
+    names it reads.  A record of None is not kept.  Returns the list of
+    records.
     """
     records = []
     plain = getattr(propagator, name)
@@ -642,7 +643,9 @@ def spy_on(monkeypatch, name, record):
 
     def spy(*args, **kwargs):
         result = plain(*args, **kwargs)
-        records.append(record(signature.bind(*args, **kwargs).arguments, result))
+        entry = record(signature.bind(*args, **kwargs).arguments, result)
+        if entry is not None:
+            records.append(entry)
         return result
 
     monkeypatch.setattr(propagator, name, spy)
@@ -653,9 +656,16 @@ def spy_on(monkeypatch, name, record):
 def built_steps(monkeypatch):
     """Midpoint counts of every stack of step unitaries evolve builds.
 
-    One entry per stack, whether its steps come from eigh or the phase table.
+    One entry per stack, whether its steps come from eigh or the phase table;
+    Taylor steps form no unitaries and take no entry.
     """
-    return spy_on(monkeypatch, "_step_unitaries", lambda args, u: len(args["mids"]))
+    return spy_on(monkeypatch, "_steps",
+                  lambda args, steps: None if args["order"] is not None else len(args["mids"]))
+
+
+def step_unitaries(spec, parts, mids, dt, table=None):
+    """The stack of step unitaries that _steps forms, from eigh or summed from ``table``."""
+    return propagator._steps(spec, parts, mids, dt, np.eye(spec.n)[0], table, None)[0]
 
 
 @pytest.fixture
@@ -719,7 +729,7 @@ class TestCommensurateGrids:
     def test_jumps_over_several_chunks(self, built_steps, table_builds, jump_builds,
                                        monkeypatch):
         # 100-step chunks: 399 jumps in four passes, then 4 fresh full
-        # steps; the shortened last step is one product, not a chain
+        # steps, then the shortened last step, a chain of one
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 100 * 16 * 2 * 2)
         chained, depth = [], []
         plain = propagator._chain
@@ -740,7 +750,7 @@ class TestCommensurateGrids:
         assert built_steps == [100, 100, 100, 99, 4, 1]
         assert table_builds == [5]
         assert jump_builds == [5]
-        assert chained == [100, 100, 100, 99, 4]
+        assert chained == [100, 100, 100, 99, 4, 1]
 
     def test_late_start_matches_stepwise(self, built_steps, table_builds, jump_builds):
         spec, config = rabi_cosine()
@@ -810,12 +820,12 @@ class TestCommensurateGrids:
         table = propagator._phase_table(spec, parts, dt, propagator._table_phases(spec, dt))
         jump = propagator._jump_table(spec, table, dt, every)
         starts = 0.3 + np.arange(5) * every * dt
-        props = in_the_lab(spec, propagator._step_unitaries(
+        props = in_the_lab(spec, step_unitaries(
             spec, parts, starts + 0.5 * dt, dt, jump), starts + 0.5 * dt, dt, every)
         for start, prop in zip(starts, props):
             product = np.eye(3)
             mids = start + (np.arange(every) + 0.5) * dt
-            for u in propagator._step_unitaries(spec, parts, mids, dt):
+            for u in step_unitaries(spec, parts, mids, dt):
                 product = u @ product
             assert max_abs(prop - product) <= 1e-13
 
@@ -857,11 +867,11 @@ class TestJumpTable:
         table = propagator._phase_table(spec, parts, dt, propagator._table_phases(spec, dt))
         jump = propagator._jump_table(spec, table, dt, every)
         starts = 0.3 + np.arange(4) * every * dt
-        props = in_the_lab(spec, propagator._step_unitaries(
+        props = in_the_lab(spec, step_unitaries(
             spec, parts, starts + 0.5 * dt, dt, jump), starts + 0.5 * dt, dt, every)
         for start, prop in zip(starts, props):
             product = np.eye(n)
-            for u in propagator._step_unitaries(
+            for u in step_unitaries(
                     spec, parts, start + (np.arange(every) + 0.5) * dt, dt):
                 product = u @ product
             assert max_abs(prop - product) <= 16 * EPS * every
@@ -1103,8 +1113,8 @@ def tabled_and_direct(spec, dt, steps=300, t0=0.25):
     mids = t0 + (np.arange(steps) + 0.5) * dt
     parts = hamiltonian._parts(spec)
     table = propagator._phase_table(spec, parts, dt, propagator._table_phases(spec, dt))
-    return (in_the_lab(spec, propagator._step_unitaries(spec, parts, mids, dt, table), mids, dt),
-            propagator._step_unitaries(spec, parts, mids, dt))
+    return (in_the_lab(spec, step_unitaries(spec, parts, mids, dt, table), mids, dt),
+            step_unitaries(spec, parts, mids, dt))
 
 
 class TestPhaseTable:

@@ -12,12 +12,13 @@ import pytest
 
 import nlevel
 import nlevel.cli as cli
-import nlevel.propagator as propagator
 from test_cli import write_config
+from test_propagator import spy_on
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
-from nlevel.propagator import _in_frame, _step_count, _table_phases  # noqa: E402
+from nlevel.propagator import _in_frame  # noqa: E402
+import sparse_sampling  # noqa: E402
 from sparse_sampling import cases, committed, config_objects, load  # noqa: E402
 
 CONFIGS = ["driven_three_level.json", "rabi_two_level.json"]
@@ -52,44 +53,22 @@ class TestConfigObjects:
         assert built == [config_objects(raw)]
 
 
-def test_cases_take_every_fresh_lab_step():
-    # the lab path diagonalizes a step on its own for a last step shortened
-    # to land on t_end, and for every full step when the step table does not
-    # fit or the run has fewer full steps than its Q (with one sample per
-    # step, no jump table takes them); the check must run each of these
-    short_last = no_fit = under_q = False
-    for raw in cases().values():
-        spec, config = config_objects(raw)
-        if _in_frame(spec):
-            continue
-        steps = _step_count(config.t_end - config.t_start, config.dt)
-        whole = steps if config.t_start + steps * config.dt == config.t_end else steps - 1
-        q = _table_phases(spec, config.dt)
-        short_last |= whole < steps
-        no_fit |= q is None
-        under_q |= config.sample_every == 1 and q is not None and whole < q
-    assert short_last and no_fit and under_q
-
-
-def test_cases_take_taylor_and_eigh_steps(monkeypatch):
-    # without a jump table the lab path applies fresh full-length steps and a
-    # shortened last step as their Taylor series where that costs less than
-    # eigh, and diagonalizes a shortened last step where it does not (n = 3,
-    # about 1.5 n = 4.5 products per eigh); the check must run each
+def test_cases_take_every_lab_route(monkeypatch):
+    # _steps takes the lab path's full-length steps and its shortened last
+    # step as Taylor steps or from eigh, and full-length steps summed from a
+    # phase or jump table; the check must run each of these routes
+    calls = spy_on(monkeypatch, "_steps", lambda args, steps: args)
     taken = set()
-    for name, position in (("_taylor_states", 1), ("_step_unitaries", 3)):
-        def spy(*args, plain=getattr(propagator, name), name=name, position=position):
-            taken.add((name, args[position] == dt))
-            return plain(*args)
-
-        monkeypatch.setattr(propagator, name, spy)
     for raw in cases().values():
         spec, config = config_objects(raw)
         if not _in_frame(spec):
-            dt = config.dt
+            del calls[:]
             nlevel.evolve(spec, config)
-    assert {("_taylor_states", True), ("_taylor_states", False),
-            ("_step_unitaries", False)} <= taken
+            taken |= {("taylor" if c["order"] is not None else
+                       "eigh" if c["table"] is None else "table", c["h"] == config.dt)
+                      for c in calls}
+    assert {("taylor", True), ("taylor", False), ("eigh", True), ("eigh", False),
+            ("table", True)} <= taken
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +114,24 @@ def test_every_record_names_the_script_that_makes_it():
         script = Path(shlex.split(command)[1])
         assert script.parent == Path("benchmarks"), record.name
         assert (ROOT / script).is_file(), record.name
+
+
+@pytest.mark.parametrize("outside, command", [
+    (0, "PARENT_SRC src --calls 21 --out OUT"),
+    (1, "src CHANGE_SRC --calls 21 --out OUT"),
+], ids=["parent_outside", "change_outside"])
+def test_paired_record_names_no_local_path(tmp_path, monkeypatch, outside, command):
+    # a tree outside the repository is named by its role, one inside it by
+    # its path from the root; one two-step case, both sides the tree under
+    # test, and the process left unpinned
+    monkeypatch.setattr(sparse_sampling, "cases",
+                        lambda: {"short_n3_2_every1": cases()["short_n3_2_every1"]})
+    monkeypatch.setattr(sparse_sampling, "load", lambda src, name="nlevel": nlevel)
+    monkeypatch.setattr(sparse_sampling.os, "sched_setaffinity", lambda pid, cpus: None)
+    trees = [str(ROOT / "src")] * 2
+    trees[outside] = str(tmp_path / "checkout" / "src")
+    out = tmp_path / "pairs.json"
+    assert sparse_sampling.main([*trees, "--calls", "21", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["command"] == "python benchmarks/sparse_sampling.py " + command
+    assert str(tmp_path) not in out.read_text()
