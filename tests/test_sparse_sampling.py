@@ -53,22 +53,41 @@ class TestConfigObjects:
         assert built == [config_objects(raw)]
 
 
-def test_cases_take_every_lab_route(monkeypatch):
-    # _steps takes the lab path's full-length steps and its shortened last
-    # step as Taylor steps or from eigh, and full-length steps summed from a
-    # phase or jump table; the check must run each of these routes
-    calls = spy_on(monkeypatch, "_steps", lambda args, steps: args)
+@pytest.fixture(scope="module")
+def lab_routes():
+    """Every route _steps takes over the non-frame cases(), with whether the step is full-length.
+
+    _steps takes the lab path's full-length steps and its shortened last
+    step as Taylor steps or from eigh, and full-length steps summed from a
+    phase or jump table; one run of the cases serves every test below.
+    """
     taken = set()
-    for raw in cases().values():
-        spec, config = config_objects(raw)
-        if not _in_frame(spec):
-            del calls[:]
-            nlevel.evolve(spec, config)
-            taken |= {("taylor" if c["order"] is not None else
-                       "eigh" if c["table"] is None else "table", c["h"] == config.dt)
-                      for c in calls}
-    assert {("taylor", True), ("taylor", False), ("eigh", True), ("eigh", False),
-            ("table", True)} <= taken
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = spy_on(monkeypatch, "_steps", lambda args, steps: args)
+        for raw in cases().values():
+            spec, config = config_objects(raw)
+            if not _in_frame(spec):
+                del calls[:]
+                nlevel.evolve(spec, config)
+                taken |= {("taylor" if c["order"] is not None else
+                           "eigh" if c["table"] is None else "table", c["h"] == config.dt)
+                          for c in calls}
+    return taken
+
+
+def test_cases_take_every_fresh_lab_step(lab_routes):
+    # the lab path diagonalizes a step on its own for a last step shortened
+    # to land on t_end and for full steps no table takes, and sums the other
+    # full steps from a table; the check must run each of these
+    assert {("eigh", True), ("eigh", False), ("table", True)} <= lab_routes
+
+
+def test_cases_take_taylor_and_eigh_steps(lab_routes):
+    # without a jump table the lab path applies fresh full-length steps and a
+    # shortened last step as their Taylor series where that costs less than
+    # eigh, and diagonalizes a shortened last step where it does not (n = 3,
+    # about 1.5 n = 4.5 products per eigh); the check must run each
+    assert {("taylor", True), ("taylor", False), ("eigh", False)} <= lab_routes
 
 
 @pytest.fixture(scope="module")
