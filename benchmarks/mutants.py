@@ -63,8 +63,8 @@ MUTANTS = [
            "sampled = chain[-(start + unit) % every // unit + 1 :: every // unit]",
            "_lab_steps samples the state one past each sample instant"),
     Mutant(PROPAGATOR,
-           "mid = np.array([t0 + 0.5 * h])",
-           "mid = np.array([t0])",
+           "mid = np.array([t_start + whole * dt + 0.5 * h])",
+           "mid = np.array([t_start + whole * dt])",
            "_lab_steps centres the shortened last step at its start"),
     Mutant(PROPAGATOR,
            "psi, None, _taylor_order",
@@ -129,9 +129,14 @@ MUTANTS = [
            "_lab_steps rotates a table pass back by e^{i w t} at the step edge, not the"
            " frame's own phase"),
     Mutant(PROPAGATOR,
-           "n_steps = int(math.ceil((span / dt) * (1.0 - 1e-12)))",
-           "n_steps = int(math.ceil(span / dt))",
-           "_step_count adds a step where span / dt rounds just above an integer"),
+           "math.ceil((t_end - t_start) / dt * (1.0 - 1e-12))",
+           "math.ceil((t_end - t_start) / dt)",
+           "_grid adds a step where span / dt rounds just above an integer"),
+    Mutant(PROPAGATOR,
+           "return whole + (h != 0.0), whole, h",
+           "return count, whole, h",
+           "_grid takes the back-off count as n_steps: a zero-length last step where"
+           " span / dt rounds just above an integer whose edge lands on t_end"),
 ]
 
 

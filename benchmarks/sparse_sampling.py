@@ -27,14 +27,18 @@ replaces ``--out``.  Its command names each path as its path from the
 repository's root, or, outside the repository, as PARENT_SRC, CHANGE_SRC or
 OUT, so that no local path enters the record.
 Given one SRC, the script runs only that comparison, on SRC.  Both exit 1
-when a case exceeds its bound.  The reference runs on the tree imported as
-``nlevel``.
+when a case exceeds its bound or its sample times do not strictly increase.
+The reference, and the step counts the bounds scale with, come from the
+tree imported last: SRC, or CHANGE_SRC in a paired run, so that the script
+checks both trees against the grid rule of the checkout it belongs to.
 
 ``stepwise`` is the one reference of the repository: the path tests in
 ``tests/test_propagator.py`` import it, with ``config_objects`` and
 ``committed``, which read a config through the nlevel CLI's own reader, the
-one `nlevel evolve` runs.  It steps exp(-i h H(t_mid)) on evolve's grid, one
-batched eigh per block of steps and one matrix-vector product per step.
+one `nlevel evolve` runs.  It steps exp(-i h H(t_mid)) on the contract's
+grid, full steps dt long at t_start + (k + 1/2) dt and the last from its own
+edge to t_end, one batched eigh per block of steps and one matrix-vector
+product per step.
 """
 
 import argparse
@@ -145,6 +149,9 @@ def cases():
         "frame_static_n8_5k_every100_offgrid": _driven(8, 0.05, 5000.6, 100, omega=0.0),
         "frame_static_n8_100k_every1": _driven(8, 0.05, 100_000, 1, omega=0.0),
         "frame_static_n32_1k_every100": _driven(32, 0.05, 1000, 100, omega=0.0),
+        # a late start, where t_end - t_start rounds to just over 10 dt while
+        # edge 10 lands on t_end: 10 steps, the last sampled once
+        "late_start_n3_10_every10": _driven(3, 0.01, 10, 10, t_start=1e4),
     }
 
 
@@ -153,29 +160,35 @@ def config_objects(raw, tree="nlevel"):
     return importlib.import_module(f"{tree}.cli")._run_inputs(raw)
 
 
-def stepwise(spec, config):
+def stepwise(spec, config, tree="nlevel"):
     """Sample times, populations and the final state from one eigh step per step.
 
-    The steps lie on evolve's grid, edges t_start + k dt and the last at
-    t_end, and start from the initial state as evolve normalizes it, a basis
-    index or amplitudes.  Each step applies exp(-i h H(t_mid)) as v (v^dagger psi)
-    e^{-i w h}, exp_step's formula, with H and eigh batched per block of
+    The steps lie on the grid the contract defines, with the step count K
+    of the package ``tree``'s _grid: steps 1..K-1 exactly dt long, centred
+    at t_start + (k + 1/2) dt, and the last from its own edge
+    t_start + (K - 1) dt to t_end, whatever its length.  They start from
+    the initial state as evolve normalizes it, a basis index or amplitudes.
+    Each step applies exp(-i h H(t_mid)) as v (v^dagger psi) e^{-i w h},
+    exp_step's formula, with H and eigh batched per block of
     _REFERENCE_CHUNK steps.
     """
-    from nlevel.hamiltonian import hamiltonian_at
-    from nlevel.propagator import _initial_vector, _step_count
-
-    steps = _step_count(config.t_end - config.t_start, config.dt)
-    edges = config.t_start + np.arange(steps + 1) * config.dt
+    hamiltonian_at = importlib.import_module(f"{tree}.hamiltonian").hamiltonian_at
+    propagator = importlib.import_module(f"{tree}.propagator")
+    t_start, dt = config.t_start, config.dt
+    steps = propagator._grid(t_start, config.t_end, dt)[0]
+    edges = t_start + np.arange(steps + 1) * dt
     edges[-1] = config.t_end
-    psi = _initial_vector(spec.n, config.initial_state)
+    lengths = np.full(steps, dt)
+    lengths[-1] = edges[-1] - edges[-2]
+    mids = t_start + (np.arange(steps) + 0.5) * dt
+    mids[-1] = edges[-2] + 0.5 * lengths[-1]
+    psi = propagator._initial_vector(spec.n, config.initial_state)
     taken, states = [0], [psi]
     for start in range(0, steps, _REFERENCE_CHUNK):
-        block = edges[start : start + _REFERENCE_CHUNK + 1]
-        t0, h = block[:-1], np.diff(block)
-        w, v = np.linalg.eigh(hamiltonian_at(spec, t0 + 0.5 * h))
-        phases = np.exp(-1j * w * h[:, None])
-        for j, k in enumerate(range(start + 1, start + len(h) + 1)):
+        block = slice(start, start + _REFERENCE_CHUNK)
+        w, v = np.linalg.eigh(hamiltonian_at(spec, mids[block]))
+        phases = np.exp(-1j * w * lengths[block, None])
+        for j, k in enumerate(range(start + 1, start + len(w) + 1)):
             psi = v[j] @ ((v[j].conj().T @ psi) * phases[j])
             if k % config.sample_every == 0 or k == steps:
                 taken.append(k)
@@ -183,18 +196,26 @@ def stepwise(spec, config):
     return edges[taken], np.abs(np.array(states)) ** 2, psi
 
 
-def check(tree, raws, references):
-    """Max |dp| against the references, largest norm error and both bounds, per case."""
+def check(tree, raws, references, grid):
+    """Max |dp| against the references, largest norm error, both bounds and ordered times, per case.
+
+    ``grid`` is the reference tree's _grid, whose step count scales the
+    bounds.  A run whose sample times do not strictly increase fails, and
+    one with a sample count other than the reference's reads max |dp| inf.
+    """
     results = {}
     for name, raw in raws.items():
         spec, config = config_objects(raw, tree.__name__)
         traj = tree.evolve(spec, config)
-        steps = tree.propagator._step_count(config.t_end - config.t_start, config.dt)
+        steps = grid(config.t_start, config.t_end, config.dt)[0]
+        same = traj.populations.shape == references[name].shape
         results[name] = {
-            "max_dp": float(np.max(np.abs(traj.populations - references[name]))),
+            "max_dp": float(np.max(np.abs(traj.populations - references[name])))
+                      if same else math.inf,
             "max_dp_bound": max(MAX_DP, EPS_PER_STEP * steps),
             "norm_error": float(np.max(traj.norm_errors)),
             "norm_error_bound": EPS_PER_STEP * steps,
+            "times_increase": bool(np.all(np.diff(traj.times) > 0)),
         }
     return results
 
@@ -245,10 +266,12 @@ def main(argv=None):
         [] if args.change is None else [load(args.change, "nlevel_change")])
 
     raws = cases()
-    references = {name: stepwise(*config_objects(raw))[1] for name, raw in raws.items()}
-    checks = [check(tree, raws, references) for tree in trees]
+    reference = trees[-1].__name__
+    references = {name: stepwise(*config_objects(raw, reference), reference)[1]
+                  for name, raw in raws.items()}
+    checks = [check(tree, raws, references, trees[-1].propagator._grid) for tree in trees]
     bad = sorted({name for results in checks for name, r in results.items()
-                  if not (r["max_dp"] <= r["max_dp_bound"]
+                  if not (r["max_dp"] <= r["max_dp_bound"] and r["times_increase"]
                           and r["norm_error"] <= r["norm_error_bound"])})
     for name in raws:
         print(f"{name:36s}", "  ".join(f"max|dp| {results[name]['max_dp']:.2e}  norm error "

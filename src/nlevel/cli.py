@@ -234,7 +234,6 @@ def _run_inputs(raw):
 
 
 def _cmd_algebra(args):
-    build_shift(args.n)  # surfaces the dimension error before any output
     rows = identity_residuals(args.n)
     print(f"identity audit: n = {args.n}, tolerance = {args.tol:g}")
     failures = 0

@@ -11,10 +11,12 @@ table gives, or, for
 the lab steps of short runs, applied to the state as its Taylor series
 (see below).  Step k is exactly dt long and centred at
 t_start + (k + 1/2) dt on every path, so the frame, the table, Taylor and
-eigh see the same phase and length for it; when the grid does not end on
-t_end, a last step from t_start + K dt to t_end, K the number of full
-steps, follows on the same path: in the frame, or on its own, by Taylor or
-eigh.  Each path takes every step of its run, and evolve only dispatches.
+eigh see the same phase and length for it.  One function, _grid, decides
+the grid of every path: K full steps, and the length h of a last step from
+t_start + K dt to t_end, which follows on the same path only when h is
+nonzero: in the frame, or on its own, by Taylor or eigh.  So no run takes
+a zero-length step.  Each path takes every step of its run, and evolve
+only dispatches.
 H(t) does not depend on the state, so evolve forms the step unitaries, or
 the H of Taylor steps, of many steps at once, in chunks.
 H(t) is hermitian by construction (see hamiltonian_at), so nothing checks
@@ -355,10 +357,21 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def _step_count(span: float, dt: float) -> int:
-    # back off by one ulp-scale factor so span/dt == integer N stays N steps
-    n_steps = int(math.ceil((span / dt) * (1.0 - 1e-12)))
-    return max(n_steps, 1)
+def _grid(t_start: float, t_end: float, dt: float):
+    """The run's steps as (n_steps, whole, h): steps 1..whole are dt long, then one of h, if h.
+
+    The count is span / dt times 1 - 1e-12, rounded up, so that a span of
+    N dt within rounding counts N; whole is that count when its edge lands
+    on t_end and one less otherwise.  h = t_end - (t_start + whole dt) is
+    the length of a last step to t_end, 0.0 when edge whole lands on it, so
+    n_steps = whole + (h != 0) counts only steps of nonzero length.  The
+    back-off keeps edge whole below t_end otherwise, so h >= 0; h may exceed
+    dt by 1e-12 of the span and the rounding of the edge.
+    """
+    count = max(1, math.ceil((t_end - t_start) / dt * (1.0 - 1e-12)))
+    whole = count if t_start + count * dt == t_end else count - 1
+    h = t_end - (t_start + whole * dt)
+    return whole + (h != 0.0), whole, h
 
 
 def _spectrum(h: np.ndarray, where: str):
@@ -438,25 +451,25 @@ def _table_phases(spec: SystemSpec, dt: float):
     n/2 rounded down, |s| <= S holds every such order up to M, and the first
     left out, |s| = S + 1, lies beyond M: the table samples Q = 2 S + 1
     phases.  It fits when Q matrices fit a chunk of CHUNK_BYTES, and when
-    16 Q (2 (n S + n/2) + 1) bytes, about 16 n Q^2, do too.  That second
-    bound limits the table's cost, Q eighs to build it and Q + 2 coefficients
-    summed per step, not its memory: it stops Q at 89 at n = 2 and 73 at
+    16 n Q^2 bytes do too.  That second bound limits the table's cost, Q
+    eighs to build it and Q + 2 coefficients summed per step, not its
+    memory: it stops Q at 89 at n = 2 and 73 at
     n = 3, where the table still beats eigh (4,096 steps at n = 2 and Q = 83,
     table built and summed: 1.6 ms against 3.9 ms; 1,820 steps at n = 3 and
     Q = 73: 1.0 against 4.6 ms), well before it loses (n = 2, Q = 1,121:
     138 against 3.5 ms).
     """
     n = spec.n
-    # from order n on, Q > 2 order / n - 1 and 2 (n S + n/2) + 1 >= 2 order,
-    # so the second bound's bytes exceed 32 order^2 / n, which fit a chunk
-    # only while 32 order^2 <= CHUNK_BYTES n: no order past the larger of
-    # the two bounds fits, which bounds the loop
-    limit = max(n - 1, math.isqrt(CHUNK_BYTES * n // 32))
+    # S >= (order + n/2 - n + 1) / n, so Q > 2 order / n and the second
+    # bound's 16 n Q^2 bytes exceed 64 order^2 / n, which fit a chunk only
+    # while 64 order^2 <= CHUNK_BYTES n: no order past the limit fits, which
+    # bounds the loop
+    limit = math.isqrt(CHUNK_BYTES * n // 64)
     order = _series_order(0.5 * spec.g * dt, 2.0, limit)
     q = 2 * ((order + n // 2) // n) + 1
     # Q matrices fit a chunk, which holds at least one (see _lab_steps)
     fits = q <= max(1, CHUNK_BYTES // (16 * n * n))
-    return q if fits and 16 * q * (2 * (n * (q // 2) + n // 2) + 1) <= CHUNK_BYTES else None
+    return q if fits and 16 * n * q * q <= CHUNK_BYTES else None
 
 
 def _series_order(x: float, scale: float, limit: float = math.inf) -> int:
@@ -691,15 +704,16 @@ def _jump_table(spec: SystemSpec, table: np.ndarray, dt: float, every: int) -> n
     return jump
 
 
-def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, populations):
+def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, populations):
     """Every step of the run: steps 1..whole from a jump table, the phase table, eigh or Taylor.
 
     Without a jump table, the fresh full-length steps are applied to the
     state as their Taylor series (see _taylor_order) when that costs fewer
     matrix-vector products than the eigh's of their phase table, or of each
-    step when no table serves them.  A last step shortened to land on t_end,
-    when steps 1..whole do not, is taken on its own, by Taylor or eigh on
-    the same rule.  Records the states that end a sample interval in
+    step when no table serves them.  The last step, of length h (see
+    _grid), is taken only when h is nonzero, on its own, by Taylor or eigh
+    on the same rule; h ends the run on t_end, which only _frame_steps
+    reads.  Records the states that end a sample interval in
     ``populations`` from row 1 on and returns the state at t_end and the
     next row.
     """
@@ -756,10 +770,8 @@ def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, popu
             k += len(sampled)
     if table is not None:
         psi = psi * back
-    if whole < n_steps:
-        t0 = t_start + whole * dt
-        h = t_end - t0
-        mid = np.array([t0 + 0.5 * h])
+    if h:
+        mid = np.array([t_start + whole * dt + 0.5 * h])
         psi = _steps(spec, parts, mid, h, psi, None, _taylor_order(spec, parts[0], h, 1, 1))[1][0]
     return psi, k
 
@@ -774,7 +786,7 @@ def _in_frame(spec: SystemSpec) -> bool:
     return spec.drive_model == "rwa2" or _is_static(spec)
 
 
-def _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, populations):
+def _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, populations):
     """Every step of the run in the rotating frame, for a spec that is _in_frame.
 
     With R(theta) = diag(e^{i k theta}), a step of length h at drive phase
@@ -786,8 +798,8 @@ def _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, po
     The frame states W^(j every) R(a_0)^dagger psi of the sample intervals
     are chained one chunk at a time from M = W^every (see _power_states);
     R is diagonal, so their populations are the lab frame's.  The last step,
-    when steps 1..whole do not end on t_end, is W_h with
-    h = t_end - (t_start + whole dt).  Of the drive phases only w t_start,
+    of length h = t_end - (t_start + whole dt) (see _grid), is W_h, taken
+    only when h is nonzero.  Of the drive phases only w t_start,
     w t_end, w dt / 2 and w h / 2 are formed: the first two are the ends'
     w t, which evolve checks are finite, and dt (when whole > 0) and h are
     at most t_end - t_start, which bounds the others by half their
@@ -811,8 +823,8 @@ def _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, po
         phi, k = states[-1], k + len(states)
     if whole % every:
         phi = power(whole % every) @ phi
-    if whole < n_steps:
-        phi = power(1, t_end - (t_start + whole * dt)) @ phi
+    if h:
+        phi = power(1, h) @ phi
     return phi * [1.0, end] if n == 2 else phi, k
 
 
@@ -904,9 +916,10 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     drive's frame from a Fourier table over the drive phase that one batched
     eigh of Q matrices builds once per run; else they are diagonalized in one
     batched eigh call per chunk.  Jumps and fresh steps share one loop (see
-    the module docstring), and a last step shortened to land on t_end is
-    taken on its own, by Taylor or eigh on the same rule.  The drift's
-    levels are the floats of _drift_levels, which build_drift puts on a
+    the module docstring).  _grid gives the full steps and the length h of
+    a last step to t_end; that step is taken only when h is nonzero, on its
+    own, by Taylor or eigh on the same rule.  The drift's levels are the
+    floats of _drift_levels, which build_drift puts on a
     diagonal; only an assembled H holds them, on its diagonal.  Raises
     ValueError when the drive phase w t is not finite at
     t_start or t_end (the time is reported), when the drift
@@ -918,7 +931,7 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     n = spec.n
     psi = _initial_vector(n, config.initial_state)
     t_start, t_end, dt = config.t_start, config.t_end, config.dt
-    n_steps = _step_count(t_end - t_start, dt)
+    n_steps, whole, h = _grid(t_start, t_end, dt)
     # any sample_every past the step count samples the ends only; clamped, it
     # keeps the sample marks within int64
     every = min(config.sample_every, n_steps + 1)
@@ -938,7 +951,7 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     # ||H(t)|| <= max|drift| + g, since the drive's A has norm g / 2 (see
     # _table_phases), so every eigenphase of a step stays below that bound
     # times dt; the factor 2 leaves room for rounding and for a last step
-    # slightly longer than dt (see _step_count)
+    # slightly longer than dt (see _grid)
     parts = _parts(spec)
     levels = parts[0]
     if not all(map(math.isfinite, levels)):
@@ -955,11 +968,8 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     populations = np.empty((n_samples, n), dtype=np.float64)
     populations[0] = psi.real**2 + psi.imag**2
 
-    # steps 1..whole are dt long; a last step shortened to land on t_end
-    # follows them when they do not end on it
-    whole = n_steps if t_start + n_steps * dt == t_end else n_steps - 1
     steps = _frame_steps if _in_frame(spec) else _lab_steps
-    psi, k = steps(spec, parts, psi, t_start, t_end, dt, whole, n_steps, every, populations)
+    psi, k = steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, populations)
     # the last sample is the final state, unless it closed a sample interval
     if k < n_samples:
         populations[k] = psi.real**2 + psi.imag**2

@@ -92,6 +92,8 @@ class TestAlgebraCommand:
         proc = run_cli("algebra", "--n", "1")
         assert proc.returncode == 1
         assert "error" in proc.stderr
+        # identity_residuals refuses the dimension before the audit's header
+        assert proc.stdout == ""
 
     def test_rejects_unparseable_dimension(self):
         proc = run_cli("algebra", "--n", "two")

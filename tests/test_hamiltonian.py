@@ -127,6 +127,17 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="deltas must be integer, real or complex"):
             deltas_to_energies(deltas)
 
+    @pytest.mark.parametrize("deltas", [np.zeros((2, 2)), [1.0]], ids=["2d", "single"])
+    def test_reconstruction_rejects_misshapen_deltas(self, deltas):
+        with pytest.raises(ValueError, match="1-d sequence of length >= 2"):
+            deltas_to_energies(deltas)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                             ids=["nan", "inf", "imag_inf"])
+    def test_reconstruction_rejects_non_finite_deltas(self, bad):
+        with pytest.raises(ValueError, match="deltas must be finite"):
+            deltas_to_energies([0.0, bad, 0.0])
+
     def test_reconstruction_rejects_unpaired_deltas(self):
         # breaking the conjugate pairing makes the energies complex
         with pytest.raises(ValueError, match="not real"):

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import math
 import sys
 import tracemalloc
@@ -227,6 +228,11 @@ class TestEvolve:
         # 6000 steps sampled every 20th, plus the initial instant
         assert traj.times.shape == (301,)
         assert traj.times[-1] == 30.0
+        # 2.7 / 0.3 rounds to 9 + 2e-15 while 9 steps of 0.3 end 4e-16 short
+        # of 2.7: 9 steps, the last a rounding error longer than dt, not a
+        # tenth a rounding error long
+        traj = evolve(THREE_LEVEL, EvolutionConfig(t_start=0.0, t_end=2.7, dt=0.3))
+        assert traj.times.shape == (10,)
 
     def test_times_strictly_increasing(self):
         config = EvolutionConfig(t_start=0.5, t_end=3.7, dt=0.07, sample_every=3)
@@ -234,6 +240,25 @@ class TestEvolve:
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[0] == 0.5
         assert traj.times[-1] == 3.7
+
+    # at a late start t_end - t_start rounds to just over K dt on many grids
+    # (t_start 1e4, dt 0.01 and K = 10 among them) while edge K, formed as
+    # t_end is, lands on t_end: every path must take K steps and sample
+    # t_end once, not add a zero-length step
+    @pytest.mark.parametrize("spec", [
+        SystemSpec(n=2, energies=(0.5, -0.5), g=0.25, omega=1.0, drive_model="rwa2"),
+        dataclasses.replace(THREE_LEVEL, omega=0.0),
+        THREE_LEVEL,
+    ], ids=["rwa2", "static", "generalized"])
+    def test_late_start_takes_k_steps(self, spec):
+        grids = list(itertools.product((1e3, 1e4, 1e5), (0.1, 0.01, 0.001), range(1, 13)))
+        for t_start, dt, steps in grids:
+            traj = evolve(spec, EvolutionConfig(t_start=t_start, t_end=t_start + steps * dt,
+                                                dt=dt))
+            assert traj.times.shape == (steps + 1,), (t_start, dt, steps)
+            assert np.all(np.diff(traj.times) > 0), (t_start, dt, steps)
+        for t_start, dt, steps in grids:
+            assert propagator._grid(t_start, t_start + steps * dt, dt) == (steps, steps, 0.0)
 
     def test_sample_count_with_remainder(self):
         # 5 steps sampled every 2nd: instants 0, 2, 4, plus the final 5th
@@ -407,7 +432,7 @@ class TestFailureMapping:
         spec = dataclasses.replace(THREE_LEVEL, energies=energies, g=g)
         config = EvolutionConfig(t_start=0.0, t_end=t_end, dt=dt)
         assert propagator._table_phases(spec, dt) == phases
-        assert phases is None or phases <= propagator._step_count(t_end, dt)
+        assert phases is None or phases <= propagator._grid(0.0, t_end, dt)[0]
 
         def never(*args, **kwargs):
             pytest.fail("eigh ran before the contract was checked")
@@ -1607,10 +1632,11 @@ class TestRotatingFrame:
             assert called == []
             assert table_builds == built_steps == []
             assert_matches_stepwise(spec, config, traj)
-        # the config's 2,000 steps of dt end a rounding error away from t_end
+        # the config's 2,000 steps of dt end a rounding error away from t_end:
+        # 1,999 full steps and a last one that lands on it
         config = runs[1][1]
         assert config.t_start + 2000 * config.dt != config.t_end
-        assert propagator._step_count(config.t_end - config.t_start, config.dt) == 2000
+        assert propagator._grid(config.t_start, config.t_end, config.dt)[:2] == (2000, 1999)
 
     def test_long_static_run_takes_one_eigh(self, eigh_phases):
         # 100,000 steps sampled every 2,000 and a last one of 0.6 dt, against

@@ -154,3 +154,22 @@ def test_paired_record_names_no_local_path(tmp_path, monkeypatch, outside, comma
     record = json.loads(out.read_text())
     assert record["command"] == "python benchmarks/sparse_sampling.py " + command
     assert str(tmp_path) not in out.read_text()
+
+
+def test_check_fails_a_run_that_samples_an_instant_twice(monkeypatch):
+    # a zero-length last step samples t_end twice; the check must fail that
+    # run whatever its populations read
+    raw = cases()["late_start_n3_10_every10"]
+    traj = nlevel.evolve(*config_objects(raw))
+    twice = dataclasses.replace(
+        traj, times=np.append(traj.times, traj.times[-1]),
+        populations=np.vstack([traj.populations, traj.populations[-1:]]),
+        norm_errors=np.append(traj.norm_errors, traj.norm_errors[-1]))
+    monkeypatch.setattr(sparse_sampling, "cases", lambda: {"late_start": raw})
+    monkeypatch.setattr(sparse_sampling, "load", lambda src, name="nlevel": nlevel)
+    assert sparse_sampling.main([str(ROOT / "src")]) == 0
+    monkeypatch.setattr(nlevel, "evolve", lambda spec, config: twice)
+    result = sparse_sampling.check(nlevel, {"late_start": raw},
+                                   {"late_start": traj.populations}, nlevel.propagator._grid)
+    assert not result["late_start"]["times_increase"]
+    assert sparse_sampling.main([str(ROOT / "src")]) == 1
