@@ -39,7 +39,7 @@ MUTANTS = [
     Mutant(PROPAGATOR,
            "3 * jump_q * compositions < count * (every - 1)",
            "3 * jump_q * compositions <= count * (every - 1)",
-           "_lab_steps composes a jump table where it saves no matrices"),
+           "_route takes jumps where composing their table saves no matrices"),
     Mutant(PROPAGATOR,
            "while term > _EPS and",
            "while term > 1e3 * _EPS and",
@@ -67,8 +67,8 @@ MUTANTS = [
            "mid = np.array([t_start + whole * dt])",
            "_lab_steps centres the shortened last step at its start"),
     Mutant(PROPAGATOR,
-           "psi, None, _taylor_order",
-           "psi, table, _taylor_order",
+           "psi, None, last)",
+           "psi, table, last)",
            "_lab_steps sums the shortened last step from the phase table"),
     Mutant(PROPAGATOR,
            "return phi * [1.0, end] if n == 2 else phi, k",
@@ -137,6 +137,20 @@ MUTANTS = [
            "return count, whole, h",
            "_grid takes the back-off count as n_steps: a zero-length last step where"
            " span / dt rounds just above an integer whose edge lands on t_end"),
+    Mutant(PROPAGATOR,
+           "last = _taylor_order(spec, levels, h, 1, 1)",
+           "last = _taylor_order(spec, levels, dt, 1, 1)",
+           "_route takes the last step's Taylor order at dt, not h: eigh where Taylor"
+           " costs less"),
+    Mutant(PROPAGATOR,
+           "step_q <= whole",
+           "step_q < whole",
+           "_route builds the phase table only for more full steps than its Q"),
+    Mutant(PROPAGATOR,
+           "_phase_table(spec, parts, dt, step_q) if step_q else None",
+           "_phase_table(spec, parts, dt, step_q) if done else None",
+           "_lab_steps builds the phase table the route names only for jumps: the"
+           " fresh steps take an eigh each"),
 ]
 
 

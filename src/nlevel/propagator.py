@@ -16,7 +16,10 @@ the grid of every path: K full steps, and the length h of a last step from
 t_start + K dt to t_end, which follows on the same path only when h is
 nonzero: in the frame, or on its own, by Taylor or eigh.  So no run takes
 a zero-length step.  Each path takes every step of its run, and evolve
-only dispatches.
+only dispatches.  One function, _route, decides the lab path's route from
+the grid alone, before any array is formed or eigh made: the steps jumps
+cover, the phase table's Q, the Taylor order of the fresh full-length
+steps and that of the last step, or eigh; _lab_steps carries it out.
 H(t) does not depend on the state, so evolve forms the step unitaries, or
 the H of Taylor steps, of many steps at once, in chunks.
 H(t) is hermitian by construction (see hamiltonian_at), so nothing checks
@@ -279,7 +282,8 @@ class EvolutionConfig:
     ``initial_state`` is either a basis index or an explicit amplitude
     sequence (normalized on intake).  Every ``sample_every``-th step is
     recorded; the initial and final instants are always included, and the
-    last step is shortened so the run ends exactly at ``t_end``.
+    last step is shortened so the run ends exactly at ``t_end``.  A grid of
+    more than MAX_STEPS steps, counted as _grid counts them, is refused.
     """
 
     t_start: float
@@ -299,7 +303,10 @@ class EvolutionConfig:
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
             )
         object.__setattr__(self, "sample_every", _as_int(self.sample_every, "sample_every", 1))
-        if (self.t_end - self.t_start) / self.dt > MAX_STEPS:
+        # the cap bounds _grid's step count; span / dt past twice the cap,
+        # inf among them, is refused first, since _grid cannot round inf
+        ratio = (self.t_end - self.t_start) / self.dt
+        if ratio > 2 * MAX_STEPS or _grid(self.t_start, self.t_end, self.dt)[0] > MAX_STEPS:
             raise ValueError(
                 f"time grid exceeds {MAX_STEPS} steps; increase dt or shorten the span"
             )
@@ -704,20 +711,19 @@ def _jump_table(spec: SystemSpec, table: np.ndarray, dt: float, every: int) -> n
     return jump
 
 
-def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, populations):
-    """Every step of the run: steps 1..whole from a jump table, the phase table, eigh or Taylor.
+def _route(spec, levels, dt, whole, h, every):
+    """The lab path's route, as (done, step_q, order, last): no array is formed and no eigh made.
 
-    Without a jump table, the fresh full-length steps are applied to the
-    state as their Taylor series (see _taylor_order) when that costs fewer
-    matrix-vector products than the eigh's of their phase table, or of each
-    step when no table serves them.  The last step, of length h (see
-    _grid), is taken only when h is nonzero, on its own, by Taylor or eigh
-    on the same rule; h ends the run on t_end, which only _frame_steps
-    reads.  Records the states that end a sample interval in
-    ``populations`` from row 1 on and returns the state at t_end and the
-    next row.
+    ``levels`` are the drift's levels (see _parts), whole and h the grid's
+    (see _grid) and every the sample interval, as evolve forms them.  Steps
+    1..done are jumps over whole sample intervals (0 for none), from a jump
+    table composed from the phase table.  step_q is the Q of the phase table
+    to build (see _table_phases), or None for none.  order is the Taylor
+    order K of the fresh full-length steps (see _taylor_order), or None
+    when they come from the table or eigh.  last is the Taylor order of the
+    last step, of length h, or None for eigh; at h = 0 it is 0, the order
+    of the identity, and _lab_steps takes no last step.
     """
-    chunk = max(1, CHUNK_BYTES // (16 * spec.n**2))
     count = whole // every
     # each whole sample interval takes one jump when the jump table fits (its
     # Q, at least 1, is true, and None is not; see _table_phases) and
@@ -730,13 +736,29 @@ def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, population
     # the fresh full-length steps are summed from the phase table when it fits
     # and they are at least Q, and so is the jump table's first factor;
     # without a jump table they are Taylor steps when those cost less than
-    # the table's Q eighs, or than an eigh per step.  This is decided before
-    # any eigh, and the tables are built once, only for such runs
+    # the table's Q eighs, or than an eigh per step.  The last step is one
+    # Taylor step when its K costs less than its own eigh
     step_q = _table_phases(spec, dt)
     tabled = step_q and (done or step_q <= whole)
-    order = None if done else _taylor_order(spec, parts[0], dt, whole,
-                                            step_q if tabled else whole)
-    table = _phase_table(spec, parts, dt, step_q) if tabled and order is None else None
+    order = None if done else _taylor_order(spec, levels, dt, whole, step_q if tabled else whole)
+    last = _taylor_order(spec, levels, h, 1, 1)
+    return done, step_q if tabled and order is None else None, order, last
+
+
+def _lab_steps(spec, parts, psi, t_start, dt, whole, h, every, populations):
+    """Every step of the run, on the route _route decides: jumps, the phase table, eigh or Taylor.
+
+    _lab_steps carries the route out: it builds the tables the route names,
+    once per run, takes steps 1..done as jumps and the fresh full-length
+    steps after them from the phase table, as Taylor steps or by eigh, and
+    the last step, of length h (see _grid), only when h is nonzero, on its
+    own, by Taylor or eigh.  Records the states that end a sample interval
+    in ``populations`` from row 1 on and returns the state at t_end and the
+    next row.
+    """
+    chunk = max(1, CHUNK_BYTES // (16 * spec.n**2))
+    done, step_q, order, last = _route(spec, parts[0], dt, whole, h, every)
+    table = _phase_table(spec, parts, dt, step_q) if step_q else None
     jump = _jump_table(spec, table, dt, every) if done else None
 
     # each pass hands _steps chunks of unit steps each, from step start on:
@@ -772,7 +794,7 @@ def _lab_steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, population
         psi = psi * back
     if h:
         mid = np.array([t_start + whole * dt + 0.5 * h])
-        psi = _steps(spec, parts, mid, h, psi, None, _taylor_order(spec, parts[0], h, 1, 1))[1][0]
+        psi = _steps(spec, parts, mid, h, psi, None, last)[1][0]
     return psi, k
 
 
@@ -898,7 +920,8 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     """Propagate the spec's initial value problem over the config's time grid.
 
     evolve validates the inputs, lays out the samples and dispatches to
-    _frame_steps or _lab_steps, which take every step of the run.  The
+    _frame_steps or _lab_steps, which take every step of the run; _route
+    decides the lab path's route, and _lab_steps carries it out.  The
     drive phase is taken at every step midpoint, so it is exact.  An rwa2
     or static spec takes every step in the rotating frame, as powers of one
     step, in closed form at n = 2 and from one eigh of H(0) above (see
@@ -968,8 +991,10 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     populations = np.empty((n_samples, n), dtype=np.float64)
     populations[0] = psi.real**2 + psi.imag**2
 
-    steps = _frame_steps if _in_frame(spec) else _lab_steps
-    psi, k = steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, populations)
+    if _in_frame(spec):
+        psi, k = _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, populations)
+    else:
+        psi, k = _lab_steps(spec, parts, psi, t_start, dt, whole, h, every, populations)
     # the last sample is the final state, unless it closed a sample interval
     if k < n_samples:
         populations[k] = psi.real**2 + psi.imag**2

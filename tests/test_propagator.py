@@ -188,6 +188,33 @@ class TestEvolutionConfig:
         with pytest.raises(ValueError, match="steps"):
             EvolutionConfig(t_start=0.0, t_end=1.0, dt=1e-12)
 
+    # span / dt reads one ulp above 1e8 on this grid, but _grid counts exactly
+    # MAX_STEPS steps: the cap bounds that count.  Only configs are built
+    DT = 0.021278195488721806
+
+    def test_accepts_a_grid_of_max_steps(self):
+        config = EvolutionConfig(t_start=0.0, t_end=propagator.MAX_STEPS * self.DT, dt=self.DT)
+        assert (config.t_end - config.t_start) / config.dt > propagator.MAX_STEPS
+        assert propagator._grid(config.t_start, config.t_end, config.dt)[0] == 10**8
+
+    def test_rejects_one_step_past_max_steps(self):
+        t_end = (propagator.MAX_STEPS + 1) * self.DT
+        assert propagator._grid(0.0, t_end, self.DT)[0] == 10**8 + 1
+        with pytest.raises(ValueError, match="^time grid exceeds 100000000 steps"):
+            EvolutionConfig(t_start=0.0, t_end=t_end, dt=self.DT)
+
+    # span / dt is inf on both, which _grid cannot round to an integer
+    @pytest.mark.parametrize("t_start, t_end, dt", [(0.0, 1e308, 1e-10),
+                                                    (-1e308, 1e308, 1.0)],
+                             ids=["quotient", "span"])
+    def test_rejects_an_overflowing_grid(self, tmp_path, capsys, t_start, t_end, dt):
+        with pytest.raises(ValueError, match="^time grid exceeds 100000000 steps"):
+            EvolutionConfig(t_start=t_start, t_end=t_end, dt=dt)
+        raw = dict(committed("driven_three_level.json"), t_start=t_start, t_end=t_end, dt=dt)
+        assert cli.main(["evolve", "--config", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out.csv")]) == 1
+        assert "time grid exceeds" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["t_start", "t_end", "dt"])
     def test_rejects_integers_past_float64(self, key):
         fields = dict(dict(t_start=0.0, t_end=1.0, dt=0.1), **{key: 10**400})
@@ -443,19 +470,20 @@ class TestFailureMapping:
             with pytest.raises(ValueError, match=f"^{what} .*too large for float64$"):
                 evolve(spec, config)
 
-    @pytest.mark.parametrize("energies, g, dt, include_delta0, built", [
-        ((1.7e308, -1.7e308, 0.0), 100.0, 0.25, False, []),  # 2 B dt = 8.5e307
-        ((1.7e308, -1.7e308, 0.0), 0.25, 0.25, False, [5]),
-        ((1.7e308, 1.7e308, 1.0), 0.25, 1e-300, True, [1]),  # no mean is formed
+    @pytest.mark.parametrize("energies, g, dt, include_delta0, phases", [
+        ((1.7e308, -1.7e308, 0.0), 100.0, 0.25, False, None),  # 2 B dt = 8.5e307
+        ((1.7e308, -1.7e308, 0.0), 0.25, 0.25, False, 5),
+        ((1.7e308, 1.7e308, 1.0), 0.25, 1e-300, True, 1),  # no mean is formed
     ], ids=["eigh", "table", "delta0"])
-    def test_contract_accepts_the_largest_finite_specs(self, table_builds, energies, g,
-                                                       dt, include_delta0, built):
+    def test_contract_accepts_the_largest_finite_specs(self, energies, g, dt,
+                                                       include_delta0, phases):
         spec = dataclasses.replace(THREE_LEVEL, energies=energies, g=g,
                                    include_delta0=include_delta0)
+        config = EvolutionConfig(t_start=0.0, t_end=40 * dt, dt=dt)
+        assert route(spec, config) == (0, phases, None, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = evolve(spec, EvolutionConfig(t_start=0.0, t_end=40 * dt, dt=dt))
-        assert table_builds == built
+            traj = evolve(spec, config)
         assert np.all(np.isfinite(traj.populations))
         assert float(np.max(traj.norm_errors)) <= 1e-12
 
@@ -512,17 +540,17 @@ class TestChunking:
     # 16-step chunk holds, or eigh, when g = 500 needs more phases (Q = 41)
     # than the run has steps (38); the sample instants fall on both sides of
     # every chunk edge
-    @pytest.mark.parametrize("g, steps, built", [(0.25, 16, [5, 5]), (500.0, 7, [])],
+    @pytest.mark.parametrize("g, steps, phases", [(0.25, 16, 5), (500.0, 7, None)],
                              ids=["table", "eigh"])
-    def test_chunk_boundaries_do_not_change_the_trajectory(self, table_builds,
-                                                           monkeypatch, g, steps,
-                                                           built):
+    def test_chunk_boundaries_do_not_change_the_trajectory(self, monkeypatch, g, steps,
+                                                           phases):
         spec = dataclasses.replace(THREE_LEVEL, g=g)
         config = EvolutionConfig(t_start=0.1, t_end=2.0, dt=0.05, sample_every=3)
-        whole = evolve(spec, config)
+        routes, whole = [route(spec, config)], evolve(spec, config)
         monkeypatch.setattr(propagator, "CHUNK_BYTES", steps * 16 * 3 * 3)
+        routes.append(route(spec, config))
         chunked = evolve(spec, config)
-        assert table_builds == built
+        assert routes == [(0, phases, None, 0)] * 2
         assert np.array_equal(chunked.times, whole.times)
         assert max_abs(chunked.populations - whole.populations) <= 1e-14
         assert max_abs(chunked.final_state - whole.final_state) <= 1e-14
@@ -693,22 +721,21 @@ def step_unitaries(spec, parts, mids, dt, table=None):
     return propagator._steps(spec, parts, mids, dt, np.eye(spec.n)[0], table, None)[0]
 
 
-@pytest.fixture
-def jump_builds(monkeypatch):
-    """Sample intervals, in steps, of every jump table evolve composes."""
-    return spy_on(monkeypatch, "_jump_table", lambda args, table: args["every"])
-
-
 def on_period_grid(spec, dt):
     """True when a whole number of steps of dt make up the drive period 2 pi / |w|."""
     steps = 2.0 * math.pi / (abs(spec.omega) * dt)
     return round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps
 
 
-@pytest.fixture
-def table_builds(monkeypatch):
-    """Phase counts Q of every phase table evolve builds: Q + 2 frame coefficients."""
-    return spy_on(monkeypatch, "_phase_table", lambda args, table: len(table) - 2)
+def route(spec, config):
+    """The lab route of a run, (done, step_q, order, last), from _route on evolve's inputs.
+
+    The inputs are formed as evolve forms them: the grid from _grid, the
+    drift's levels from _parts and sample_every clamped to n_steps + 1.
+    """
+    n_steps, whole, h = propagator._grid(config.t_start, config.t_end, config.dt)
+    every = min(config.sample_every, n_steps + 1)
+    return propagator._route(spec, hamiltonian._parts(spec)[0], config.dt, whole, h, every)
 
 
 @pytest.fixture
@@ -731,11 +758,10 @@ class TestCommensurateGrids:
     # grids of K steps per drive period take jump tables like any other
     # grid.  On the Rabi grid with a cosine2 drive the jump table is
     # composed from the Q = 5 phase table, so eigh sees its 5 phases and no
-    # step
+    # full step
 
     @pytest.mark.parametrize("short", [0.0, 0.4])
-    def test_rabi_config_matches_stepwise(self, built_steps, table_builds, jump_builds,
-                                          short):
+    def test_rabi_config_matches_stepwise(self, short):
         # the config's t_end sits one ulp below 2000 dt; short cuts the last step
         spec, config = rabi_cosine()
         config = EvolutionConfig(
@@ -745,39 +771,21 @@ class TestCommensurateGrids:
         )
         assert on_period_grid(spec, config.dt)
         assert_matches_stepwise(spec, config)
-        # one jump per whole sample interval of 5, the 4 full steps after the
-        # last of them, then the shortened last step
-        assert built_steps == [399, 4, 1]
-        assert table_builds == [5]
-        assert jump_builds == [5]
+        # 1,999 full steps: one jump per whole sample interval of 5, the 4
+        # full steps after the last of them from the table, then the
+        # shortened last step by eigh, whose K exceeds 1.5 n = 3 products
+        assert route(spec, config) == (1995, 5, None, None)
 
-    def test_jumps_over_several_chunks(self, built_steps, table_builds, jump_builds,
-                                       monkeypatch):
+    def test_jumps_over_several_chunks(self, built_steps, monkeypatch):
         # 100-step chunks: 399 jumps in four passes, then 4 fresh full
         # steps, then the shortened last step, a chain of one
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 100 * 16 * 2 * 2)
-        chained, depth = [], []
-        plain = propagator._chain
-
-        def spy(u, psi):
-            # _chain's carries call _chain again, through this spy; count
-            # only the stacks evolve hands in
-            if not depth:
-                chained.append(len(u))
-            depth.append(len(u))
-            states = plain(u, psi)
-            depth.pop()
-            return states
-
-        monkeypatch.setattr(propagator, "_chain", spy)
         spec, config = rabi_cosine()
         assert_matches_stepwise(spec, config)
+        assert route(spec, config) == (1995, 5, None, None)
         assert built_steps == [100, 100, 100, 99, 4, 1]
-        assert table_builds == [5]
-        assert jump_builds == [5]
-        assert chained == [100, 100, 100, 99, 4, 1]
 
-    def test_late_start_matches_stepwise(self, built_steps, table_builds, jump_builds):
+    def test_late_start_matches_stepwise(self):
         spec, config = rabi_cosine()
         config = EvolutionConfig(
             t_start=3.1, t_end=3.1 + 7.5 * 100 * config.dt, dt=config.dt,
@@ -785,38 +793,32 @@ class TestCommensurateGrids:
         )
         assert_matches_stepwise(spec, config)
         # 18 jumps of 40 steps, then the 30 steps after them
-        assert built_steps[0] == 18
-        assert sum(built_steps) < 750 / 2
-        assert table_builds == [5]
-        assert jump_builds == [40]
+        assert route(spec, config) == (720, 5, None, 0)
 
-    def test_static_hamiltonian_matches_stepwise(self, built_steps, jump_builds,
-                                                 eigh_phases):
+    def test_static_hamiltonian_matches_stepwise(self, eigh_phases):
         # a static H repeats every step, but runs in the rotating frame: one
-        # eigh, of U(0), for every full-length step, and no jump table
+        # eigh, of U(0), for every full-length step, and no table
         spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1))
         config = EvolutionConfig(
             t_start=0.7, t_end=4.0, dt=0.01, initial_state=1, sample_every=3
         )
         assert propagator._in_frame(spec)
         assert_matches_stepwise(spec, config)
-        assert jump_builds == []
-        assert eigh_phases[0] == 1
-        assert sum(built_steps) <= 1
+        assert eigh_phases == [1]
 
-    def test_step_longer_than_period_runs_stepwise(self, built_steps, jump_builds):
+    def test_step_longer_than_period_runs_stepwise(self):
         # two drive periods per step, 10 steps: composing a jump table of 5
-        # steps at dt g / 2 = 0.31 would form more matrices than the run has
+        # steps at dt g / 2 = 0.31 would form more matrices than the run has,
+        # and the table needs more phases than the run has steps, so every
+        # step is diagonalized
         spec, _ = rabi_cosine()
         dt = 2.0 * (2.0 * math.pi)
         assert not on_period_grid(spec, dt)
         config = EvolutionConfig(t_start=0.0, t_end=10 * dt, dt=dt, initial_state=1)
         assert_matches_stepwise(spec, config)
-        assert sum(built_steps) == 10
-        assert jump_builds == []
+        assert route(spec, config) == (0, None, None, 0)
 
-    def test_block_over_a_chunk_runs_stepwise(self, built_steps, table_builds,
-                                              jump_builds, monkeypatch):
+    def test_block_over_a_chunk_runs_stepwise(self, built_steps, monkeypatch):
         # chunks of 880 bytes meet _table_phases' second bound, 16 Q
         # (2 (n S + n/2) + 1) bytes, for the Q = 5 phase table, 5 x 11, but not
         # for the Q = 7 jump table, 7 x 15: every full step is summed from the
@@ -826,8 +828,7 @@ class TestCommensurateGrids:
         assert_matches_stepwise(spec, config)
         assert sum(built_steps) == 2000
         assert max(built_steps) == 13
-        assert table_builds == [5]
-        assert jump_builds == []
+        assert route(spec, config) == (0, 5, None, None)
 
     @pytest.mark.parametrize("period, every", [(1, 7), (3, 1), (100, 100), (100, 5),
                                                (100, 7), (16, 40)])
@@ -868,7 +869,7 @@ class TestJumpTable:
     @pytest.mark.parametrize("every", [2, 7, 20, 100, 4099])
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
     @pytest.mark.parametrize("grid", ["commensurate", "off_grid"])
-    def test_matches_stepwise(self, jump_builds, grid, n, every):
+    def test_matches_stepwise(self, grid, n, every):
         # 100 steps per drive period or 123.97; a late start, superposed,
         # whole sample intervals enough for the jumps to save more matrices
         # than composing forms, 150 full steps after them and a last step
@@ -880,7 +881,7 @@ class TestJumpTable:
         config = EvolutionConfig(t_start=0.7, t_end=0.7 + (steps + 0.6) * dt, dt=dt,
                                  initial_state=superposed(n), sample_every=every)
         assert_matches_stepwise(spec, config)
-        assert jump_builds == [every]
+        assert route(spec, config)[0] == steps // every * every
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_composed_table_matches_plain_products(self, n):
@@ -902,8 +903,7 @@ class TestJumpTable:
             assert max_abs(prop - product) <= 16 * EPS * every
 
     @pytest.mark.parametrize("every", [16, 4096])
-    def test_falls_back_when_the_jump_table_does_not_fit(self, table_builds, jump_builds,
-                                                         every):
+    def test_falls_back_when_the_jump_table_does_not_fit(self, every):
         # 4,096 steps at n = 2 and dt g / 2 = 20: the Q = 83 phase table
         # fits, a jump table over 16 steps (x = 320) does not, so every full
         # step is summed from the phase table within CHUNK_BYTES
@@ -915,13 +915,12 @@ class TestJumpTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table_builds == [83]
-        assert jump_builds == []
+        assert route(spec, config) == (0, 83, None, 0)
         assert peak <= 8 * propagator.CHUNK_BYTES
         assert_matches_stepwise(spec, config, traj)
 
-    @pytest.mark.parametrize("extra, built", [(0, []), (1, [4])])
-    def test_composed_only_when_the_jumps_save_more(self, jump_builds, extra, built):
+    @pytest.mark.parametrize("extra, built", [(0, (0, 5, None, 0)), (1, (44, 5, None, 0))])
+    def test_composed_only_when_the_jumps_save_more(self, extra, built):
         # intervals of 4 steps take 2 compositions of 3 Q matrices each; over
         # 2 Q intervals the jumps save 2 Q (4 - 1) steps, no more than the
         # compositions form, so every step is fresh; one more interval and
@@ -932,19 +931,19 @@ class TestJumpTable:
         config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt,
                                  initial_state=superposed(3), sample_every=every)
         assert_matches_stepwise(spec, config)
-        assert jump_builds == built
+        assert route(spec, config) == built
 
     @pytest.mark.parametrize("steps, every", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_not_built_for_one_or_two_steps_at_n32(self, jump_builds, steps, every):
+    def test_not_built_for_one_or_two_steps_at_n32(self, steps, every):
         # dense32's shape: a jump over 2 steps would form more matrices than
-        # the steps it saves
+        # the steps it saves, so the steps are Taylor steps of K = 8
         config = EvolutionConfig(t_start=0.0, t_end=steps * 0.05, dt=0.05,
                                  sample_every=every)
         assert_matches_stepwise(jump_spec(32, g=0.25), config)
-        assert jump_builds == []
+        assert route(jump_spec(32, g=0.25), config) == (0, None, 8, 0)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
-    def test_extreme_scales_match_stepwise(self, jump_builds, scale):
+    def test_extreme_scales_match_stepwise(self, scale):
         # TestEnergyScale's runs at both ends of the float64 range
         spec = SystemSpec(n=3, energies=(-1.0 * scale, 0.3 * scale, 1.0 * scale),
                           g=0.25 * scale, omega=1.0 * scale, drive_model="generalized")
@@ -953,9 +952,10 @@ class TestJumpTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_matches_stepwise(spec, config)
-        assert jump_builds == [50]
+        # 40 jumps of 50 steps, composed from a Q = 3 table, and no other step
+        assert route(spec, config) == (2000, 3, None, 0)
 
-    def test_shift_stays_finite(self, jump_builds):
+    def test_shift_stays_finite(self):
         # w t is finite at both ends of [-0.4e308, 0.4e308], but w a dt is
         # not for the shift a = 32 steps that the last composition of a
         # 33-step jump takes; the drive is too weak for the phases' rounding,
@@ -968,7 +968,8 @@ class TestJumpTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = assert_matches_stepwise(spec, config)
-        assert jump_builds == [33]
+        # one jump of 33 steps, then 7 fresh ones from the Q = 1 table
+        assert route(spec, config) == (33, 1, None, 0)
         assert np.all(np.isfinite(traj.populations))
 
 
@@ -995,23 +996,24 @@ class TestConfigsThroughCli:
     # off it.  Its cosine2 copies, on the grid and detuned off it, take a
     # jump table composed from the phase table alike
 
-    @pytest.mark.parametrize("name, changes, tables, jumps", [
-        ("driven_three_level.json", lambda raw: raw, 1, 1),
-        ("driven_three_level.json", lambda raw: dict(raw, t_end=29.9973), 1, 1),
+    @pytest.mark.parametrize("name, changes, frame", [
+        ("driven_three_level.json", lambda raw: raw, False),
+        ("driven_three_level.json", lambda raw: dict(raw, t_end=29.9973), False),
         ("rabi_two_level.json",
-         lambda raw: cosine(dict(raw, omega=raw["omega"] * 1.0137)), 1, 1),
-        ("rabi_two_level.json", cosine, 1, 1),
-        ("rabi_two_level.json", lambda raw: raw, 0, 0),
-        ("rabi_two_level.json", lambda raw: dict(raw, omega=raw["omega"] * 1.0137), 0, 0),
+         lambda raw: cosine(dict(raw, omega=raw["omega"] * 1.0137)), False),
+        ("rabi_two_level.json", cosine, False),
+        ("rabi_two_level.json", lambda raw: raw, True),
+        ("rabi_two_level.json", lambda raw: dict(raw, omega=raw["omega"] * 1.0137), True),
     ], ids=["driven", "driven_short", "rabi_detuned", "rabi", "rabi_frame",
             "rabi_frame_detuned"])
-    def test_matches_stepwise(self, tmp_path, table_builds, jump_builds, name,
-                              changes, tables, jumps):
+    def test_matches_stepwise(self, tmp_path, name, changes, frame):
         raw = changes(committed(name))
         times, populations = evolve_through_cli(tmp_path, raw)
-        assert len(table_builds) == tables
-        assert len(jump_builds) == jumps
-        expected_times, expected, _ = stepwise(*config_objects(raw))
+        spec, config = config_objects(raw)
+        assert propagator._in_frame(spec) == frame
+        # the lab runs jump over their sample intervals
+        assert frame or route(spec, config)[0] > 0
+        expected_times, expected, _ = stepwise(spec, config)
         assert np.array_equal(times, expected_times)
         assert max_abs(populations - expected) <= 1e-10
 
@@ -1205,53 +1207,57 @@ class TestPhaseTable:
         norm = np.linalg.norm(hamiltonian.drive_coefficient(spec), 2)
         assert norm == (0.0 if model == "none" else 0.5 * spec.g)
 
-    def test_cosine_equals_generalized_and_reruns_bitwise(self, table_builds):
+    def test_cosine_equals_generalized_and_reruns_bitwise(self):
         base = dict(n=2, energies=(0.5, -0.5), g=0.3, omega=1.0137)
         config = EvolutionConfig(t_start=0.1, t_end=8.0, dt=0.02, sample_every=4)
-        runs = [evolve(SystemSpec(drive_model=model, **base), config)
-                for model in ("cosine2", "generalized", "cosine2")]
-        assert len(table_builds) == 3
+        specs = [SystemSpec(drive_model=model, **base) for model in ("cosine2", "generalized")]
+        runs = [evolve(spec, config) for spec in specs + specs[:1]]
+        assert all(route(spec, config)[1] for spec in specs)
         for run in runs[1:]:
             assert np.array_equal(run.times, runs[0].times)
             assert np.array_equal(run.populations, runs[0].populations)
             assert np.array_equal(run.final_state, runs[0].final_state)
 
-    def test_built_once_over_several_chunks(self, table_builds, built_steps, jump_builds,
-                                            monkeypatch):
+    def test_built_once_over_several_chunks(self, built_steps, eigh_phases, monkeypatch):
         # x = 1.25e-3 needs Q = 3 phases; 16-matrix chunks hold them, and
         # the 66 jumps over sample intervals of 3 steps composed from them,
-        # which the last full step and the shortened one follow
+        # which the last full step and the shortened one follow.  eigh sees
+        # the table's 3 phases once, and the shortened step
         config = EvolutionConfig(t_start=0.1, t_end=2.1 - 0.004, dt=0.01,
                                  initial_state=1, sample_every=3)
         whole = evolve(THREE_LEVEL, config)
         monkeypatch.setattr(propagator, "CHUNK_BYTES", 16 * 16 * 3 * 3)
-        del table_builds[:], built_steps[:], jump_builds[:]
+        del built_steps[:], eigh_phases[:]
         chunked = assert_matches_stepwise(THREE_LEVEL, config)
-        assert table_builds == [3]
-        assert jump_builds == [3]
+        assert route(THREE_LEVEL, config) == (198, 3, None, None)
+        assert eigh_phases == [3, 1]
         assert built_steps == [16] * 4 + [2, 1, 1]
         assert max_abs(chunked.populations - whole.populations) <= 1e-14
 
-    @pytest.mark.parametrize("steps, built", [(10.0, [3]), (9.6, [3]), (3.0, [3]),
-                                              (2.6, [])])
-    def test_needs_as_many_full_steps_as_phases(self, table_builds, steps, built):
-        # x = 6.25e-4 needs Q = 3; a last step shortened to t_end is not full
+    @pytest.mark.parametrize("steps, built", [
+        (10.0, (0, 3, None, 0)), (9.6, (0, 3, None, None)), (3.0, (0, 3, None, 0)),
+        (2.6, (0, None, None, None)),
+    ])
+    def test_needs_as_many_full_steps_as_phases(self, steps, built):
+        # x = 6.25e-4 needs Q = 3; a last step shortened to t_end is not full.
+        # Taylor steps of K = 5 cost more than the eighs they would replace
         dt = 0.005
         config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt)
         assert_matches_stepwise(THREE_LEVEL, config)
-        assert table_builds == built
+        assert route(THREE_LEVEL, config) == built
 
-    def test_not_built_for_one_step(self, table_builds, jump_builds):
-        # the shape of a set-up probe: a driven grid cut to one step
-        evolve(THREE_LEVEL, EvolutionConfig(t_start=0.0, t_end=0.005, dt=0.005))
-        assert table_builds == jump_builds == []
+    def test_not_built_for_one_step(self):
+        # the shape of a set-up probe: a driven grid cut to one step, whose
+        # K = 5 costs more than its eigh, 1.5 n = 4.5 products
+        config = EvolutionConfig(t_start=0.0, t_end=0.005, dt=0.005)
+        assert route(THREE_LEVEL, config) == (0, None, None, 0)
 
-    @pytest.mark.parametrize("steps, every, built, stacks", [(2, 2, [], []),
-                                                           (40, 1, [1], [16, 16, 8])],
-                             ids=["2_taylor_steps", "40_table_steps"])
-    def test_one_phase_serves_many_steps_at_n32(self, table_builds, built_steps,
-                                                eigh_phases, jump_builds, steps, every,
-                                                built, stacks):
+    @pytest.mark.parametrize("steps, every, expected, built, stacks", [
+        (2, 2, (0, None, 8, 0), [], []),
+        (40, 1, (0, 1, None, 0), [1], [16, 16, 8]),
+    ], ids=["2_steps_taylor", "40_table_steps"])
+    def test_one_phase_serves_many_steps_at_n32(self, built_steps, eigh_phases, steps,
+                                                every, expected, built, stacks):
         # at n >= 2M + 1 the table is U(0): one eigh of one matrix, which
         # costs about 1.5 n = 48 matrix-vector products, serves 40 steps in
         # 16-step chunks, where their Taylor series would take 8 products
@@ -1264,19 +1270,17 @@ class TestPhaseTable:
                                  sample_every=every)
         assert not on_period_grid(spec, config.dt)
         assert_matches_stepwise(spec, config)
-        assert table_builds == built
+        assert route(spec, config) == expected
         assert built_steps == stacks
         assert eigh_phases == built
-        assert jump_builds == []
 
-    def test_one_phase_for_a_static_spec(self, table_builds, eigh_phases):
+    def test_one_phase_for_a_static_spec(self, eigh_phases):
         # the rotating frame, R = I, in place of a table: one eigh of U(0)
         spec = SystemSpec(n=3, energies=(-1.0, 0.3, 1.1))
         evolve(spec, EvolutionConfig(t_start=0.0, t_end=20.0, dt=0.01))
-        assert table_builds == []
         assert eigh_phases == [1]
 
-    def test_built_for_the_jump_table(self, table_builds, built_steps, eigh_phases):
+    def test_built_for_the_jump_table(self, eigh_phases):
         # ending on exactly 2000 dt, every step lies in a whole sample
         # interval and none is fresh: the jump table is composed from a
         # Q = 5 table, so eigh sees its 5 phases and no step
@@ -1287,12 +1291,10 @@ class TestPhaseTable:
             sample_every=config.sample_every,
         )
         assert_matches_stepwise(spec, exact)
-        assert table_builds == [5]
-        assert built_steps == [400]
+        assert route(spec, exact) == (2000, 5, None, 0)
         assert eigh_phases == [5]
 
-    def test_built_on_a_period_shorter_than_the_table(self, table_builds, built_steps,
-                                                      jump_builds):
+    def test_built_on_a_period_shorter_than_the_table(self):
         # K = 8 steps per period at ||H|| dt = 10, where the table needs more
         # phases (Q = 13) than a period has steps, but fewer than the run's
         # 64; a jump table over 4 steps would form more matrices than it saves
@@ -1305,12 +1307,10 @@ class TestPhaseTable:
         assert propagator._table_phases(spec, dt) == 13
         config = EvolutionConfig(t_start=0.0, t_end=64 * dt, dt=dt, sample_every=4)
         assert_matches_stepwise(spec, config)
-        assert table_builds == [13]
-        assert built_steps == [64]
-        assert jump_builds == []
+        assert route(spec, config) == (0, 13, None, 0)
 
-    @pytest.mark.parametrize("g, built", [(40.0, [83]), (800.0, [])])
-    def test_memory_stays_bounded_at_large_dt_g(self, table_builds, jump_builds, g, built):
+    @pytest.mark.parametrize("g, built", [(40.0, (0, 83, None, 0)), (800.0, (0, None, None, 0))])
+    def test_memory_stays_bounded_at_large_dt_g(self, g, built):
         # 4,096 steps at n = 2: dt g / 2 = 20 needs Q = 83 phases, whose
         # powers, 85 rows per step, go through in slices that fit
         # CHUNK_BYTES; dt g / 2 = 400 would need Q = 1,121, past the second
@@ -1324,8 +1324,7 @@ class TestPhaseTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table_builds == built
-        assert jump_builds == []
+        assert route(spec, config) == built
         assert peak <= 8 * propagator.CHUNK_BYTES
         assert_matches_stepwise(spec, config, traj)
 
@@ -1370,8 +1369,7 @@ class TestClockSymmetry:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
     @pytest.mark.parametrize("model, omega", [("none", 1.0137), ("generalized", 0.0)])
-    def test_static_spec_takes_one_phase(self, table_builds, eigh_phases, model, omega,
-                                         n):
+    def test_static_spec_takes_one_phase(self, eigh_phases, model, omega, n):
         # g > 0 but no drive phase: every step sits at phase factor 1, so the
         # rotating frame with R = I takes one eigh, of H(0), for them all, or
         # none at n = 2, where the frame's step is a rotation in closed form
@@ -1381,7 +1379,6 @@ class TestClockSymmetry:
                                  initial_state=n - 1, sample_every=3)
         assert propagator._in_frame(spec)
         assert_matches_stepwise(spec, config)
-        assert table_builds == []
         assert eigh_phases == ([] if n == 2 else [1])
 
     # the benchmark's three workloads at their middle parameters: dense32
@@ -1403,8 +1400,8 @@ class TestClockSymmetry:
         (SystemSpec(n=8, energies=tuple(np.sin(np.arange(8) * 1.3)), g=0.25, omega=0.0,
                     drive_model="generalized"), 0.05, 300, 1, None, np.float64),
     ], ids=["dense32", "driven3_dense", "rabi2_floquet", "static_n8_frame"])
-    def test_eigh_work_of_the_benchmark_runs(self, monkeypatch, table_builds, spec, dt,
-                                             steps, every, phases, dtype):
+    def test_eigh_work_of_the_benchmark_runs(self, monkeypatch, spec, dt, steps, every,
+                                             phases, dtype):
         calls = []
         plain = np.linalg.eigh
 
@@ -1415,15 +1412,8 @@ class TestClockSymmetry:
         monkeypatch.setattr(np.linalg, "eigh", spy)
         config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt, sample_every=every)
         traj = evolve(spec, config)
-        assert table_builds == ([] if phases is None else [phases])
         assert calls == ([] if dtype is None else [((phases or 1, spec.n, spec.n), dtype)])
         assert_matches_stepwise(spec, config, traj)
-
-
-@pytest.fixture
-def taylor_steps(monkeypatch):
-    """Step counts of every stack of Taylor steps evolve applies to the state."""
-    return spy_on(monkeypatch, "_taylor_states", lambda args, states: len(args["h"]))
 
 
 def taylor_spec(n, x, dt, g=2.0):
@@ -1444,7 +1434,7 @@ class TestTaylorSteps:
     @pytest.mark.parametrize("last", [0.0, 0.4], ids=["grid", "shortened"])
     @pytest.mark.parametrize("x", [0.05, 0.9])
     @pytest.mark.parametrize("n", [3, 32, 128])
-    def test_match_stepwise(self, monkeypatch, taylor_steps, eigh_phases, n, x, last):
+    def test_match_stepwise(self, monkeypatch, eigh_phases, n, x, last):
         # every step by Taylor, at any n, once an eigh costs more than any
         # number of products; g is most of the bound, so a K taken without
         # it would fall short of eps.  7 steps sampled every 3rd, off the
@@ -1456,10 +1446,9 @@ class TestTaylorSteps:
                                  initial_state=superposed(n), sample_every=3)
         assert not on_period_grid(spec, dt)
         assert_matches_stepwise(spec, config)
+        assert route(spec, config)[:2] == (0, None)
+        assert None not in route(spec, config)[2:]
         assert eigh_phases == []
-        whole, chunk = 7 if last == 0 else 6, max(1, propagator.CHUNK_BYTES // (16 * n * n))
-        full = [min(chunk, whole - k) for k in range(0, whole, chunk)]
-        assert taylor_steps == full + ([] if last == 0 else [1])
 
     def test_norm_errors_within_16_eps_per_step(self, monkeypatch):
         # 400 short runs of random size, bound, length and start, every step
@@ -1485,18 +1474,17 @@ class TestTaylorSteps:
         # nofit_n2_2k_every1's spec, whose step table does not fit: x = 60
         (config_objects(cases()["nofit_n2_2k_every1"])[0], 0.05, 40),
     ], ids=["1e6_scale", "n128_x5", "nofit_n2"])
-    def test_large_bounds_take_eigh(self, taylor_steps, eigh_phases, spec, dt, steps):
+    def test_large_bounds_take_eigh(self, eigh_phases, spec, dt, steps):
         # x >= 1 takes eigh, even where K products would cost less than it
         assert propagator._taylor_order(spec, hamiltonian._drift_levels(spec), dt, 1,
                                         10**9) is None
         config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt)
         assert_matches_stepwise(spec, config)
-        assert taylor_steps == []
+        assert route(spec, config)[2] is None
         assert eigh_phases
 
-    @pytest.mark.parametrize("n, taylor, stacks", [(3, [], [20, 1]),
-                                                   (32, [1], [16, 4])], ids=["n3", "n32"])
-    def test_shortened_last_step(self, taylor_steps, built_steps, n, taylor, stacks):
+    @pytest.mark.parametrize("n, last", [(3, None), (32, 7)], ids=["n3", "n32"])
+    def test_shortened_last_step(self, n, last):
         # 20 full steps from the phase table and a last step of 0.6 dt, whose
         # K = 5 at n = 3 costs more than 1.5 n = 4.5 products, and K = 7 at
         # n = 32 less than 48
@@ -1505,8 +1493,18 @@ class TestTaylorSteps:
         config = EvolutionConfig(t_start=0.0, t_end=20.6 * dt, dt=dt,
                                  initial_state=superposed(n))
         assert_matches_stepwise(spec, config)
-        assert taylor_steps == taylor
-        assert built_steps == stacks
+        assert route(spec, config) == (0, propagator._table_phases(spec, dt), None, last)
+
+    def test_last_step_order_reads_its_own_length(self):
+        # full steps at x = 1.2 take eigh, from a Q = 1 table, but a last step
+        # of 0.1 dt has x = 0.12, whose K = 9 costs less than 1.5 n = 48
+        # products: its order is taken at its own length, not at dt
+        spec = jump_spec(32, g=0.25)
+        levels = hamiltonian._parts(spec)[0]
+        dt = 1.2 / (max(map(abs, levels)) + spec.g)
+        config = EvolutionConfig(t_start=0.0, t_end=4.1 * dt, dt=dt)
+        assert route(spec, config) == (0, 1, None, 9)
+        assert_matches_stepwise(spec, config)
 
     @pytest.mark.parametrize("x", [1e-12, 1e-3, 0.05, 0.5, 0.9, 0.999])
     def test_order_is_the_smallest_within_eps(self, x):
@@ -1561,13 +1559,11 @@ class TestRotatingFrame:
         (SystemSpec(n=8, energies=tuple(np.sin(np.arange(8) * 1.3)), g=0.3,
                     omega=0.0, drive_model="generalized"), 0.01),
     ], ids=["rwa2", "rwa2_off_grid", "rwa2_backwards", "static3", "static8"])
-    def test_matches_stepwise(self, table_builds, jump_builds, eigh_phases, spec, dt,
-                              every):
+    def test_matches_stepwise(self, eigh_phases, spec, dt, every):
         # a late start, superposed, and a last step shortened to 0.6 dt
         config = EvolutionConfig(t_start=3.1, t_end=3.1 + 4150.6 * dt, dt=dt,
                                  initial_state=superposed(spec.n), sample_every=every)
         assert_matches_stepwise(spec, config)
-        assert table_builds == jump_builds == []
         # H(0) above n = 2, whose spectrum also serves the shortened last step
         assert eigh_phases == ([] if spec.n == 2 else [1])
 
@@ -1608,7 +1604,7 @@ class TestRotatingFrame:
         assert_matches_stepwise(RABI, config)
         assert eigh_phases == []
 
-    def test_benchmark_run_calls_no_linalg(self, monkeypatch, table_builds, built_steps):
+    def test_benchmark_run_calls_no_linalg(self, monkeypatch):
         # rabi2_floquet at its middle parameters (5,000 steps, 50 samples,
         # ending on a step edge) and the committed Rabi config, whose last
         # step is shortened to land on t_end: no step is diagonalized.  One
@@ -1630,7 +1626,7 @@ class TestRotatingFrame:
                                   lambda *args, name=name, **kwargs: called.append(name))
                 traj = evolve(spec, config)
             assert called == []
-            assert table_builds == built_steps == []
+            assert propagator._in_frame(spec)
             assert_matches_stepwise(spec, config, traj)
         # the config's 2,000 steps of dt end a rounding error away from t_end:
         # 1,999 full steps and a last one that lands on it

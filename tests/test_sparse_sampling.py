@@ -13,7 +13,7 @@ import pytest
 import nlevel
 import nlevel.cli as cli
 from test_cli import write_config
-from test_propagator import spy_on
+from test_propagator import route
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
@@ -55,31 +55,35 @@ class TestConfigObjects:
 
 @pytest.fixture(scope="module")
 def lab_routes():
-    """Every route _steps takes over the non-frame cases(), with whether the step is full-length.
+    """Every route the non-frame cases() take, with whether the steps are full-length.
 
-    _steps takes the lab path's full-length steps and its shortened last
-    step as Taylor steps or from eigh, and full-length steps summed from a
-    phase or jump table; one run of the cases serves every test below.
+    _route decides each run's route without running it: jumps over whole
+    sample intervals, fresh full-length steps summed from the phase table,
+    as Taylor steps or from eigh, and a shortened last step as a Taylor
+    step or from eigh.
     """
     taken = set()
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = spy_on(monkeypatch, "_steps", lambda args, steps: args)
-        for raw in cases().values():
-            spec, config = config_objects(raw)
-            if not _in_frame(spec):
-                del calls[:]
-                nlevel.evolve(spec, config)
-                taken |= {("taylor" if c["order"] is not None else
-                           "eigh" if c["table"] is None else "table", c["h"] == config.dt)
-                          for c in calls}
+    for raw in cases().values():
+        spec, config = config_objects(raw)
+        if not _in_frame(spec):
+            _, whole, h = nlevel.propagator._grid(config.t_start, config.t_end, config.dt)
+            done, step_q, order, last = route(spec, config)
+            if done:
+                taken.add(("jump", True))
+            if whole > done:
+                taken.add(("taylor" if order is not None else
+                           "table" if step_q is not None else "eigh", True))
+            if h:
+                taken.add(("eigh" if last is None else "taylor", False))
     return taken
 
 
 def test_cases_take_every_fresh_lab_step(lab_routes):
     # the lab path diagonalizes a step on its own for a last step shortened
-    # to land on t_end and for full steps no table takes, and sums the other
-    # full steps from a table; the check must run each of these
-    assert {("eigh", True), ("eigh", False), ("table", True)} <= lab_routes
+    # to land on t_end and for full steps no table takes, sums the other
+    # full steps from a table and jumps over whole sample intervals; the
+    # check must run each of these
+    assert {("eigh", True), ("eigh", False), ("table", True), ("jump", True)} <= lab_routes
 
 
 def test_cases_take_taylor_and_eigh_steps(lab_routes):
