@@ -52,16 +52,29 @@ MUTANTS = [
            "angle = math.atan2(norm, a.real)",
            "angle = math.atan2(norm, a.real) * (1 + 4e-16)",
            "the two-level frame's rotation angle is 2 ulp off",
-           "known gap: ROADMAP items 3 (a reference closer than the frame runs) and 9"),
+           "known gap: ROADMAP item 9: 2.5e-15 off the extended-precision frame on"
+           " frame_rwa2_5k_every100, within the frame's own rounding"),
     Mutant(PROPAGATOR,
            "angle = math.atan2(norm, a.real)",
            "angle = math.atan2(norm, a.real) * (1 + 1e-13)",
-           "the two-level frame's rotation angle is 1e-13 off",
-           "known gap: ROADMAP items 3 (a reference closer than the frame runs) and 9"),
+           "the two-level frame's rotation angle is 1e-13 off"),
     Mutant(PROPAGATOR,
            "sampled = chain[-(start + unit) % every // unit :: every // unit]",
            "sampled = chain[-(start + unit) % every // unit + 1 :: every // unit]",
            "_lab_steps samples the state one past each sample instant"),
+    Mutant(PROPAGATOR,
+           "row = start // every + 1",
+           "row = start // every",
+           "_lab_steps writes each chunk's samples one row early"),
+    Mutant(PROPAGATOR,
+           "populations[1 + start : 1 + start + len(states)]",
+           "populations[start : start + len(states)]",
+           "_frame_steps writes each chunk's samples one row early"),
+    Mutant(PROPAGATOR,
+           "if h or whole % every:",
+           "if whole % every:",
+           "evolve leaves the last row unwritten when a last step of h follows a"
+           " sampled full step"),
     Mutant(PROPAGATOR,
            "mid = np.array([t_start + whole * dt + 0.5 * h])",
            "mid = np.array([t_start + whole * dt])",
@@ -71,8 +84,8 @@ MUTANTS = [
            "psi, table, last)",
            "_lab_steps sums the shortened last step from the phase table"),
     Mutant(PROPAGATOR,
-           "return phi * [1.0, end] if n == 2 else phi, k",
-           "return phi, k",
+           "return phi * [1.0, end] if n == 2 else phi",
+           "return phi",
            "_frame_steps leaves the final state in the rotating frame (drops R(w t_end))"),
     # NaN spreads through every product it enters, so it shows where the
     # padding's values reach; being quiet, it raises no floating-point

@@ -17,11 +17,16 @@ a pair in which the change does, so each order has ``--calls`` pairs.  Every
 call follows a call of another case: a call made right after one of the same
 case runs faster (four driven_config calls in a row took 0.80, 0.64, 0.58
 and 0.54 ms, medians of 41, on a 2-vCPU x86_64 VM), which favoured the
-second side of each pair.  Per case the record holds each side's median
-and quartiles in ms over both orders, and per order each side's median and
-the change's wins (pairs in which the change was faster); the change is
-faster on a case only when it wins at least nine in ten of the pairs of
-each order.  It also holds each side's max |dp| against ``stepwise`` and
+second side of each pair.  Each pass starts with one untimed call of its own
+tree on the last case: without it the first pass of a pair started right
+after a pass of its own tree and the second after one of the other tree, and
+in an A/A run (the tree against itself, 101 pairs per order) the first
+case, driven_config, read 30 and 70 wins of the second-loaded copy, one
+count per order, against 54 and 45 with the call.  Per case the record
+holds each side's median and quartiles in ms over both orders, and per
+order each side's median and the change's wins (pairs in which the change
+was faster); the change is faster on a case only when it wins at least nine
+in ten of the pairs of each order.  It also holds each side's max |dp| against ``stepwise`` and
 largest norm error.  The record, with its command, CPU and versions,
 replaces ``--out``.  Its command names each path as its path from the
 repository's root, or, outside the repository, as PARENT_SRC, CHANGE_SRC or
@@ -35,10 +40,10 @@ checks both trees against the grid rule of the checkout it belongs to.
 ``stepwise`` is the one reference of the repository: the path tests in
 ``tests/test_propagator.py`` import it, with ``config_objects`` and
 ``committed``, which read a config through the nlevel CLI's own reader, the
-one `nlevel evolve` runs.  It steps exp(-i h H(t_mid)) on the contract's
-grid, full steps dt long at t_start + (k + 1/2) dt and the last from its own
-edge to t_end, one batched eigh per block of steps and one matrix-vector
-product per step.
+one `nlevel evolve` runs.  It steps exp(-i h H(t_mid)) on the grid that
+_grid gives evolve: full steps exactly dt long at t_start + (k + 1/2) dt,
+then, only when _grid's h is nonzero, a last step of length h, one batched
+eigh per block of steps and one matrix-vector product per step.
 """
 
 import argparse
@@ -163,11 +168,12 @@ def config_objects(raw, tree="nlevel"):
 def stepwise(spec, config, tree="nlevel"):
     """Sample times, populations and the final state from one eigh step per step.
 
-    The steps lie on the grid the contract defines, with the step count K
-    of the package ``tree``'s _grid: steps 1..K-1 exactly dt long, centred
-    at t_start + (k + 1/2) dt, and the last from its own edge
-    t_start + (K - 1) dt to t_end, whatever its length.  They start from
-    the initial state as evolve normalizes it, a basis index or amplitudes.
+    The steps lie on the grid that the package ``tree``'s _grid gives
+    evolve, (n_steps, whole, h): steps 1..whole exactly dt long, centred at
+    t_start + (k + 1/2) dt, then, only when h is nonzero, a last step of
+    length h centred at t_start + whole dt + h / 2.  No other step length is
+    formed.  They start from the initial state as evolve normalizes it, a
+    basis index or amplitudes.
     Each step applies exp(-i h H(t_mid)) as v (v^dagger psi) e^{-i w h},
     exp_step's formula, with H and eigh batched per block of
     _REFERENCE_CHUNK steps.
@@ -175,13 +181,14 @@ def stepwise(spec, config, tree="nlevel"):
     hamiltonian_at = importlib.import_module(f"{tree}.hamiltonian").hamiltonian_at
     propagator = importlib.import_module(f"{tree}.propagator")
     t_start, dt = config.t_start, config.dt
-    steps = propagator._grid(t_start, config.t_end, dt)[0]
+    steps, whole, h = propagator._grid(t_start, config.t_end, dt)
     edges = t_start + np.arange(steps + 1) * dt
     edges[-1] = config.t_end
     lengths = np.full(steps, dt)
-    lengths[-1] = edges[-1] - edges[-2]
     mids = t_start + (np.arange(steps) + 0.5) * dt
-    mids[-1] = edges[-2] + 0.5 * lengths[-1]
+    if h:
+        lengths[-1] = h
+        mids[-1] = t_start + whole * dt + 0.5 * h
     psi = propagator._initial_vector(spec.n, config.initial_state)
     taken, states = [0], [psi]
     for start in range(0, steps, _REFERENCE_CHUNK):
@@ -225,13 +232,17 @@ def time_pairs(trees, raws, calls):
 
     Each call index makes an ABBA block of passes over the cases, parent
     (side 0), change, change, parent: the first two passes give the pairs of
-    order 0, the last two those of order 1.
+    order 0, the last two those of order 1.  Each pass starts with one
+    untimed call of its own tree on the last case, so that its first case
+    follows a call of its own tree in both passes of a pair.
     """
     runs = [{name: config_objects(raw, tree.__name__) for name, raw in raws.items()}
             for tree in trees]
     times = [[{name: [] for name in raws} for _ in trees] for _ in ORDERS]
+    last = list(raws)[-1]
     for _ in range(calls + 1):
         for order, side in ((0, 0), (0, 1), (1, 1), (1, 0)):
+            trees[side].evolve(*runs[side][last])
             for name in raws:
                 t0 = time.perf_counter()
                 trees[side].evolve(*runs[side][name])

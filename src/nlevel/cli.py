@@ -324,7 +324,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"nlevel: error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,11 +15,14 @@ eigh see the same phase and length for it.  One function, _grid, decides
 the grid of every path: K full steps, and the length h of a last step from
 t_start + K dt to t_end, which follows on the same path only when h is
 nonzero: in the frame, or on its own, by Taylor or eigh.  So no run takes
-a zero-length step.  Each path takes every step of its run, and evolve
-only dispatches.  One function, _route, decides the lab path's route from
-the grid alone, before any array is formed or eigh made: the steps jumps
-cover, the phase table's Q, the Taylor order of the fresh full-length
-steps and that of the last step, or eigh; _lab_steps carries it out.
+a zero-length step.  Each path takes every step of its run and writes the
+sample of full step s, s a multiple of sample_every, to row
+s // sample_every; evolve only dispatches, and writes the final state into
+the last row when a last step of length h or a part interval ends the run.
+One function, _route, decides the lab path's route from the grid alone,
+before any array is formed or eigh made: the steps jumps cover, the phase
+table's Q, the Taylor order of the fresh full-length steps and that of the
+last step, or eigh; _lab_steps carries it out.
 H(t) does not depend on the state, so evolve forms the step unitaries, or
 the H of Taylor steps, of many steps at once, in chunks.
 H(t) is hermitian by construction (see hamiltonian_at), so nothing checks
@@ -280,7 +283,8 @@ class EvolutionConfig:
     """Time grid and initial state for a propagation run.
 
     ``initial_state`` is either a basis index or an explicit amplitude
-    sequence (normalized on intake).  Every ``sample_every``-th step is
+    sequence, kept as given; evolve normalizes the amplitudes (see
+    _initial_vector) before the first step.  Every ``sample_every``-th step is
     recorded; the initial and final instants are always included, and the
     last step is shortened so the run ends exactly at ``t_end``.  A grid of
     more than MAX_STEPS steps, counted as _grid counts them, is refused.
@@ -752,9 +756,10 @@ def _lab_steps(spec, parts, psi, t_start, dt, whole, h, every, populations):
     once per run, takes steps 1..done as jumps and the fresh full-length
     steps after them from the phase table, as Taylor steps or by eigh, and
     the last step, of length h (see _grid), only when h is nonzero, on its
-    own, by Taylor or eigh.  Records the states that end a sample interval
-    in ``populations`` from row 1 on and returns the state at t_end and the
-    next row.
+    own, by Taylor or eigh.  Writes the populations of step s, s a multiple
+    of every up to whole, to row s // every of ``populations``, so a chunk's
+    first sample goes to row start // every + 1, and returns the state at
+    t_end.
     """
     chunk = max(1, CHUNK_BYTES // (16 * spec.n**2))
     done, step_q, order, last = _route(spec, parts[0], dt, whole, h, every)
@@ -770,7 +775,6 @@ def _lab_steps(spec, parts, psi, t_start, dt, whole, h, every, populations):
     # e^{i w t_start} (e^{i w dt / 2})^(2 whole): e^{i w t} at that edge
     # differs from it by the rounding of w t, which at a large |w t| reaches
     # the state
-    k = 1
     if table is not None:
         origin = cmath.phase(_phase_factors(spec, t_start))
         end = origin + 2 * whole * cmath.phase(_phase_factors(spec, 0.5 * dt))
@@ -788,14 +792,14 @@ def _lab_steps(spec, parts, psi, t_start, dt, whole, h, every, populations):
             u, chain = _steps(spec, parts, mids, dt, psi, tab, order)
             psi = chain[-1]
             sampled = chain[-(start + unit) % every // unit :: every // unit]
-            populations[k : k + len(sampled)] = sampled.real**2 + sampled.imag**2
-            k += len(sampled)
+            row = start // every + 1
+            populations[row : row + len(sampled)] = sampled.real**2 + sampled.imag**2
     if table is not None:
         psi = psi * back
     if h:
         mid = np.array([t_start + whole * dt + 0.5 * h])
         psi = _steps(spec, parts, mid, h, psi, None, last)[1][0]
-    return psi, k
+    return psi
 
 
 def _in_frame(spec: SystemSpec) -> bool:
@@ -825,9 +829,10 @@ def _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, populati
     w t_end, w dt / 2 and w h / 2 are formed: the first two are the ends'
     w t, which evolve checks are finite, and dt (when whole > 0) and h are
     at most t_end - t_start, which bounds the others by half their
-    difference, where w dt itself may overflow.  Records the states that
-    end a sample interval in ``populations`` from row 1 on and returns the
-    state at t_end, back in the lab frame, and the next row.
+    difference, where w dt itself may overflow.  Writes the populations of
+    sample interval j, which step j every closes, to row j of
+    ``populations``, so a chunk of intervals from start on begins at row
+    1 + start, and returns the state at t_end, back in the lab frame.
     """
     n = spec.n
     power = _frame_powers(spec, parts, dt)
@@ -835,19 +840,19 @@ def _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, populati
     # the one driven spec in the frame, which is two-level, and I otherwise
     start, end = (complex(_phase_factors(spec, t)) for t in (t_start, t_end))
     phi = psi * [1.0, start.conjugate()] if n == 2 else psi
-    count, size, k = whole // every, max(1, CHUNK_BYTES // (16 * n)), 1
+    count, size = whole // every, max(1, CHUNK_BYTES // (16 * n))
     # no power of W is formed when no full-length step runs: dt may then
     # exceed the span, and w dt / 2 overflow
     interval = power(every) if count else None
     for start in range(0, count, size):
         states = _power_states(interval, phi, min(size, count - start))
-        populations[k : k + len(states)] = states.real**2 + states.imag**2
-        phi, k = states[-1], k + len(states)
+        populations[1 + start : 1 + start + len(states)] = states.real**2 + states.imag**2
+        phi = states[-1]
     if whole % every:
         phi = power(whole % every) @ phi
     if h:
         phi = power(1, h) @ phi
-    return phi * [1.0, end] if n == 2 else phi, k
+    return phi * [1.0, end] if n == 2 else phi
 
 
 def _frame_powers(spec, parts, dt):
@@ -941,7 +946,10 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     batched eigh call per chunk.  Jumps and fresh steps share one loop (see
     the module docstring).  _grid gives the full steps and the length h of
     a last step to t_end; that step is taken only when h is nonzero, on its
-    own, by Taylor or eigh on the same rule.  The drift's levels are the
+    own, by Taylor or eigh on the same rule.  The paths write the sample of
+    full step s to row s // sample_every, and evolve writes the final state
+    into the last row when h is nonzero or whole is not a multiple of
+    sample_every: there no path wrote it.  The drift's levels are the
     floats of _drift_levels, which build_drift puts on a
     diagonal; only an assembled H holds them, on its diagonal.  Raises
     ValueError when the drive phase w t is not finite at
@@ -992,12 +1000,13 @@ def evolve(spec: SystemSpec, config: EvolutionConfig) -> Trajectory:
     populations[0] = psi.real**2 + psi.imag**2
 
     if _in_frame(spec):
-        psi, k = _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, populations)
+        psi = _frame_steps(spec, parts, psi, t_start, t_end, dt, whole, h, every, populations)
     else:
-        psi, k = _lab_steps(spec, parts, psi, t_start, dt, whole, h, every, populations)
-    # the last sample is the final state, unless it closed a sample interval
-    if k < n_samples:
-        populations[k] = psi.real**2 + psi.imag**2
+        psi = _lab_steps(spec, parts, psi, t_start, dt, whole, h, every, populations)
+    # the last sample is the final state, unless step whole closed a sample
+    # interval and no last step followed it
+    if h or whole % every:
+        populations[-1] = psi.real**2 + psi.imag**2
 
     # ** 0.5, - and abs() on a temporary reuse its memory (numpy elides the
     # copies), so the norm errors take one array, not two

@@ -18,6 +18,7 @@ from nlevel import (
     EvolutionConfig,
     SystemSpec,
     build_clock,
+    build_fourier,
     build_full_hamiltonian,
     build_shift,
     evolve,
@@ -167,6 +168,21 @@ class TestExpStep:
         assert np.array_equal(times, edges[taken])
         assert max_abs(populations - np.abs(np.array(states)[taken]) ** 2) <= 1e-14
         assert max_abs(final_state - states[-1]) <= 1e-14
+
+    def test_reference_steps_the_grid_evolve_steps(self):
+        # edge 2,000 lands on t_end, so _grid gives 2,000 steps of exactly dt
+        # and no last step; evolve and the reference then take the same steps.
+        # A last step rebuilt from the edges, t_end - (t_start + 1999 dt), is
+        # 2.8e-15 shorter, which at dt g = 60 (no table fits) moved the
+        # reference's populations 1.2e-12 from evolve's, against 1e-14 on
+        # _grid's grid
+        spec, config = config_objects(cases()["nofit_n2_2k_every1"])
+        assert propagator._grid(config.t_start, config.t_end, config.dt) == (2000, 2000, 0.0)
+        traj = evolve(spec, config)
+        times, populations, final_state = stepwise(spec, config)
+        assert np.array_equal(traj.times, times)
+        assert max_abs(traj.populations - populations) <= 1e-13
+        assert max_abs(traj.final_state - final_state) <= 1e-13
 
 
 class TestEvolutionConfig:
@@ -1520,6 +1536,73 @@ class TestTaylorSteps:
         assert order == 0 or tail(order - 1) > EPS
 
 
+def zero_drift_states(spec, config):
+    """Sampled states of the exact midpoint product of a zero-drift generalized run.
+
+    With equal energies H(t) = g F diag(cos(w t + 2 pi k / n)) F^dagger, F
+    the paper's Fourier matrix (see interaction_diagonal), so every H(t)
+    commutes and the product over _grid's steps up to sample s is
+    F diag(exp(-i g Phi_k(s))) F^dagger.  Phi_k sums h_j cos(theta_j + 2 pi k / n)
+    over the steps' lengths and midpoint phases: the m full steps as the
+    arithmetic progression dt Re(e^{i (theta_0 + (m - 1) delta / 2)}
+    sin(m delta / 2) / sin(delta / 2) e^{2 pi i k / n}), delta = w dt, which
+    does not round with m, and a last step of h at its own midpoint.  w dt
+    is no multiple of 2 pi in these runs, where sin(delta / 2) would vanish.
+    """
+    n, dt, omega = spec.n, config.dt, spec.omega
+    n_steps, whole, h = propagator._grid(config.t_start, config.t_end, dt)
+    every = min(config.sample_every, n_steps + 1)
+    taken = np.arange(0, n_steps + 1, every)
+    taken = taken if taken[-1] == n_steps else np.append(taken, n_steps)
+    m, delta = np.minimum(taken, whole), omega * dt
+    sums = (np.exp(1j * (omega * (config.t_start + 0.5 * dt) + 0.5 * (m - 1) * delta))
+            * np.sin(0.5 * m * delta) / math.sin(0.5 * delta))
+    offsets = np.exp(2j * math.pi * np.arange(n) / n)
+    phases = dt * (sums[:, None] * offsets).real
+    if h:
+        mid = config.t_start + whole * dt + 0.5 * h
+        phases[taken > whole] += h * (np.exp(1j * omega * mid) * offsets).real
+    f = build_fourier(n)
+    psi = propagator._initial_vector(n, config.initial_state)
+    return (np.exp(-1j * spec.g * phases) * (f.conj().T @ psi)) @ f.T
+
+
+class TestZeroDrift:
+    # equal energies leave only the drive, whose H(t) all commute: the exact
+    # discrete product is one float64 formula at any step count (see
+    # zero_drift_states), so it judges the lab path where stepwise, which
+    # rounds as much as the run, cannot.  g = 0.8, w = 1.0137, off the period
+    # grid, from a start on every level; bounds about 4 times the readings
+
+    @pytest.mark.parametrize("n, dt, steps, every, g, expected, bound", [
+        # phase table, 5.7e-13
+        (3, 0.005, 1500, 1, 0.8, (0, 5, None, 0), 2e-12),
+        # one-phase table, 3.7e-14
+        (32, 0.05, 400, 1, 0.8, (0, 1, None, 0), 2e-13),
+        # Taylor steps, 9.7e-17
+        (32, 0.05, 2, 2, 0.8, (0, None, 7, 0), 1e-15),
+        # Taylor steps and a Taylor last step of 0.6 dt, 9.7e-17
+        (32, 0.05, 4.6, 2, 0.8, (0, None, 7, 7), 1e-15),
+        # fresh eigh steps, 1.9e-15
+        (3, 0.5, 2, 1, 5.0, (0, None, None, 0), 1e-14),
+        # jumps and an eigh last step of 0.6 dt, 1.1e-11
+        (3, 0.005, 20000.6, 100, 0.8, (20000, 5, None, None), 4e-11),
+        # jumps over 200,000 steps, 1.0e-10
+        (3, 0.005, 200000, 1000, 0.8, (200000, 5, None, 0), 4e-10),
+    ], ids=["table_n3", "table_n32", "taylor_n32", "taylor_last_n32", "eigh_n3",
+            "jumps_eigh_last_n3", "jumps_200k_n3"])
+    def test_matches_the_closed_form(self, n, dt, steps, every, g, expected, bound):
+        spec = SystemSpec(n=n, energies=(0.0,) * n, g=g, omega=1.0137,
+                          drive_model="generalized")
+        config = EvolutionConfig(t_start=0.0, t_end=steps * dt, dt=dt,
+                                 initial_state=superposed(n), sample_every=every)
+        assert route(spec, config) == expected
+        traj = evolve(spec, config)
+        states = zero_drift_states(spec, config)
+        assert max_abs(traj.populations - np.abs(states) ** 2) <= bound
+        assert max_abs(traj.final_state - states[-1]) <= bound
+
+
 RABI = SystemSpec(n=2, energies=(0.5, -0.5), g=0.05, omega=1.0, drive_model="rwa2")
 RABI_DT = 2.0 * math.pi / 100  # 100 steps per drive period
 
@@ -1527,6 +1610,47 @@ RABI_DT = 2.0 * math.pi / 100  # 100 steps per drive period
 def superposed(n):
     """A start on every level with distinct phases, normalized by evolve."""
     return tuple(complex(a) for a in (1.0 + np.arange(n)) * np.exp(1j * np.arange(n)))
+
+
+# np.longdouble is the 80-bit or 128-bit type on most platforms, but only
+# float64 on some (MSVC, some ARM builds)
+EXTENDED = np.finfo(np.longdouble).eps < EPS
+
+
+def frame_populations(spec, config):
+    """Sampled populations of a two-level frame run from W's powers in np.longdouble.
+
+    W_h = R(-w h / 2) U_h(0) R(-w h / 2) from the 2 x 2 closed form that
+    _frame_powers takes, H(0) = [[p, c], [c, q]], each entry formed in
+    extended precision from the run's float64 inputs; W = W_dt is applied
+    once per full step on _grid's grid, and W_h once for a last step of h.
+    R is diagonal, so the frame states' populations are the lab's.  The
+    same formula as the code, with more precision, not another method.
+    """
+    ld, i = np.longdouble, np.clongdouble(1j)
+    (p, q), a, _ = hamiltonian._parts(spec)
+    p, q, c = ld(p), ld(q), ld(a[1, 0]) + ld(a[0, 1])
+    m, d = (p + q) / 2, (p - q) / 2
+    r = np.sqrt(d * d + c * c)
+
+    def step(h):
+        h = ld(h)
+        x = r * h
+        s = np.sin(x) / r if r else h
+        u = np.exp(-i * m * h) * np.array([[np.cos(x) - i * s * d, -i * s * c],
+                                           [-i * s * c, np.cos(x) + i * s * d]])
+        half = np.array([1, np.exp(-i * ld(spec.omega) * h / 2)])
+        return half[:, None] * u * half
+
+    n_steps, whole, h = propagator._grid(config.t_start, config.t_end, config.dt)
+    every = min(config.sample_every, n_steps + 1)
+    w, phi = step(config.dt), propagator._initial_vector(2, config.initial_state)
+    states = [phi.astype(np.clongdouble)]
+    for k in range(1, whole + 1):
+        states.append(w @ states[-1])
+    phi = step(h) @ states[-1] if h else states[-1]
+    kept = states[::every] + ([phi] if h or whole % every else [])
+    return np.abs(np.array(kept)) ** 2
 
 
 class TestRotatingFrame:
@@ -1697,6 +1821,23 @@ class TestRotatingFrame:
         bound = EPS * len(whole.times)
         assert max_abs(chunked.populations - whole.populations) <= bound
         assert max_abs(chunked.final_state - whole.final_state) <= bound
+
+    @pytest.mark.parametrize("name", ["frame_rwa2_5k_every100", "rabi_config"])
+    def test_two_level_frame_matches_extended_precision(self, name):
+        # against W's powers in extended precision evolve reads 2.1e-15 on
+        # 5,000 steps sampled every 100 and 3.2e-14 on the Rabi config, whose
+        # last step lands on t_end; the rotation angle scaled by 1 + 1e-13
+        # reads 7.1e-13 and 2.7e-13, and stepwise, which checks the method,
+        # 2.1e-12 and 8.6e-13.  Where np.longdouble is float64 the reference
+        # rounds as stepwise does, and the test holds evolve to stepwise's
+        # bound instead
+        spec, config = config_objects(cases()[name])
+        assert spec.drive_model == "rwa2"
+        bound = 1e-13 if EXTENDED else 1e-10
+        if not EXTENDED:
+            print("np.longdouble is float64 here: the two-level frame is held to 1e-10")
+        error = max_abs(evolve(spec, config).populations - frame_populations(spec, config))
+        assert error <= bound, f"{error:.2e} over {bound:g} (extended precision: {EXTENDED})"
 
     @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 100])
     def test_power_states_match_repeated_products(self, count):
